@@ -286,7 +286,8 @@ def ak_plugin_bandwidth(
     """Closed-form bounded-curvature bandwidth
     [C_K (s2+ + s2-) / (4 f M^2 n)]^(1/5).
 
-    Reported as a diagnostic alongside the finite-sample minimizer.
+    A closed-form point of comparison for the finite-sample minimizer of
+    ``ak_bandwidth``, which does not compute it.
     """
     if m <= 0:
         raise ZeroCurvatureBoundError("plug-in bandwidth undefined for M = 0")
@@ -426,12 +427,6 @@ def ak_bandwidth(
         "n_feasible": n_feasible,
         "kernel_constant": kernel_constant(kernel),
     }
-    stage = _pilot_stage(sample)
-    if not isinstance(stage, str):
-        _, f_hat, s2m, s2p, _, _ = stage
-        diagnostics["h_plugin"] = ak_plugin_bandwidth(
-            s2m, s2p, f_hat, bound.value, sample.n, kernel
-        )
     return BandwidthResult(algorithm, best[1], diagnostics=diagnostics)
 
 

@@ -15,7 +15,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,9 +103,6 @@ class EffectEstimate:
     @property
     def width(self) -> float:
         return self.ci_upper - self.ci_lower
-
-    def relabel(self, bw_label: str) -> "EffectEstimate":
-        return replace(self, method=(bw_label, self.method[1]))
 
 
 def validate(sample: RDSample) -> SideSplit:

@@ -8,9 +8,16 @@ tau0 removed from the treated are fixed, so the permutation distribution of
 the difference in means is known exactly; p-values count assignments at
 least as extreme as the observed one (ties count as extreme).
 
-Interval estimation inverts the test over a grid of hypothesized constant
-effects.  For a fixed assignment set the statistic is linear in tau0, which
-makes the 401-point grid sweep cheap.
+Interval estimation inverts the test over a 401-point grid of hypothesized
+constant effects.  For assignment A the statistic is u_A - tau0 * v_A, and
+v_A depends only on how many treated units A holds, so the assignments fall
+into at most k + 1 groups that share one v.  Within a group tau0 * v is one
+number t, and fl(u - t) is monotone in u: the assignments at least as
+extreme as the observed one are a prefix and a suffix of the group's sorted
+u.  One binary search per group and grid point finds each boundary, which
+is then moved until the test's own comparison holds on its side of it.  The
+counts, and so the p-values and the interval, are exactly those of
+evaluating every assignment at every grid point.
 """
 
 from __future__ import annotations
@@ -94,27 +101,48 @@ def select_window(sample: RDSample, min_per_side: int = 5) -> LRWindow:
 
 
 @lru_cache(maxsize=128)
-def _exact_assignments(n: int, k: int) -> np.ndarray:
-    """All k-subsets of range(n) as an (n_choose_k, k) index array."""
-    return np.array(list(combinations(range(n), k)), dtype=np.intp)
+def _exact_layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All k-subsets of range(n), grouped by how many of the last k they hold.
+
+    Returns (idx, bounds, k_groups).  ``idx`` is the (n_choose_k, k) index
+    array with rows in descending order of k_A, the count of indices
+    >= n - k; group g is rows bounds[g]:bounds[g + 1], all with
+    k_A = k_groups[g].  Row 0, the only row with k_A = k, is the observed
+    assignment.  The arrays are shared between calls and read-only.
+    """
+    idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    idx, bounds, k_groups = _group_rows(idx, n - k)
+    for arr in (idx, bounds, k_groups):
+        arr.flags.writeable = False
+    return idx, bounds, k_groups
+
+
+def _group_rows(idx: np.ndarray, n_control: int):
+    """Reorder assignment rows by descending treated count, stably."""
+    k_a = (idx >= n_control).sum(axis=1)
+    order = np.argsort(-k_a, kind="stable")
+    sizes = np.bincount(k_a, minlength=idx.shape[1] + 1)[::-1]
+    k_groups = idx.shape[1] - np.flatnonzero(sizes)
+    bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
+    return idx[order], bounds, k_groups
 
 
 def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
                       n_mc: int, rng: np.random.Generator | None):
     """Difference-in-means decomposition over an assignment set.
 
-    ``y_window`` is ordered controls-then-treated.  Returns (u, v, mode,
-    n_evaluated) where the statistic under hypothesized effect tau0 for
-    assignment A is u_A - tau0 * v_A; row 0 is the observed assignment
-    (u_0 = observed difference in means, v_0 = 1).
+    ``y_window`` is ordered controls-then-treated.  Returns
+    (u, bounds, v, mode): the statistic under hypothesized effect tau0 for
+    assignment A is u_A - tau0 * v_A, where v_A depends only on the treated
+    count k_A.  Rows are grouped by k_A; group g is rows bounds[g]:bounds[g+1]
+    and has v_A = v[g].  Row 0 is the observed assignment (u_0 = observed
+    difference in means, v_0 = 1).
     """
     n = y_window.size
     k = n_treated
     n_control = n - k
     if math.comb(n, k) <= max_exact:
-        idx = _exact_assignments(n, k)
-        # Rotate the observed assignment (the last lexicographic subset) to row 0.
-        idx = np.concatenate([idx[-1:], idx[:-1]], axis=0)
+        idx, bounds, k_groups = _exact_layout(n, k)
         mode = "exact"
     else:
         if rng is None:
@@ -122,21 +150,79 @@ def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
         draws = rng.random((n_mc, n)).argsort(axis=1)[:, :k]
         observed = np.arange(n_control, n, dtype=np.intp)[None, :]
         idx = np.concatenate([observed, np.sort(draws, axis=1)], axis=0)
+        idx, bounds, k_groups = _group_rows(idx, n_control)
         mode = "monte_carlo"
 
     s_total = y_window.sum()
     s_a = y_window[idx].sum(axis=1)
     u = s_a / k - (s_total - s_a) / n_control
-    k_a = (idx >= n_control).sum(axis=1)
-    v = k_a / k - (k - k_a) / n_control
-    return u, v, mode, idx.shape[0]
+    v = k_groups / k - (k - k_groups) / n_control
+    return u, bounds, v, mode
 
 
-def _p_value(u: np.ndarray, v: np.ndarray, tau0: float) -> float:
-    stats = np.abs(u - tau0 * v)
-    observed = stats[0]
-    cut = observed - _TIE_RTOL * max(1.0, observed)
-    return float(np.count_nonzero(stats >= cut)) / stats.size
+def _p_values(u: np.ndarray, bounds: np.ndarray, v: np.ndarray,
+              taus: np.ndarray) -> np.ndarray:
+    """Permutation p-value at each hypothesized effect in ``taus``.
+
+    p(tau) is the share of assignments A with |u_A - tau v_A| >= cut(tau),
+    where cut is the observed |u_0 - tau| less a relative tie slack.  The
+    count is the one the predicate gives on every row, found by a sweep:
+    within a group tau * v_A is one number t, and fl(u - t) is monotone in
+    u, so the rows meeting u - t >= cut are a suffix of the group's sorted
+    u and those meeting u - t <= -cut a prefix.  ``np.searchsorted`` at
+    t +- cut guesses each boundary; the guess is then moved, one distinct
+    value at a time, until the predicate itself holds on its side of it.
+    """
+    n_rows = u.size
+    observed = np.abs(u[0] - taus)
+    cut = observed - _TIE_RTOL * np.maximum(1.0, observed)
+
+    # Sorted distinct values of each group, concatenated; group g holds
+    # vals[lo[g]:hi[g]], and rows_before[j] rows sort before vals[j].
+    u_sorted = u.copy()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        u_sorted[a:b].sort()
+    new = np.empty(n_rows, dtype=bool)
+    np.not_equal(u_sorted[1:], u_sorted[:-1], out=new[1:])
+    new[bounds[:-1]] = True
+    rows_before = np.append(np.flatnonzero(new), n_rows)
+    vals = u_sorted[new]
+    edges = np.searchsorted(rows_before, bounds)
+    lo, hi = edges[:-1, None], edges[1:, None]
+
+    t = np.multiply.outer(v, taus)
+    upper_guess = np.empty(t.shape, dtype=np.intp)
+    lower_guess = np.empty(t.shape, dtype=np.intp)
+    for g in range(v.size):
+        seg = vals[lo[g, 0]:hi[g, 0]]
+        upper_guess[g] = lo[g, 0] + np.searchsorted(seg, t[g] + cut, "left")
+        lower_guess[g] = lo[g, 0] + np.searchsorted(seg, t[g] - cut, "right")
+
+    def first_holding(holds, i):
+        # The first index in [lo, hi] at which a predicate that is monotone
+        # along each sorted group holds (hi where it holds nowhere).
+        while True:
+            back = (i > lo) & holds(i - 1)
+            if not back.any():
+                break
+            i = i - back
+        while True:
+            ahead = (i < hi) & ~holds(i)
+            if not ahead.any():
+                break
+            i = i + ahead
+        return i
+
+    def diff(j):
+        return vals.take(j, mode="clip") - t
+
+    upper = first_holding(lambda j: diff(j) >= cut, upper_guess)
+    lower = first_holding(lambda j: diff(j) > -cut, lower_guess)
+    counts = (rows_before[hi] - rows_before[upper]
+              + rows_before[lower] - rows_before[lo]).sum(axis=0)
+    # With cut <= 0 the two sides overlap and every row counts.
+    counts = np.where(cut > 0, counts, n_rows)
+    return counts / n_rows
 
 
 def permutation_test(
@@ -165,13 +251,13 @@ def permutation_test(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     y_window = np.concatenate([y_control, y_treated])
-    u, v, mode, n_eval = _assignment_stats(
+    u, bounds, v, mode = _assignment_stats(
         y_window, y_treated.size, max_exact, n_mc, rng
     )
     return PermutationResult(
         observed_stat=float(u[0] - tau0),
-        p_value=_p_value(u, v, tau0),
-        n_assignments_evaluated=n_eval,
+        p_value=float(_p_values(u, bounds, v, np.array([tau0], dtype=float))[0]),
+        n_assignments_evaluated=u.size,
         mode=mode,
     )
 
@@ -194,7 +280,15 @@ def lr_interval(
     the point estimate spanning +- grid_span_sds pooled within-group
     standard deviations (the grid collapses to the point when the pooled sd
     is zero).  A disconnected acceptance region is reported as a diagnostic
-    flag; the hull is still returned.
+    flag; the hull is still returned.  So is an accepted set that reaches
+    the first or last grid point (``grid_clipped``): the interval is then
+    cut off by the grid, not by the test.
+
+    Raises
+    ------
+    InsufficientDataError
+        The window holds one observation per side, so the pooled sd that
+        scales the grid has no degrees of freedom.
     """
     y_control = sample.y[window.indices_below]
     y_treated = sample.y[window.indices_above]
@@ -206,12 +300,15 @@ def lr_interval(
     point = float(y_treated.mean() - y_control.mean())
     n_c, n_t = y_control.size, y_treated.size
     dof = n_c + n_t - 2
-    pooled_var = 0.0
-    if dof > 0:
-        pooled_var = (
-            ((y_control - y_control.mean()) ** 2).sum()
-            + ((y_treated - y_treated.mean()) ** 2).sum()
-        ) / dof
+    if dof == 0:
+        raise InsufficientDataError(
+            "window holds one observation per side: the pooled standard "
+            "deviation that scales the inversion grid has 0 degrees of freedom"
+        )
+    pooled_var = (
+        ((y_control - y_control.mean()) ** 2).sum()
+        + ((y_treated - y_treated.mean()) ** 2).sum()
+    ) / dof
     pooled_sd = math.sqrt(pooled_var)
 
     if pooled_sd == 0.0:
@@ -221,9 +318,8 @@ def lr_interval(
         grid = np.linspace(point - span, point + span, grid_points)
 
     y_window = np.concatenate([y_control, y_treated])
-    u, v, mode, n_eval = _assignment_stats(y_window, n_t, max_exact, n_mc, rng)
-    p_values = np.array([_p_value(u, v, tau0) for tau0 in grid])
-    accepted = np.flatnonzero(p_values > alpha)
+    u, bounds, v, mode = _assignment_stats(y_window, n_t, max_exact, n_mc, rng)
+    accepted = np.flatnonzero(_p_values(u, bounds, v, grid) > alpha)
     # The center always survives: at tau0 = point the observed statistic is
     # zero, the least extreme value, so p = 1.
     lo = float(grid[accepted[0]])
@@ -240,9 +336,10 @@ def lr_interval(
         method=("lr", "lr"),
         diagnostics={
             "mode": mode,
-            "n_assignments": n_eval,
+            "n_assignments": u.size,
             "grid_step": float(grid[1] - grid[0]) if grid.size > 1 else 0.0,
             "disconnected_acceptance": disconnected,
+            "grid_clipped": bool(accepted[0] == 0 or accepted[-1] == grid.size - 1),
             "n_window_below": n_c,
             "n_window_above": n_t,
         },

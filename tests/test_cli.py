@@ -170,6 +170,24 @@ class TestAnalyzeCommand:
         assert not rows["lr5"]["success"]
         assert "InsufficientData" in rows["lr5"]["reason"]
 
+    def test_lr_window_of_one_per_side_is_a_failure_row(self, tmp_path, capsys):
+        # --lr-min 1 on symmetric scores: a 1+1 window leaves the pooled SD
+        # without degrees of freedom, which is a failure, not a zero-width
+        # interval
+        x = [-0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4]
+        path = tmp_path / "pairs.csv"
+        _write_csv(path, [f"{xi},{0.5 * xi + (xi >= 0) + 0.1 * (i % 3)}"
+                          for i, xi in enumerate(x)])
+        code, out, _ = _run(capsys, [
+            "analyze", "--input", str(path), "--x-col", "x", "--y-col", "y",
+            "--cutoff", "0", "--methods", "lr", "--lr-min", "1",
+        ])
+        assert code == 0
+        row = json.loads(out)["results"][0]
+        assert row["method"] == "lr1"
+        assert not row["success"]
+        assert "InsufficientData" in row["reason"]
+
     def test_akm_requires_bound(self, tmp_path, capsys):
         path = _analysis_csv(tmp_path)
         code, out, _ = _run(capsys, [

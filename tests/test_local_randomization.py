@@ -1,9 +1,20 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdsmall.core import RDSample
 from rdsmall.errors import EmptyWindowSideError, InsufficientDataError
 from rdsmall.local_randomization import (
+    _TIE_RTOL,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_GRID_SPAN_SDS,
+    LRWindow,
+    _assignment_stats,
+    _p_values,
     lr_interval,
     permutation_test,
     select_window,
@@ -14,6 +25,104 @@ def _sample(x, y=None, c=0.0):
     x = np.asarray(x, float)
     y = np.zeros_like(x) if y is None else np.asarray(y, float)
     return RDSample(x=x, y=y, cutoff=c)
+
+
+# Reference: every assignment evaluated at every hypothesized effect, one
+# grid point at a time.  The module's sorted sweep must reproduce it exactly.
+
+
+def _reference_stats(y_window, k, max_exact, n_mc, rng):
+    """Per-row (u, v) with row 0 the observed assignment."""
+    n = y_window.size
+    n_control = n - k
+    if math.comb(n, k) <= max_exact:
+        idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
+        idx = np.concatenate([idx[-1:], idx[:-1]], axis=0)
+    else:
+        draws = rng.random((n_mc, n)).argsort(axis=1)[:, :k]
+        observed = np.arange(n_control, n, dtype=np.intp)[None, :]
+        idx = np.concatenate([observed, np.sort(draws, axis=1)], axis=0)
+    s_total = y_window.sum()
+    s_a = y_window[idx].sum(axis=1)
+    u = s_a / k - (s_total - s_a) / n_control
+    k_a = (idx >= n_control).sum(axis=1)
+    v = k_a / k - (k - k_a) / n_control
+    return u, v
+
+
+def _reference_p_value(u, v, tau0):
+    stats = np.abs(u - tau0 * v)
+    observed = stats[0]
+    cut = observed - _TIE_RTOL * max(1.0, observed)
+    return float(np.count_nonzero(stats >= cut)) / stats.size
+
+
+def _reference_grid(y_control, y_treated):
+    point = float(y_treated.mean() - y_control.mean())
+    dof = y_control.size + y_treated.size - 2
+    pooled_sd = math.sqrt((
+        ((y_control - y_control.mean()) ** 2).sum()
+        + ((y_treated - y_treated.mean()) ** 2).sum()
+    ) / dof)
+    if pooled_sd == 0.0:
+        return np.array([point])
+    span = DEFAULT_GRID_SPAN_SDS * pooled_sd
+    return np.linspace(point - span, point + span, DEFAULT_GRID_POINTS)
+
+
+def _reference_extreme(u_a, v_a, u_0, tau0):
+    """The reference's comparison for one assignment row."""
+    observed = abs(u_0 - tau0)
+    return abs(u_a - tau0 * v_a) >= observed - _TIE_RTOL * max(1.0, observed)
+
+
+def _tie_edges(u_a, v_a, u_0):
+    """Adjacent floats across which row A stops counting as extreme.
+
+    |u_A - tau v_A| = |u_0 - tau| at tau = (u_A -+ u_0) / (v_A -+ 1); the
+    tie slack keeps A extreme a little way past each such root.  Bisection
+    finds where that ends: there fl(u_A - tau v_A) and the cut agree to the
+    last bits, so a boundary taken from a search on u alone can be off.
+    """
+    edges = []
+    for num, den in ((u_a - u_0, v_a - 1.0), (u_a + u_0, v_a + 1.0)):
+        if den == 0.0:
+            continue
+        root = num / den
+        if not _reference_extreme(u_a, v_a, u_0, root):
+            continue
+        for side in (-1.0, 1.0):
+            a, b = root, root + side * 1e-6 * (1.0 + abs(root))
+            if _reference_extreme(u_a, v_a, u_0, b):
+                continue
+            while True:
+                mid = 0.5 * (a + b)
+                if mid == a or mid == b:
+                    break
+                if _reference_extreme(u_a, v_a, u_0, mid):
+                    a = mid
+                else:
+                    b = mid
+            edges += [a, b]
+    return edges
+
+
+@st.composite
+def _windows(draw):
+    """Window responses: 1-10 per side, real, tied-integer or constant y,
+    at scales 1e-6 to 1e6."""
+    n_c = draw(st.integers(1, 10))
+    n_t = draw(st.integers(1, 10))
+    n = n_c + n_t
+    kind = draw(st.sampled_from(["real", "integer", "constant"]))
+    if kind == "real":
+        y = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    elif kind == "integer":
+        y = draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
+    else:
+        y = [draw(st.floats(-1, 1))] * n
+    y = np.array(y) * 10.0 ** draw(st.integers(-6, 6))
+    return y[:n_c], y[n_c:]
 
 
 class TestSelectWindow:
@@ -103,6 +212,7 @@ class TestLRInterval:
         assert est.ci_lower <= est.tau_hat <= est.ci_upper
         assert est.se is None
         assert est.diagnostics["grid_step"] > 0
+        assert est.diagnostics["grid_clipped"] is False
         assert est.method == ("lr", "lr")
 
     def test_shift_invariance(self):
@@ -137,3 +247,79 @@ class TestLRInterval:
         est = lr_interval(sample, window, alpha=0.3, rng=3)
         assert est.ci_lower <= est.tau_hat <= est.ci_upper
         assert isinstance(est.diagnostics["disconnected_acceptance"], bool)
+
+    def test_one_per_side_window_is_insufficient(self):
+        # pooled dof 0: no spread to scale the grid, so no interval at all
+        # rather than a zero-width one
+        sample = _sample([-0.5, -0.1, 0.1, 0.5], [0.0, 1.0, 2.0, 3.0])
+        window = select_window(sample, min_per_side=1)
+        assert window.n_below == window.n_above == 1
+        with pytest.raises(InsufficientDataError, match="degrees of freedom"):
+            lr_interval(sample, window)
+
+    def test_grid_clipped_when_no_assignment_set_can_reject(self):
+        # 2+4 window: C(6, 2) = 15 assignments, so p >= 1/15 > 0.05 at every
+        # tau0 and the accepted set runs to both ends of the grid
+        x = [-0.2, -0.1, 0.1, 0.2, 0.3, 0.4]
+        sample = _sample(x, [0.1, 0.4, 1.2, 0.9, 1.5, 1.1])
+        window = LRWindow(1.0, np.array([0, 1]), np.array([2, 3, 4, 5]))
+        est = lr_interval(sample, window, alpha=0.05)
+        assert est.diagnostics["n_assignments"] == 15
+        assert est.diagnostics["grid_clipped"] is True
+        assert est.ci_upper - est.ci_lower == pytest.approx(
+            (DEFAULT_GRID_POINTS - 1) * est.diagnostics["grid_step"])
+
+
+class TestSweepMatchesReference:
+    """The sorted per-group sweep gives the direct per-point counts exactly."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        window=_windows(),
+        alpha=st.sampled_from([0.05, 0.1, 0.3]),
+        max_exact=st.sampled_from([1, 20_000]),
+        n_mc=st.sampled_from([1, 19, 199]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_p_values_and_endpoints_equal_reference(
+        self, window, alpha, max_exact, n_mc, seed
+    ):
+        y_control, y_treated = window
+        n_c, n_t = y_control.size, y_treated.size
+        y_window = np.concatenate([y_control, y_treated])
+        u_ref, v_ref = _reference_stats(
+            y_window, n_t, max_exact, n_mc, np.random.default_rng(seed))
+
+        # Hypothesized effects on the breakpoints u_A and -u_A, on the edges
+        # of the tie slack, and on the inversion grid.
+        rows = np.unique(np.linspace(0, u_ref.size - 1, 15).astype(int))
+        edges = [t for i in rows for t in _tie_edges(u_ref[i], v_ref[i], u_ref[0])]
+        taus = np.concatenate([u_ref[rows], -u_ref[rows], edges])
+        if n_c + n_t > 2:
+            grid = _reference_grid(y_control, y_treated)
+            taus = np.concatenate([taus, grid])
+
+        u, bounds, v, _ = _assignment_stats(
+            y_window, n_t, max_exact, n_mc, np.random.default_rng(seed))
+        reference = np.array([_reference_p_value(u_ref, v_ref, t) for t in taus])
+        assert np.array_equal(_p_values(u, bounds, v, taus), reference)
+        result = permutation_test(y_control, y_treated, taus[0],
+                                  max_exact=max_exact, n_mc=n_mc, rng=seed)
+        assert result.p_value == reference[0]
+        assert result.n_assignments_evaluated == u_ref.size
+
+        sample = _sample(np.concatenate([-np.ones(n_c), np.ones(n_t)]), y_window)
+        lr_window = LRWindow(1.0, np.arange(n_c), np.arange(n_c, n_c + n_t))
+        if n_c + n_t == 2:
+            with pytest.raises(InsufficientDataError):
+                lr_interval(sample, lr_window, alpha)
+            return
+        est = lr_interval(sample, lr_window, alpha, max_exact=max_exact,
+                          n_mc=n_mc, rng=seed)
+        accepted = np.flatnonzero(reference[-grid.size:] > alpha)
+        expected = np.array([grid[accepted[0]], grid[accepted[-1]]])
+        assert np.array([est.ci_lower, est.ci_upper]).tobytes() == expected.tobytes()
+        assert est.diagnostics["disconnected_acceptance"] == bool(
+            np.any(np.diff(accepted) > 1))
+        assert est.diagnostics["grid_clipped"] == bool(
+            accepted[0] == 0 or accepted[-1] == grid.size - 1)
