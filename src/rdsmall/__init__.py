@@ -11,6 +11,8 @@ The package covers the full small-study RD workflow:
   intervals
 * ``local_randomization`` — window selection, sharp-null permutation tests,
   interval inversion
+* ``engine`` — the method-id parser and the one estimation path that runs
+  every method on a sample, for the CLI and the harness alike
 * ``simulation`` — the seeded Monte Carlo evaluation harness
 * ``cli`` — CSV analysis, study-size reports, simulation runs
 """

@@ -24,27 +24,30 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .bandwidth import CurvatureBound, ak_bandwidth, estimate_m_hat, ik_bandwidth
+from .bandwidth import CurvatureBound
 from .core import RDSample, validate
 from .diss import diss_m
+from .engine import Outcome, Plan, estimate
 from .errors import (
     MissingColumnError,
     ParseError,
     RDError,
     SpecValidationError,
 )
-from .inference import cv_interval, flci_interval, rbc_interval
-from .local_poly import nn_variance
-from .local_randomization import lr_interval, select_window
-from .simulation import design_table, run_cell, validate_cell_spec, write_cell_outputs
-
-DEFAULT_ANALYZE_METHODS = "ik/cv,ik/rbc,ik/flci,ak/cv,ak/rbc,ak/flci,lr"
+from .simulation import (
+    DEFAULT_METHODS,
+    design_table,
+    run_cell,
+    validate_cell_spec,
+    write_cell_outputs,
+)
 
 
 def read_xy_csv(path: str | Path, x_col: str, y_col: str, strict: bool = False):
@@ -108,138 +111,16 @@ def cmd_diss(args) -> dict:
     return report
 
 
-def _analyze_methods(spec: str, lr_min: int) -> list[str]:
-    methods = []
-    for raw in spec.split(","):
-        m = raw.strip().lower()
-        if not m:
-            continue
-        if m in ("lr", f"lr{lr_min}"):
-            methods.append(f"lr{lr_min}")
-        elif m.count("/") == 1 and m.split("/")[0] in ("ik", "ak", "akm") and \
-                m.split("/")[1] in ("cv", "rbc", "flci"):
-            methods.append(m)
-        else:
-            raise SpecValidationError(f"--methods: unknown method id {m!r}")
-    if not methods:
-        raise SpecValidationError("--methods: at least one method required")
-    return methods
-
-
 def cmd_analyze(args) -> dict:
     x, y, dropped = read_xy_csv(args.input, args.x_col, args.y_col, args.strict)
     sample = RDSample(x=x, y=y, cutoff=args.cutoff)
-    methods = _analyze_methods(args.methods, args.lr_min)
-    rng = np.random.default_rng(args.seed)
-
-    rows = []
-
-    def add_row(method, **fields):
-        row = {
-            "method": method,
-            "success": False,
-            "bandwidth_or_window": None,
-            "tau_hat": None,
-            "se": None,
-            "ci_lower": None,
-            "ci_upper": None,
-            "reason": None,
-        }
-        row.update(fields)
-        rows.append(row)
-
-    def add_estimate(method, est):
-        add_row(
-            method,
-            success=True,
-            bandwidth_or_window=est.bandwidth_or_window,
-            tau_hat=est.tau_hat,
-            se=est.se,
-            ci_lower=est.ci_lower,
-            ci_upper=est.ci_upper,
-        )
-
+    bound = None if args.m_bound is None else CurvatureBound(args.m_bound, "user")
+    plan = Plan(
+        methods=args.methods.split(","), alpha=args.alpha, lr_min=args.lr_min,
+        window="strict", m_bound=bound, akm_bound=bound,
+    )
     split = validate(sample)
-    sigma2 = None
-    sigma2_err = None
-    try:
-        sigma2 = nn_variance(sample, split)
-    except RDError as err:
-        sigma2_err = f"{type(err).__name__}: {err}"
-
-    mhat = None
-    mhat_err = None
-    continuity = [m for m in methods if "/" in m]
-    if any(m.startswith("ak/") or m.endswith("/flci") for m in continuity):
-        try:
-            mhat = estimate_m_hat(sample)
-        except RDError as err:
-            mhat_err = f"{type(err).__name__}: {err}"
-    user_bound = None
-    if args.m_bound is not None:
-        user_bound = CurvatureBound(args.m_bound, "user")
-
-    bw_cache: dict[str, object] = {}
-
-    def bandwidth_for(alg):
-        if alg in bw_cache:
-            return bw_cache[alg]
-        if alg == "ik":
-            result = ik_bandwidth(sample)
-        else:
-            bound = user_bound if (alg == "akm" or user_bound is not None) else mhat
-            if bound is None:
-                reason = mhat_err or "no curvature bound (--m-bound not given)"
-                bw_cache[alg] = reason
-                return reason
-            try:
-                result = ak_bandwidth(sample, bound=bound, sigma2=sigma2)
-            except RDError as err:
-                result = f"{type(err).__name__}: {err}"
-        bw_cache[alg] = result
-        return result
-
-    for method in continuity:
-        alg, inf = method.split("/")
-        bw = bandwidth_for(alg)
-        if isinstance(bw, str):
-            add_row(method, reason=bw)
-            continue
-        if not bw.ok:
-            add_row(method, reason=bw.failure_reason)
-            continue
-        if sigma2 is None:
-            add_row(method, bandwidth_or_window=bw.h, reason=sigma2_err)
-            continue
-        bound = user_bound if (alg == "akm" or user_bound is not None) else mhat
-        if inf == "flci" and bound is None:
-            add_row(method, bandwidth_or_window=bw.h,
-                    reason=mhat_err or "no curvature bound")
-            continue
-        try:
-            if inf == "cv":
-                est = cv_interval(sample, bw.h, alpha=args.alpha, sigma2=sigma2,
-                                  bw_label=alg)
-            elif inf == "rbc":
-                est = rbc_interval(sample, bw.h, alpha=args.alpha, sigma2=sigma2,
-                                   bw_label=alg)
-            else:
-                est = flci_interval(sample, bw.h, alpha=args.alpha, bound=bound,
-                                    sigma2=sigma2, bw_label=alg)
-            add_estimate(method, est)
-        except RDError as err:
-            add_row(method, bandwidth_or_window=bw.h,
-                    reason=f"{type(err).__name__}: {err}")
-
-    for method in methods:
-        if "/" in method:
-            continue
-        try:
-            window = select_window(sample, args.lr_min)
-            est = lr_interval(sample, window, alpha=args.alpha, rng=rng)
-            add_estimate(method, est)
-        except RDError as err:
-            add_row(method, reason=f"{type(err).__name__}: {err}")
+    outcomes = estimate(sample, split, plan, np.random.default_rng(args.seed))
 
     report = _base_report(
         args,
@@ -251,10 +132,30 @@ def cmd_analyze(args) -> dict:
             "n": int(sample.n),
             "n_below": int(split.n_below),
             "dropped_rows": dropped,
-            "results": rows,
+            "results": [_result_row(m, out) for m, out in outcomes.items()],
         }
     )
     return report
+
+
+def _result_row(method: str, out: Outcome) -> dict:
+    def number(value):
+        return None if math.isnan(value) else value
+
+    if out.error is not None:
+        reason = f"{type(out.error).__name__}: {out.error}"
+    else:
+        reason = out.reason or None
+    return {
+        "method": method,
+        "success": out.ok,
+        "bandwidth_or_window": number(out.bw),
+        "tau_hat": number(out.tau),
+        "se": number(out.se),
+        "ci_lower": number(out.lo),
+        "ci_upper": number(out.hi),
+        "reason": reason,
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -338,11 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="estimate the cutoff effect with each method")
     add_io(p_an, 0.10)
-    p_an.add_argument("--methods", default=DEFAULT_ANALYZE_METHODS)
+    p_an.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p_an.add_argument("--lr-min", type=int, default=5,
                       help="minimum observations per side for the randomization window")
     p_an.add_argument("--m-bound", type=float, default=None,
-                      help="user-supplied curvature bound (otherwise data driven)")
+                      help="curvature bound: replaces the estimated m_hat for "
+                      "ik/flci and ak/*, and is the bound of akm/*")
     p_an.add_argument("--seed", type=int, default=0)
 
     p_sim = sub.add_parser("simulate", help="run a simulation cell from a JSON spec")

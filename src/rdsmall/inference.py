@@ -63,7 +63,7 @@ def folded_normal_cv(t: float, alpha: float) -> FoldedNormalCV:
 
     At t = 0 this is the usual two-sided normal critical value; for large t
     it approaches t + z_{1-alpha}.  Monotone increasing in t, decreasing in
-    alpha.  Root bracketed on [0, t + z_{1-alpha} + 1] and solved to 1e-12.
+    alpha.  Root bracketed on [0, t + |z_{1-alpha}| + 1] and solved to 1e-12.
     """
     if t < 0 or not np.isfinite(t):
         raise ValueError(f"shape parameter t must be >= 0, got {t}")
@@ -73,7 +73,12 @@ def folded_normal_cv(t: float, alpha: float) -> FoldedNormalCV:
     def gap(cv):
         return ndtr(cv - t) + ndtr(cv + t) - 1.0 - (1.0 - alpha)
 
-    hi = t + ndtri(1.0 - alpha) + 1.0
+    z = ndtri(1.0 - alpha)
+    hi = t + abs(z) + 1.0  # the root is at most t + z_{1-alpha/2}, even when z < 0
+    if hi - t < z:
+        # t (about 1e16 and up, an SE of roundoff size) swamps the bracket:
+        # Phi(cv + t) is 1 and the root is t + z, as exact as t allows
+        return FoldedNormalCV(t=float(t), alpha=float(alpha), cv=float(t + z))
     cv = brentq(gap, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
     return FoldedNormalCV(t=float(t), alpha=float(alpha), cv=float(cv))
 

@@ -27,6 +27,8 @@ from .errors import (
 # numerically coincident points maps to InsufficientDataError, which the
 # simulation success-rate accounting needs to be recoverable.
 _RANK_RTOL = 1e-10
+# The curvature weights divide by h**2, which must be a normal float.
+_MIN_H_SQUARED = np.finfo(float).tiny
 
 
 class Kernel(enum.Enum):
@@ -110,13 +112,16 @@ def local_poly_fit(
     Raises
     ------
     BadBandwidthError
-        h is not a positive finite number.
+        h is not a positive finite number, or so small that h**2 is not a
+        normal float (the curvature weights divide by it).
     InsufficientDataError
         Fewer than degree+1 usable points in the window, or the weighted
         design is rank deficient (coincident x values).
     """
     if not np.isfinite(h) or h <= 0:
         raise BadBandwidthError(f"bandwidth must be positive and finite, got {h}")
+    if h * h < _MIN_H_SQUARED:
+        raise BadBandwidthError(f"bandwidth {h} is too small to square in floating point")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
 

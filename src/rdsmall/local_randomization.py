@@ -36,6 +36,7 @@ DEFAULT_MAX_EXACT = 20_000
 DEFAULT_N_MC = 999
 DEFAULT_GRID_POINTS = 401
 DEFAULT_GRID_SPAN_SDS = 6.0
+WINDOW_POLICIES = ("strict", "capped")
 
 # Relative slack when counting |stat| >= |observed|: exact ties recomputed
 # through different float paths must still count as extreme.
@@ -67,30 +68,41 @@ class PermutationResult:
     mode: str  # "exact" or "monte_carlo"
 
 
-def select_window(sample: RDSample, min_per_side: int = 5) -> LRWindow:
-    """Smallest symmetric window holding at least min_per_side points per side.
+def select_window(sample: RDSample, min_per_side: int = 5,
+                  policy: str = "strict") -> LRWindow:
+    """Smallest symmetric window holding min_per_side points per side.
 
     The half-width is the larger of the two per-side min_per_side-th order
     statistics of |x - c|, so one side sits exactly at its minimum count and
-    the other holds at least as many.
+    the other holds at least as many.  Policy ``"strict"`` rejects a side
+    with fewer than min_per_side points; ``"capped"`` caps the minimum at
+    each side's size, so the method runs whenever both sides are populated,
+    as the benchmark's operating characteristics assume.
 
     Raises
     ------
+    EmptyWindowSideError
+        A side of the cutoff has no observations.
     InsufficientDataError
-        A side of the cutoff has fewer than min_per_side observations.
+        Strict policy only: a side has fewer than min_per_side observations.
     """
     if min_per_side < 1:
         raise ValueError(f"min_per_side must be >= 1, got {min_per_side}")
+    if policy not in WINDOW_POLICIES:
+        raise ValueError(f"policy must be one of {WINDOW_POLICIES}, got {policy!r}")
     split = validate(sample)
+    if split.empty_side is not None:
+        raise EmptyWindowSideError(f"no observations {split.empty_side} the cutoff")
     dist = np.abs(sample.x - sample.cutoff)
     per_side = []
     for name, idx in (("below", split.below), ("above", split.above)):
-        if idx.size < min_per_side:
+        need = min(min_per_side, idx.size) if policy == "capped" else min_per_side
+        if idx.size < need:
             raise InsufficientDataError(
                 f"side {name} has {idx.size} observation(s); "
                 f"window needs {min_per_side}"
             )
-        per_side.append(np.sort(dist[idx])[min_per_side - 1])
+        per_side.append(np.sort(dist[idx])[need - 1])
     w = float(max(per_side))
     inside = dist <= w
     return LRWindow(
@@ -278,17 +290,20 @@ def lr_interval(
     The point estimate is the window difference in means.  The interval is
     the hull of grid values tau0 with p(tau0) > alpha, on a grid centered at
     the point estimate spanning +- grid_span_sds pooled within-group
-    standard deviations (the grid collapses to the point when the pooled sd
-    is zero).  A disconnected acceptance region is reported as a diagnostic
-    flag; the hull is still returned.  So is an accepted set that reaches
-    the first or last grid point (``grid_clipped``): the interval is then
-    cut off by the grid, not by the test.
+    standard deviations.  When the pooled sd is zero (to within roundoff of
+    the responses' scale) the test rejects every effect other than the
+    point or none of them, so the interval is the point or the call raises.
+    A disconnected acceptance region is reported as a diagnostic flag; the
+    hull is still returned.  So is an accepted set that reaches the first or
+    last grid point (``grid_clipped``): the interval is then cut off by the
+    grid, not by the test.
 
     Raises
     ------
     InsufficientDataError
         The window holds one observation per side, so the pooled sd that
-        scales the grid has no degrees of freedom.
+        scales the grid has no degrees of freedom; or y is constant within
+        each side and the test rejects no effect at level alpha.
     """
     y_control = sample.y[window.indices_below]
     y_treated = sample.y[window.indices_above]
@@ -311,17 +326,27 @@ def lr_interval(
     ) / dof
     pooled_sd = math.sqrt(pooled_var)
 
-    if pooled_sd == 0.0:
-        grid = np.array([point])
+    y_window = np.concatenate([y_control, y_treated])
+    u, bounds, v, mode = _assignment_stats(y_window, n_t, max_exact, n_mc, rng)
+    if pooled_sd <= _TIE_RTOL * np.abs(y_window).max():
+        # y is constant within each side (up to roundoff, which would
+        # otherwise steer a grid this narrow), so u_A = point * v_A and the
+        # statistic is (point - tau0) * v_A: every tau0 != point has the same
+        # p, the share of assignments with |v_A| >= 1
+        p_off_point = np.diff(bounds)[np.abs(v) >= 1.0].sum() / u.size
+        if p_off_point > alpha:
+            raise InsufficientDataError(
+                f"y is constant within each window side and p = {p_off_point:.4g} "
+                f"> alpha at every effect: the acceptance set is the whole real line"
+            )
+        # the point itself has p = 1, which roundoff in u must not undo
+        grid, accepted = np.array([point]), np.array([0])
     else:
         span = grid_span_sds * pooled_sd
         grid = np.linspace(point - span, point + span, grid_points)
-
-    y_window = np.concatenate([y_control, y_treated])
-    u, bounds, v, mode = _assignment_stats(y_window, n_t, max_exact, n_mc, rng)
-    accepted = np.flatnonzero(_p_values(u, bounds, v, grid) > alpha)
-    # The center always survives: at tau0 = point the observed statistic is
-    # zero, the least extreme value, so p = 1.
+        # The center always survives: at tau0 = point the observed statistic
+        # is zero, the least extreme value, so p = 1.
+        accepted = np.flatnonzero(_p_values(u, bounds, v, grid) > alpha)
     lo = float(grid[accepted[0]])
     hi = float(grid[accepted[-1]])
     disconnected = bool(np.any(np.diff(accepted) > 1))
@@ -339,7 +364,8 @@ def lr_interval(
             "n_assignments": u.size,
             "grid_step": float(grid[1] - grid[0]) if grid.size > 1 else 0.0,
             "disconnected_acceptance": disconnected,
-            "grid_clipped": bool(accepted[0] == 0 or accepted[-1] == grid.size - 1),
+            "grid_clipped": bool(grid.size > 1 and (accepted[0] == 0
+                                                    or accepted[-1] == grid.size - 1)),
             "n_window_below": n_c,
             "n_window_above": n_t,
         },

@@ -29,30 +29,19 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .bandwidth import (
-    BandwidthResult,
-    CurvatureBound,
-    ak_bandwidth,
-    estimate_m_hat,
-    ik_bandwidth,
-)
+from .bandwidth import CurvatureBound
 from .core import RDSample, validate
 from .diss import BetaSpec, beta_quantile, beta_sigma_star, n_for_target_diss
+from .engine import Outcome, Plan, estimate, parse_methods
 from .errors import (
     EmptySideWarning,
     OutOfSupportError,
-    RDError,
     SpecValidationError,
-    ZeroCurvatureBoundError,
 )
-from .inference import cv_interval, flci_interval, rbc_interval
-from .local_poly import nn_variance
 from .local_randomization import (
     DEFAULT_GRID_POINTS,
     DEFAULT_MAX_EXACT,
     DEFAULT_N_MC,
-    LRWindow,
-    lr_interval,
 )
 
 NOISE_SD = 0.1295
@@ -235,7 +224,12 @@ def design_table() -> list[dict]:
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One simulation cell: a DGP, a study size, methods, and run controls."""
+    """One simulation cell: a DGP, a study size, methods, and run controls.
+
+    ``methods`` is parsed by ``engine.parse_methods`` on construction, so it
+    holds canonical ids.  ``m_bound`` replaces the design's curvature bound
+    as the bound of the akm/* methods.
+    """
 
     rv: str
     mu: str
@@ -252,26 +246,12 @@ class CellSpec:
     n_mc: int = DEFAULT_N_MC
     grid_points: int = DEFAULT_GRID_POINTS
 
+    def __post_init__(self):
+        object.__setattr__(self, "methods", parse_methods(self.methods, self.lr_min))
+
     def cell_id(self) -> str:
         size = f"mbar{self.m_bar:g}" if self.m_bar is not None else f"n{self.n}"
         return f"{self.rv}_{self.mu}_{size}"
-
-
-_CONTINUITY_BW = ("ik", "ak", "akm")
-_CONTINUITY_INF = ("cv", "rbc", "flci")
-
-
-def canonical_method_id(method: str, lr_min: int) -> str:
-    return f"lr{lr_min}" if method in ("lr", f"lr{lr_min}") else method
-
-
-def _validate_method(method: str, lr_min: int, path: str) -> str:
-    if method == "lr" or method == f"lr{lr_min}":
-        return f"lr{lr_min}"
-    parts = method.split("/")
-    if len(parts) == 2 and parts[0] in _CONTINUITY_BW and parts[1] in _CONTINUITY_INF:
-        return method
-    raise SpecValidationError(f"{path}: unknown method id {method!r}")
 
 
 def validate_cell_spec(raw: dict) -> CellSpec:
@@ -305,14 +285,6 @@ def validate_cell_spec(raw: dict) -> CellSpec:
     n = _get("n", int, None, lambda v: v >= 1, ">= 1 required")
     if m_bar is None and n is None:
         raise SpecValidationError("m_bar: either m_bar or n is required")
-    lr_min = _get("lr_min", int, 5, lambda v: v >= 1, ">= 1 required")
-    methods_raw = raw.get("methods", list(DEFAULT_METHODS))
-    if not isinstance(methods_raw, (list, tuple)) or not methods_raw:
-        raise SpecValidationError("methods: expected a nonempty list")
-    methods = tuple(
-        _validate_method(str(m), lr_min, f"methods[{i}]")
-        for i, m in enumerate(methods_raw)
-    )
     return CellSpec(
         rv=rv,
         mu=mu,
@@ -320,9 +292,9 @@ def validate_cell_spec(raw: dict) -> CellSpec:
         n=n,
         replications=_get("replications", int, 2000, lambda v: v >= 1, ">= 1 required"),
         seed=_get("seed", int, 0),
-        methods=methods,
+        methods=raw.get("methods", DEFAULT_METHODS),
         alpha=_get("alpha", float, 0.05, lambda v: 0 < v < 1, "in (0, 1) required"),
-        lr_min=lr_min,
+        lr_min=_get("lr_min", int, 5, lambda v: v >= 1, ">= 1 required"),
         m_bound=_get("m_bound", float, None, lambda v: v > 0, "> 0 required"),
         workers=_get("workers", int, 1, lambda v: v >= 1, ">= 1 required"),
         max_exact=_get("max_exact", int, DEFAULT_MAX_EXACT, lambda v: v >= 1, ">= 1 required"),
@@ -332,30 +304,8 @@ def validate_cell_spec(raw: dict) -> CellSpec:
 
 
 # ---------------------------------------------------------------------------
-# Replication engine
+# Replications
 # ---------------------------------------------------------------------------
-
-# Per-method, per-replication outcome.
-_FAIL = float("nan")
-
-
-@dataclass(frozen=True)
-class RepOutcome:
-    bw_ok: bool
-    bw: float  # bandwidth or window half-width; NaN when unavailable
-    ok: bool
-    tau: float
-    lo: float
-    hi: float
-    reason: str = ""
-    # Inversion-grid resolution (local randomization only): interval widths
-    # are determined up to one grid step per endpoint, and width comparisons
-    # downstream account for that.
-    grid_step: float = _FAIL
-
-
-def _fail(reason: str, bw_ok: bool = False, bw: float = _FAIL) -> RepOutcome:
-    return RepOutcome(bw_ok, bw, False, _FAIL, _FAIL, _FAIL, reason)
 
 
 def _rep_rng(cell: CellSpec, n: int, rep: int) -> np.random.Generator:
@@ -363,158 +313,24 @@ def _rep_rng(cell: CellSpec, n: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cell.seed, key, n, rep]))
 
 
-def _adaptive_window(sample: RDSample, split, lr_min: int) -> LRWindow:
-    """Nested-window rule with the per-side minimum capped at side size.
-
-    The benchmark operating characteristics require the local-randomization
-    method to run whenever both sides are populated (success rates of ~100%
-    even at study sizes where a side holds fewer than lr_min points), so a
-    deficient side contributes all of its points instead of failing.  The
-    strict per-side contract lives in ``select_window``.
-    """
-    dist = np.abs(sample.x - sample.cutoff)
-    per_side = []
-    for idx in (split.below, split.above):
-        eff = min(lr_min, idx.size)
-        per_side.append(np.sort(dist[idx])[eff - 1])
-    w = float(max(per_side))
-    inside = dist <= w
-    return LRWindow(
-        half_width=w,
-        indices_below=split.below[inside[split.below]],
-        indices_above=split.above[inside[split.above]],
-    )
-
-
-def _replicate(cell: CellSpec, n: int, true_m: float, rep: int) -> dict[str, RepOutcome]:
+def _replicate(cell: CellSpec, n: int, plan: Plan, rep: int) -> dict[str, Outcome]:
+    rng = _rep_rng(cell, n, rep)
+    sample = generate_dataset(cell.rv, cell.mu, n, rng)
     # empty sides inside a replication are ordinary failures, not warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySideWarning)
-        return _replicate_inner(cell, n, true_m, rep)
+        return estimate(sample, validate(sample), plan, rng)
 
 
-def _replicate_inner(cell: CellSpec, n: int, true_m: float, rep: int) -> dict[str, RepOutcome]:
-    rng = _rep_rng(cell, n, rep)
-    sample = generate_dataset(cell.rv, cell.mu, n, rng)
-
-    methods = [canonical_method_id(m, cell.lr_min) for m in cell.methods]
-    lr_id = f"lr{cell.lr_min}"
-    continuity = [m for m in methods if m != lr_id]
-    algs = sorted({m.split("/")[0] for m in continuity})
-    needs_mhat = any(a in ("ik", "ak") for a in algs) and (
-        "ak" in algs or any(m.endswith("/flci") for m in continuity)
-    )
-
-    split = validate(sample)
-
-    out: dict[str, RepOutcome] = {}
-
-    sigma2 = None
-    sigma2_reason = ""
-    if continuity:
-        try:
-            sigma2 = nn_variance(sample, split)
-        except RDError:
-            sigma2_reason = "nn_variance"
-
-    mhat: CurvatureBound | None = None
-    mhat_reason = ""
-    if needs_mhat:
-        try:
-            mhat = estimate_m_hat(sample)
-            if mhat.value <= 0:
-                mhat, mhat_reason = None, "zero_curvature"
-        except RDError:
-            mhat_reason = "m_hat"
-
-    bw_results: dict[str, BandwidthResult] = {}
-    for alg in algs:
-        if alg == "ik":
-            bw_results["ik"] = ik_bandwidth(sample)
-        elif alg == "ak":
-            if mhat is None:
-                bw_results["ak"] = BandwidthResult.failure("ak", mhat_reason)
-            elif sigma2 is None:
-                bw_results["ak"] = BandwidthResult.failure("ak", sigma2_reason)
-            else:
-                bw_results["ak"] = ak_bandwidth(sample, bound=mhat, sigma2=sigma2)
-        elif alg == "akm":
-            bound = CurvatureBound(true_m, "user")
-            if sigma2 is None:
-                bw_results["akm"] = BandwidthResult.failure("akm", sigma2_reason)
-            else:
-                try:
-                    bw_results["akm"] = ak_bandwidth(sample, bound=bound, sigma2=sigma2)
-                except ZeroCurvatureBoundError:
-                    bw_results["akm"] = BandwidthResult.failure("akm", "zero_curvature")
-
-    for method in continuity:
-        alg, inf = method.split("/")
-        bw = bw_results[alg]
-        if not bw.ok:
-            out[method] = _fail(bw.failure_reason or "bandwidth")
-            continue
-        if sigma2 is None:
-            out[method] = _fail(sigma2_reason, bw_ok=True, bw=bw.h)
-            continue
-        flci_bound = None
-        if inf == "flci":
-            flci_bound = CurvatureBound(true_m, "user") if alg == "akm" else mhat
-            if flci_bound is None:
-                out[method] = _fail(mhat_reason, bw_ok=True, bw=bw.h)
-                continue
-        try:
-            if inf == "cv":
-                est = cv_interval(sample, bw.h, alpha=cell.alpha, sigma2=sigma2)
-            elif inf == "rbc":
-                est = rbc_interval(sample, bw.h, alpha=cell.alpha, sigma2=sigma2)
-            else:
-                est = flci_interval(
-                    sample, bw.h, alpha=cell.alpha, bound=flci_bound, sigma2=sigma2
-                )
-            out[method] = RepOutcome(
-                True, bw.h, True, est.tau_hat, est.ci_lower, est.ci_upper
-            )
-        except RDError as err:
-            out[method] = _fail(type(err).__name__, bw_ok=True, bw=bw.h)
-
-    if lr_id in methods:
-        if split.empty_side is not None:
-            out[lr_id] = _fail("empty_side")
-        else:
-            window = _adaptive_window(sample, split, cell.lr_min)
-            try:
-                est = lr_interval(
-                    sample,
-                    window,
-                    alpha=cell.alpha,
-                    grid_points=cell.grid_points,
-                    max_exact=cell.max_exact,
-                    n_mc=cell.n_mc,
-                    rng=rng,
-                )
-                out[lr_id] = RepOutcome(
-                    True,
-                    window.half_width,
-                    True,
-                    est.tau_hat,
-                    est.ci_lower,
-                    est.ci_upper,
-                    grid_step=est.diagnostics["grid_step"],
-                )
-            except RDError as err:
-                out[lr_id] = _fail(type(err).__name__, bw_ok=True, bw=window.half_width)
-
-    return out
-
-
-def _run_chunk(cell: CellSpec, n: int, true_m: float, lo: int, hi: int):
-    return [_replicate(cell, n, true_m, rep) for rep in range(lo, hi)]
+def _run_chunk(cell: CellSpec, n: int, plan: Plan, lo: int, hi: int):
+    return [_replicate(cell, n, plan, rep) for rep in range(lo, hi)]
 
 
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
+
+_FAIL = float("nan")
 
 
 @dataclass(frozen=True)
@@ -554,7 +370,7 @@ class SimCellResult:
 class CellResult:
     config: dict
     per_method: dict[str, SimCellResult]
-    records: list  # (rep, method, RepOutcome) in replication order
+    records: list  # (rep, method, Outcome) in replication order
 
     def to_json_dict(self) -> dict:
         return {
@@ -565,8 +381,8 @@ class CellResult:
 
 
 def _aggregate(cell: CellSpec, n: int, true_m: float,
-               rows: list[dict[str, RepOutcome]]) -> CellResult:
-    methods = [canonical_method_id(m, cell.lr_min) for m in cell.methods]
+               rows: list[dict[str, Outcome]]) -> CellResult:
+    methods = cell.methods
     true_tau = MU_FUNCTIONS[cell.mu].true_tau
     r_total = len(rows)
 
@@ -632,7 +448,6 @@ def _aggregate(cell: CellSpec, n: int, true_m: float,
     # scheduling detail, not part of the result's identity: files must be
     # byte-identical across parallelism degrees
     del config["workers"]
-    config["methods"] = list(methods)
     config["resolved_n"] = n
     config["resolved_m_bound"] = true_m
     config["true_tau"] = true_tau
@@ -652,14 +467,19 @@ def run_cell(cell: CellSpec) -> CellResult:
         if cell.m_bound is not None
         else MU_FUNCTIONS[cell.mu].nominal_curvature_bound
     )
+    plan = Plan(
+        methods=cell.methods, alpha=cell.alpha, lr_min=cell.lr_min, window="capped",
+        akm_bound=CurvatureBound(true_m, "user"), max_exact=cell.max_exact,
+        n_mc=cell.n_mc, grid_points=cell.grid_points,
+    )
     r = cell.replications
     if cell.workers <= 1 or r < 2 * cell.workers:
-        rows = _run_chunk(cell, n, true_m, 0, r)
+        rows = _run_chunk(cell, n, plan, 0, r)
     else:
         bounds = np.linspace(0, r, cell.workers + 1).astype(int)
         with ProcessPoolExecutor(max_workers=cell.workers) as pool:
             futures = [
-                pool.submit(_run_chunk, cell, n, true_m, int(lo), int(hi))
+                pool.submit(_run_chunk, cell, n, plan, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             ]
             rows = [row for fut in futures for row in fut.result()]

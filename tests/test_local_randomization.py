@@ -64,7 +64,8 @@ def _reference_grid(y_control, y_treated):
         ((y_control - y_control.mean()) ** 2).sum()
         + ((y_treated - y_treated.mean()) ** 2).sum()
     ) / dof)
-    if pooled_sd == 0.0:
+    scale = max(np.abs(y_control).max(), np.abs(y_treated).max())
+    if pooled_sd <= _TIE_RTOL * scale:
         return np.array([point])
     span = DEFAULT_GRID_SPAN_SDS * pooled_sd
     return np.linspace(point - span, point + span, DEFAULT_GRID_POINTS)
@@ -143,6 +144,22 @@ class TestSelectWindow:
         with pytest.raises(InsufficientDataError):
             select_window(_sample([-1, -2, -3, -4, 1, 2, 3, 4]), min_per_side=5)
 
+    def test_capped_policy_takes_a_short_side_whole(self):
+        sample = _sample([-0.1, -0.2, 0.05, 0.5, 0.6, 0.7])
+        with pytest.raises(InsufficientDataError):
+            select_window(sample, min_per_side=3)
+        # below holds 2 < 3 points, so its minimum is capped at 2 and the
+        # above side's third order statistic sets the half-width
+        window = select_window(sample, min_per_side=3, policy="capped")
+        assert window.half_width == 0.6
+        assert window.n_below == 2 and window.n_above == 3
+
+    @pytest.mark.filterwarnings("ignore::rdsmall.errors.EmptySideWarning")
+    @pytest.mark.parametrize("policy", ["strict", "capped"])
+    def test_empty_side(self, policy):
+        with pytest.raises(EmptyWindowSideError):
+            select_window(_sample([0.1, 0.2, 0.3]), 1, policy)
+
 
 class TestPermutationTest:
     def test_enumerated_hand_example(self):
@@ -194,10 +211,21 @@ class TestPermutationTest:
 
 class TestLRInterval:
     def test_zero_noise_constant_effect(self):
+        # y constant within each side: every effect but the point has
+        # p = P(|v_A| >= 1) = 2/20 = 0.1 on a 3+3 window, so at alpha = 0.05
+        # the test rejects nothing and the acceptance set is the whole line
         sample = _sample([-0.3, -0.2, -0.1, 0.1, 0.2, 0.3],
                          [1, 1, 1, 1.5, 1.5, 1.5])
         window = select_window(sample, min_per_side=3)
-        est = lr_interval(sample, window, alpha=0.05)
+        with pytest.raises(InsufficientDataError, match="whole real line"):
+            lr_interval(sample, window, alpha=0.05)
+        assert permutation_test([1, 1, 1], [1.5, 1.5, 1.5], tau0=-100).p_value == 0.1
+
+    def test_zero_noise_constant_effect_rejected_off_the_point(self):
+        # 5+5: p = 2/252 <= 0.05 off the point, so the point interval is honest
+        x = [-0.5, -0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.5]
+        sample = _sample(x, [1] * 5 + [1.5] * 5)
+        est = lr_interval(sample, select_window(sample, min_per_side=5), alpha=0.05)
         assert est.tau_hat == pytest.approx(0.5, abs=1e-12)
         assert est.ci_lower == pytest.approx(0.5, abs=1e-12)
         assert est.ci_upper == pytest.approx(0.5, abs=1e-12)
@@ -313,6 +341,20 @@ class TestSweepMatchesReference:
         if n_c + n_t == 2:
             with pytest.raises(InsufficientDataError):
                 lr_interval(sample, lr_window, alpha)
+            return
+        if grid.size == 1:
+            # zero pooled sd: p is one value at every effect off the point;
+            # the offset keeps the reference's roundoff inside its tie slack
+            off_point = grid[0] + 1.0 + np.abs(y_window).max()
+            if _reference_p_value(u_ref, v_ref, off_point) > alpha:
+                with pytest.raises(InsufficientDataError, match="whole real line"):
+                    lr_interval(sample, lr_window, alpha, max_exact=max_exact,
+                                n_mc=n_mc, rng=seed)
+            else:
+                est = lr_interval(sample, lr_window, alpha, max_exact=max_exact,
+                                  n_mc=n_mc, rng=seed)
+                assert est.ci_lower == est.ci_upper == est.tau_hat == grid[0]
+                assert est.diagnostics["grid_clipped"] is False
             return
         est = lr_interval(sample, lr_window, alpha, max_exact=max_exact,
                           n_mc=n_mc, rng=seed)
