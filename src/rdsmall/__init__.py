@@ -41,6 +41,7 @@ from .diss import (
 )
 from .inference import (
     BiasCorrection,
+    BoundaryFits,
     FoldedNormalCV,
     cv_interval,
     flci_interval,
@@ -79,6 +80,7 @@ __all__ = [
     "BandwidthResult",
     "BetaSpec",
     "BiasCorrection",
+    "BoundaryFits",
     "CellSpec",
     "CurvatureBound",
     "EffectEstimate",

@@ -18,6 +18,7 @@ counts, not an exception.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,6 +137,7 @@ def _poly_mul(a, b):
     return out
 
 
+@functools.cache
 def kernel_constant(kernel: Kernel) -> float:
     """Boundary local-linear AMSE constant of a kernel, fifth-root scale.
 
@@ -145,7 +147,8 @@ def kernel_constant(kernel: Kernel) -> float:
     ((sigma+^2 + sigma-^2) / (f * (mu''+ - mu''-)^2 * n))^(1/5); this
     function returns (v/b^2)^(1/5).  Triangular: 480^(1/5) = 3.4375...
 
-    Exact rational arithmetic, so the value is deterministic per kernel.
+    Exact rational arithmetic, so the value is deterministic per kernel;
+    computed once per kernel and cached.
     """
     coeffs = _KERNEL_POLY[kernel]
     nu = [_poly_moment(coeffs, j) for j in range(4)]
@@ -160,6 +163,12 @@ def kernel_constant(kernel: Kernel) -> float:
 # ---------------------------------------------------------------------------
 # Plug-in selector
 # ---------------------------------------------------------------------------
+
+
+def _variance(v: np.ndarray) -> float:
+    """Sample variance; exactly 0 for equal values, whose mean can round
+    away from them."""
+    return float(np.var(v, ddof=1)) if np.ptp(v) else 0.0
 
 
 def _pilot_stage(sample: RDSample):
@@ -182,8 +191,7 @@ def _pilot_stage(sample: RDSample):
     if n1m < 2 or n1p < 2:
         return "pilot_variance"
     f_hat = (n1m + n1p) / (2.0 * x.size * h1)
-    s2m = float(np.var(y[below], ddof=1))
-    s2p = float(np.var(y[above], ddof=1))
+    s2m, s2p = _variance(y[below]), _variance(y[above])
     if s2m + s2p <= 0:
         return "pilot_variance_zero"
     return h1, f_hat, s2m, s2p, n1m, n1p
@@ -226,7 +234,10 @@ def ik_bandwidth(sample: RDSample, kernel: Kernel = Kernel.TRIANGULAR) -> Bandwi
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 5:
         return BandwidthResult.failure(algorithm, "pilot_cubic")
-    m3 = 6.0 * coef[4] / scale**3
+    # a response linear on each side with one slope leaves only roundoff in
+    # the cubic coefficient; snap it to zero, as estimate_m_hat does the
+    # curvature, so that roundoff does not size the curvature windows
+    m3 = 6.0 * coef[4] / scale**3 if abs(coef[4]) >= 1e-8 * np.std(y) else 0.0
 
     m3sq = max(m3**2, _M3_FLOOR)
     h2m = _PILOT_H2_FACTOR * (s2m / (f_hat * m3sq)) ** _PILOT_H2_RATE * split.n_below ** (-_PILOT_H2_RATE)
@@ -476,7 +487,7 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
         # roundoff in the curvature coefficients; snap that to a true zero so
         # downstream rejects it explicitly instead of fitting to noise
         y_scale = max(float(np.std(ys)), np.finfo(float).tiny)
-        if side_worst < 1e-8 * y_scale / scale**2:
+        if side_worst < 1e-8 * y_scale / scale**2 or not np.ptp(ys):
             side_worst = 0.0
         worst = max(worst, side_worst)
     return CurvatureBound(value=float(worst), source="data_driven")

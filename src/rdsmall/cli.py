@@ -70,7 +70,7 @@ def read_xy_csv(path: str | Path, x_col: str, y_col: str, strict: bool = False):
             try:
                 x = float(raw_x)
                 y = float(raw_y)
-                if not (np.isfinite(x) and np.isfinite(y)):
+                if not (math.isfinite(x) and math.isfinite(y)):
                     raise ValueError
             except (TypeError, ValueError):
                 if strict:

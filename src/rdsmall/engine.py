@@ -3,7 +3,8 @@
 ``estimate`` runs the continuity methods (an ik, ak or akm bandwidth with a
 cv, rbc or flci interval) and local randomization (``lr<lr_min>``) on one
 sample.  The shared pieces (nearest-neighbor variances, m_hat, one
-bandwidth per algorithm) are computed once, only when a requested method
+bandwidth per algorithm, and one set of boundary fits per bandwidth, which
+cv, rbc and flci all read) are computed once, only when a requested method
 needs them, and a piece that fails fails every method that needs it, with
 the piece's reason.  Failures are returned, never raised.  Estimators are
 looked up by name at call time, so a wrapper around those names (such as a
@@ -25,7 +26,7 @@ from .errors import (
     SpecValidationError,
     ZeroCurvatureBoundError,
 )
-from .inference import cv_interval, flci_interval, rbc_interval
+from .inference import BoundaryFits, cv_interval, flci_interval, rbc_interval
 from .local_poly import nn_variance
 from .local_randomization import (
     DEFAULT_GRID_POINTS,
@@ -168,7 +169,7 @@ def _bandwidth(alg: str, sample: RDSample, sigma2, bound) -> float | Outcome:
 
 
 def _continuity(method: str, sample: RDSample, plan: Plan, sigma2, m_hat,
-                bandwidths: dict) -> Outcome:
+                bandwidths: dict, fits: dict) -> Outcome:
     alg, inf = method.split("/")
     h = bandwidths[alg]
     if isinstance(h, Outcome):
@@ -177,14 +178,21 @@ def _continuity(method: str, sample: RDSample, plan: Plan, sigma2, m_hat,
     for piece in (sigma2, bound if inf == "flci" else None):
         if isinstance(piece, Outcome):
             return Outcome(bw=h, reason=piece.reason, error=piece.error)
+    shared = fits.get(alg)
+    if isinstance(shared, Outcome):
+        return shared
     try:
+        if shared is None:
+            shared = fits[alg] = BoundaryFits.build(sample, h, sigma2=sigma2)
         if inf == "flci":
-            est = flci_interval(sample, h, alpha=plan.alpha, bound=bound, sigma2=sigma2)
+            est = flci_interval(sample, h, alpha=plan.alpha, bound=bound, fits=shared)
         else:
             interval = cv_interval if inf == "cv" else rbc_interval
-            est = interval(sample, h, alpha=plan.alpha, sigma2=sigma2)
+            est = interval(sample, h, alpha=plan.alpha, fits=shared)
     except RDError as err:
-        return _caught(err, bw=h)
+        failed = _caught(err, bw=h)
+        fits.setdefault(alg, failed)  # a failed degree-1 fit fails every method at h
+        return failed
     return Outcome(h, est.tau_hat, est.se, est.ci_lower, est.ci_upper)
 
 
@@ -223,8 +231,9 @@ def estimate(sample: RDSample, split: SideSplit, plan: Plan,
         alg: _bandwidth(alg, sample, sigma2, plan.akm_bound if alg == "akm" else m_hat)
         for alg in algorithms
     }
+    fits = {}
     return {
-        method: _continuity(method, sample, plan, sigma2, m_hat, bandwidths)
+        method: _continuity(method, sample, plan, sigma2, m_hat, bandwidths, fits)
         if method in CONTINUITY_METHODS else _local_randomization(sample, plan, rng)
         for method in plan.methods
     }

@@ -1,7 +1,8 @@
 """Interval constructions for the boundary local-linear LATE.
 
 Three procedures, all built from the same degree-1 fits and nearest-neighbor
-variances:
+variances, which ``BoundaryFits`` computes once per sample and bandwidth and
+all three read (rbc adds degree-2 bias fits, computed on its first use):
 
 * conventional (cv): center +- z_{alpha/2} * SE
 * robust bias-corrected (rbc): center shifted by an estimated bias, SE
@@ -16,7 +17,7 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -95,13 +96,76 @@ def worst_case_bias(fits: tuple[LinearFit, LinearFit], m: float) -> float:
     return 0.5 * m * sum(f.abs_weighted_x2 for f in fits)
 
 
-def _conventional_pieces(sample, h, kernel, sigma2):
-    tau, (below, above) = late_point_estimate(sample, 1, h, kernel)
-    if sigma2 is None:
-        sigma2 = nn_variance(sample, validate(sample))
-    combined = above.weights - below.weights
-    se = se_of_linear_functional(combined, sigma2)
-    return tau, below, above, combined, se, sigma2
+@dataclass(frozen=True, eq=False)
+class BoundaryFits:
+    """The degree-1 fits of one sample at one bandwidth, shared by cv, rbc and flci.
+
+    Holds both sides' fits, tau_hat, the combined weights (above minus
+    below), the conventional SE and the sigma2 it used.  The degree-2 bias
+    fits of rbc are computed on the first call of ``bias_fits`` and kept,
+    a failure included, so that a caller without rbc never fits quadratics.
+    """
+
+    sample: RDSample
+    h: float
+    kernel: Kernel
+    below: LinearFit
+    above: LinearFit
+    tau: float
+    combined_weights: np.ndarray
+    se: float
+    sigma2: np.ndarray
+    _bias: list = field(default_factory=list, init=False, repr=False)
+
+    @classmethod
+    def build(cls, sample: RDSample, h: float, kernel: Kernel = Kernel.TRIANGULAR,
+              sigma2: np.ndarray | None = None) -> BoundaryFits:
+        """Fit both sides at h; sigma2 defaults to the nearest-neighbor variances.
+
+        Raises InsufficientDataError when either side's fit is infeasible.
+        """
+        tau, (below, above) = late_point_estimate(sample, 1, h, kernel)
+        if sigma2 is None:
+            sigma2 = nn_variance(sample, validate(sample))
+        combined = above.weights - below.weights
+        se = se_of_linear_functional(combined, sigma2)
+        return cls(sample, h, kernel, below, above, tau, combined, se, sigma2)
+
+    def bias_fits(self) -> tuple[LinearFit, LinearFit, float]:
+        """Degree-2 fits for the bias estimate at the smallest workable bandwidth.
+
+        The bias bandwidth b starts at h and, only when a side's quadratic is
+        infeasible there, grows geometrically until both sides fit (so b = h
+        in the common case).  Raises InsufficientDataError once the window
+        has absorbed the whole sample without becoming feasible, i.e. a side
+        genuinely lacks three usable points.  Returns (below, above, b), or
+        raises, the same on every call.
+        """
+        if not self._bias:
+            reach = 1.01 * float(np.abs(self.sample.x - self.sample.cutoff).max())
+            b = self.h
+            while not self._bias:
+                try:
+                    quad_below = local_poly_fit(self.sample, "below", 2, b, self.kernel)
+                    quad_above = local_poly_fit(self.sample, "above", 2, b, self.kernel)
+                    self._bias.append((quad_below, quad_above, b))
+                except InsufficientDataError as err:
+                    if b > reach:
+                        self._bias.append(err)
+                    b *= 1.25
+        if isinstance(self._bias[0], InsufficientDataError):
+            raise self._bias[0]
+        return self._bias[0]
+
+
+def _fits_for(sample, h, kernel, sigma2, fits) -> BoundaryFits:
+    """``fits``, checked against the call's arguments, or new fits if None."""
+    if fits is None:
+        return BoundaryFits.build(sample, h, kernel, sigma2)
+    if (fits.sample is not sample or fits.h != h or fits.kernel is not kernel
+            or (sigma2 is not None and sigma2 is not fits.sigma2)):
+        raise ValueError("fits were built for a different sample, bandwidth, kernel or sigma2")
+    return fits
 
 
 def cv_interval(
@@ -111,15 +175,19 @@ def cv_interval(
     alpha: float = 0.05,
     *,
     sigma2: np.ndarray | None = None,
+    fits: BoundaryFits | None = None,
     bw_label: str = "",
 ) -> EffectEstimate:
     """Conventional Wald interval: tau_hat +- z_{alpha/2} SE.
 
-    ``sigma2`` can carry precomputed nearest-neighbor variances (the
-    simulation harness reuses one vector across the three procedures).
-    Raises InsufficientDataError when either side's fit is infeasible.
+    ``sigma2`` can carry precomputed nearest-neighbor variances, and
+    ``fits`` the ``BoundaryFits`` of this sample, h and kernel (the
+    estimation engine shares one of each across the three procedures); a
+    ``fits`` built for other arguments raises ValueError.  Raises
+    InsufficientDataError when either side's fit is infeasible.
     """
-    tau, _, _, _, se, _ = _conventional_pieces(sample, h, kernel, sigma2)
+    fits = _fits_for(sample, h, kernel, sigma2, fits)
+    tau, se = fits.tau, fits.se
     z = float(ndtri(1.0 - alpha / 2.0))
     return EffectEstimate(
         tau_hat=tau,
@@ -132,28 +200,6 @@ def cv_interval(
     )
 
 
-def _bias_fits(sample, h, kernel):
-    """Degree-2 fits for the bias estimate at the smallest workable bandwidth.
-
-    The bias bandwidth starts at the main bandwidth h and, only when a
-    side's quadratic is infeasible there, grows geometrically until both
-    sides fit (so b = h in the common case).  Raises InsufficientDataError
-    once the window has absorbed the whole sample without becoming
-    feasible, i.e. a side genuinely lacks three usable points.
-    """
-    reach = 1.01 * float(np.abs(sample.x - sample.cutoff).max())
-    b = h
-    while True:
-        try:
-            quad_below = local_poly_fit(sample, "below", 2, b, kernel)
-            quad_above = local_poly_fit(sample, "above", 2, b, kernel)
-            return quad_below, quad_above, b
-        except InsufficientDataError:
-            if b > reach:
-                raise
-            b *= 1.25
-
-
 def rbc_interval(
     sample: RDSample,
     h: float,
@@ -161,14 +207,15 @@ def rbc_interval(
     alpha: float = 0.05,
     *,
     sigma2: np.ndarray | None = None,
+    fits: BoundaryFits | None = None,
     bw_label: str = "",
 ) -> EffectEstimate:
-    """Robust bias-corrected interval.
+    """Robust bias-corrected interval (``sigma2`` and ``fits`` as in ``cv_interval``).
 
     The bias estimate is built from one-sided local quadratics, normally on
     the same window as the main fit (bias bandwidth = h; it expands only
-    when the quadratic is infeasible there, see ``_bias_fits``): with kappa
-    the main fit's curvature loading sum(w (x-c)^2) per side,
+    when the quadratic is infeasible there, see ``BoundaryFits.bias_fits``):
+    with kappa the main fit's curvature loading sum(w (x-c)^2) per side,
 
         b_hat = (mu''+ * kappa+ - mu''- * kappa-) / 2.
 
@@ -178,18 +225,17 @@ def rbc_interval(
     identity.  The extra quadratic fits are the dominant small-sample
     failure mode and propagate InsufficientDataError.
     """
-    tau, below, above, combined, se_cv, sigma2 = _conventional_pieces(
-        sample, h, kernel, sigma2
-    )
-    quad_below, quad_above, bias_bw = _bias_fits(sample, h, kernel)
+    fits = _fits_for(sample, h, kernel, sigma2, fits)
+    tau, below, above, se_cv = fits.tau, fits.below, fits.above, fits.se
+    quad_below, quad_above, bias_bw = fits.bias_fits()
 
     corr_weights = (
         0.5 * above.weighted_x2 * quad_above.second_deriv_weights
         - 0.5 * below.weighted_x2 * quad_below.second_deriv_weights
     )
     b_hat = float(corr_weights @ sample.y)
-    rbc_weights = combined - corr_weights
-    se_rbc = se_of_linear_functional(rbc_weights, sigma2)
+    rbc_weights = fits.combined_weights - corr_weights
+    se_rbc = se_of_linear_functional(rbc_weights, fits.sigma2)
     correction = BiasCorrection(
         b_hat=b_hat,
         combined_weights=rbc_weights,
@@ -223,6 +269,7 @@ def flci_interval(
     bound: CurvatureBound | None = None,
     *,
     sigma2: np.ndarray | None = None,
+    fits: BoundaryFits | None = None,
     bw_label: str = "",
 ) -> EffectEstimate:
     """Fixed-length interval: conventional center, folded-normal critical value.
@@ -230,11 +277,13 @@ def flci_interval(
     The half-width is z*(t) * SE with t = worst-case bias / SE under the
     curvature bound.  Contains the conventional interval for any M >= 0.
     A zero SE leaves t undefined and raises ZeroSEError rather than silently
-    widening; degenerate fixtures should fail loudly.
+    widening; degenerate fixtures should fail loudly.  ``sigma2`` and
+    ``fits`` are as in ``cv_interval``.
     """
     if bound is None:
         raise ValueError("flci_interval requires a curvature bound")
-    tau, below, above, _, se, _ = _conventional_pieces(sample, h, kernel, sigma2)
+    fits = _fits_for(sample, h, kernel, sigma2, fits)
+    tau, below, above, se = fits.tau, fits.below, fits.above, fits.se
     if se == 0.0:
         raise ZeroSEError("zero standard error: folded-normal shape t is undefined")
     bias_bound = worst_case_bias((below, above), bound.value)

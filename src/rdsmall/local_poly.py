@@ -231,8 +231,12 @@ def nn_variance(sample: RDSample, split: SideSplit, j: int = 3) -> np.ndarray:
         dist = np.where(valid, np.abs(xo[pos_c] - xo[:, None]), np.inf)
         tie_rank = np.where(valid, io[pos_c], np.iinfo(np.int64).max)
         take = np.lexsort((tie_rank, dist), axis=1)[:, :j]
-        nb_mean = yo[pos_c[np.arange(s)[:, None], take]].mean(axis=1)
-        sigma2[io] = (j / (j + 1.0)) * (yo - nb_mean) ** 2
+        nb = yo[pos_c[np.arange(s)[:, None], take]]
+        resid = yo - nb.mean(axis=1)
+        # the mean of equal values can round away from them: a point whose
+        # neighbors all share its response has no residual
+        resid[(nb == yo[:, None]).all(axis=1)] = 0.0
+        sigma2[io] = (j / (j + 1.0)) * resid**2
     return sigma2
 
 

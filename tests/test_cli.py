@@ -90,6 +90,21 @@ class TestDissCommand:
         assert code == 2
         assert "row 3" in err
 
+    def test_non_finite_rows_dropped_with_count_or_strict_error(self, tmp_path, capsys):
+        path = tmp_path / "nonfinite.csv"
+        _write_csv(path, ["-2,1.0", "nan,1.1", "-1,inf", "0,1.2", "1,-inf", "-INF,2",
+                          "2,1.4"])
+        argv = ["diss", "--input", str(path), "--x-col", "x", "--y-col", "y",
+                "--cutoff", "0"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["n"] == 3
+        assert report["dropped_rows"] == 4
+        code, _, err = _run(capsys, argv + ["--strict"])
+        assert code == 2
+        assert "row 3" in err and "'nan'" in err
+
     def test_csv_format_output(self, tmp_path, capsys):
         path = _toy_csv(tmp_path)
         out_path = tmp_path / "report.csv"

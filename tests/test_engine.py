@@ -1,18 +1,23 @@
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import rdsmall.bandwidth
+import rdsmall.inference
+import rdsmall.local_poly
 import rdsmall.simulation
 from rdsmall.bandwidth import CurvatureBound
 from rdsmall.cli import main
 from rdsmall.core import RDSample, validate
 from rdsmall.engine import CONTINUITY_METHODS, Outcome, Plan, estimate
 from rdsmall.errors import EmptySideWarning, SpecValidationError
+from rdsmall.local_poly import Kernel, local_poly_fit
 from rdsmall.simulation import CellSpec, run_cell, validate_cell_spec
 
 
@@ -143,12 +148,12 @@ ALL_METHODS = CONTINUITY_METHODS + ("lr",)
 
 
 @st.composite
-def _samples(draw):
-    """Small samples: integer scores with ties at the cutoff or real scores,
-    sometimes on one side only; constant, linear or noisy responses; scales
-    from 1e-6 to 1e6."""
+def _samples(draw, integer_scores=True):
+    """Small samples: integer scores with ties at the cutoff (unless
+    ``integer_scores`` is false) or real scores, sometimes on one
+    side only; constant, linear or noisy responses; scales from 1e-6 to 1e6."""
     n = draw(st.sampled_from(range(1, 31)))
-    if draw(st.booleans()):
+    if integer_scores and draw(st.booleans()):
         x = np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)), float)
     else:
         x = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
@@ -210,3 +215,159 @@ def test_one_outcome_per_method_and_nothing_escapes(sample, window, m_bound, akm
             assert all(math.isfinite(v) for v in (out.tau, out.lo, out.hi)), method
         else:
             assert out.reason and math.isnan(out.tau), method
+
+
+# ---------------------------------------------------------------------------
+# One set of fits per bandwidth
+# ---------------------------------------------------------------------------
+
+
+def _bound(value):
+    return None if value is None else CurvatureBound(value, "user")
+
+
+def _estimate(sample, methods, m_bound=None, akm_bound=None, alpha=0.05):
+    plan = Plan(methods=methods, alpha=alpha, lr_min=5, window="strict",
+                m_bound=_bound(m_bound), akm_bound=_bound(akm_bound))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySideWarning)
+        return estimate(sample, validate(sample), plan)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    sample=_samples(),
+    m_bound=st.sampled_from([None, 0.0, 2.0]),
+    akm_bound=st.sampled_from([None, 0.0, 2.0]),
+    alpha=st.sampled_from([0.05, 0.3, 0.9]),
+)
+def test_shared_fits_match_one_method_at_a_time(sample, m_bound, akm_bound, alpha):
+    # a one-method plan has nothing to share, so it is the oracle
+    together = _estimate(sample, CONTINUITY_METHODS, m_bound, akm_bound, alpha)
+    for method in CONTINUITY_METHODS:
+        alone = _estimate(sample, (method,), m_bound, akm_bound, alpha)[method]
+        shared = together[method]
+        fields = ("bw", "tau", "se", "lo", "hi")
+        assert (np.array([getattr(shared, f) for f in fields]).tobytes()
+                == np.array([getattr(alone, f) for f in fields]).tobytes()), method
+        assert shared.reason == alone.reason, method
+        assert type(shared.error) is type(alone.error), method
+        assert str(shared.error) == str(alone.error), method
+
+
+def _counted_fits(monkeypatch):
+    fits = Counter()
+
+    def counted(sample, side, degree, h, kernel=Kernel.TRIANGULAR):
+        fits[degree, kernel, h if kernel is Kernel.TRIANGULAR else None] += 1
+        return local_poly_fit(sample, side, degree, h, kernel)
+
+    for module in (rdsmall.local_poly, rdsmall.inference, rdsmall.bandwidth):
+        monkeypatch.setattr(module, "local_poly_fit", counted)
+    return fits
+
+
+def test_each_fit_is_made_once_per_bandwidth(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, 200)
+    sample = RDSample(x=x, y=x + x**2 + 0.5 * (x >= 0) + 0.2 * rng.standard_normal(200),
+                      cutoff=0.0)
+    fits = _counted_fits(monkeypatch)
+    out = _estimate(sample, ("ik/cv", "ik/rbc", "ik/flci"))
+    assert all(o.ok for o in out.values())
+    h = out["ik/cv"].bw
+    # degree-1 and degree-2 pairs at h (the bias window did not expand), and
+    # ik's two uniform-kernel pilot quadratics
+    assert fits == {(1, Kernel.TRIANGULAR, h): 2, (2, Kernel.TRIANGULAR, h): 2,
+                    (2, Kernel.UNIFORM, None): 2}
+
+    fits.clear()
+    out = _estimate(sample, ("ik/cv", "ik/flci", "ak/cv", "ak/flci"))
+    assert all(o.ok for o in out.values())
+    assert not any(degree == 2 and kernel is Kernel.TRIANGULAR for degree, kernel, _ in fits)
+    assert sum(n for (degree, _, _), n in fits.items() if degree == 1) == 4
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic properties of the continuity methods
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_outcomes(a, b, scale):
+    for method in CONTINUITY_METHODS:
+        x, y = a[method], b[method]
+        assert x.reason == y.reason, method
+        if x.ok:
+            assert math.isclose(x.bw, y.bw, rel_tol=1e-6), method
+            assert abs(x.tau - y.tau) <= 1e-6 * scale, method
+            assert abs((x.hi - x.lo) - (y.hi - y.lo)) <= 1e-6 * scale, method
+
+
+_LINEAR_X = np.array([5, -1, -5, -4, -4, -1, 5, 0, -2, -2, 6, -4, -4, -2, 6, 6, 5, 0]) * 1e-6
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    sample=_samples(),
+    k=st.sampled_from([-3.0, -1.0, 0.5, 1.0, 10.0]),
+    m_bound=st.sampled_from([None, 2.0]),
+    akm_bound=st.sampled_from([None, 2.0]),
+    alpha=st.sampled_from([0.05, 0.3]),
+)
+# y constant at 0.1: the mean of equal values rounded away from them, so the
+# nearest-neighbor variances and ik's pilot variances were roundoff, not 0,
+# at some levels of y and not at others
+@example(sample=RDSample(x=np.linspace(-1, 1, 20), y=np.full(20, 0.1), cutoff=0),
+         k=-3.0, m_bound=2.0, akm_bound=2.0, alpha=0.05)
+# y constant at 0 and -1: the curvature snap scaled by std(y), which is 0 here,
+# left m_hat at roundoff for y = -1
+@example(sample=RDSample(x=[2, 0, 3, 6, -2, -5, 0, -3, -4, 3, 3, -2, 6, -4, 4, -1, 5, 1],
+                         y=np.zeros(18), cutoff=0),
+         k=-1.0, m_bound=None, akm_bound=2.0, alpha=0.3)
+# y linear with one slope: ik's cubic coefficient was roundoff and sized the
+# pilot curvature windows, so a different side's quadratic failed
+@example(sample=RDSample(x=_LINEAR_X, y=76310.08445025043 - 12695.23016 * _LINEAR_X * 1e6
+                         + 0.1 * (_LINEAR_X >= 0), cutoff=0),
+         k=10.0, m_bound=None, akm_bound=None, alpha=0.05)
+def test_shift_of_y_moves_no_estimate(sample, k, m_bound, akm_bound, alpha):
+    scale = float(np.abs(sample.y).max()) or 1.0
+    shift = k * scale
+    # a shift that merges (or nearly merges) distinct responses loses data
+    gaps = np.diff(np.unique(sample.y))
+    assume(not gaps.size or gaps.min() > 1e-6 * abs(shift))
+    shifted = RDSample(x=sample.x, y=sample.y + shift, cutoff=sample.cutoff)
+    _assert_same_outcomes(_estimate(sample, CONTINUITY_METHODS, m_bound, akm_bound, alpha),
+                          _estimate(shifted, CONTINUITY_METHODS, m_bound, akm_bound, alpha),
+                          scale + abs(shift))
+
+
+def _distance_ties(x):
+    d = np.abs(x[:, None] - x[None, :])
+    return any(np.unique(np.delete(row, i)).size < x.size - 1 for i, row in enumerate(d))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    sample=_samples(integer_scores=False),
+    seed=st.integers(0, 2**16),
+    m_bound=st.sampled_from([None, 2.0]),
+    akm_bound=st.sampled_from([None, 2.0]),
+    alpha=st.sampled_from([0.05, 0.3]),
+)
+# y linear with one slope on scores near 1e-5: ik's cubic coefficient was
+# roundoff, which the row order changed, and it sized the pilot windows
+@example(sample=RDSample(x=np.array([0, 6.875, 3.125, 2.1875, -5.3125, -5, -1.25, 10, 1.25, -10])
+                         / 1e6,
+                         y=[0.1, 0.7875, 0.4125, 0.31875, -0.53125, -0.5, -0.125, 1.1, 0.225, -1],
+                         cutoff=0),
+         seed=0, m_bound=None, akm_bound=None, alpha=0.05)
+def test_permutation_of_rows_moves_no_estimate(sample, seed, m_bound, akm_bound, alpha):
+    # nearest neighbors break distance ties by row index, so samples with a
+    # tie between two same-side distances are left out
+    below = sample.x < sample.cutoff
+    assume(not _distance_ties(sample.x[below]) and not _distance_ties(sample.x[~below]))
+    order = np.random.default_rng(seed).permutation(sample.n)
+    permuted = RDSample(x=sample.x[order], y=sample.y[order], cutoff=sample.cutoff)
+    _assert_same_outcomes(_estimate(sample, CONTINUITY_METHODS, m_bound, akm_bound, alpha),
+                          _estimate(permuted, CONTINUITY_METHODS, m_bound, akm_bound, alpha),
+                          float(np.abs(sample.y).max()))

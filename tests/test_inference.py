@@ -7,14 +7,16 @@ from conftest import make_noisy_sample, nn_variance_oracle, wls_weights_oracle
 from rdsmall.bandwidth import CurvatureBound
 from rdsmall.core import RDSample, validate
 from rdsmall.errors import InsufficientDataError, ZeroSEError
+import rdsmall.inference
 from rdsmall.inference import (
+    BoundaryFits,
     cv_interval,
     flci_interval,
     folded_normal_cv,
     rbc_interval,
     worst_case_bias,
 )
-from rdsmall.local_poly import LinearFit, local_poly_fit, nn_variance
+from rdsmall.local_poly import Kernel, LinearFit, local_poly_fit, nn_variance
 
 Z975 = 1.959963984540054
 
@@ -210,3 +212,64 @@ class TestFLCIInterval:
             base, moved = build(sample), build(shifted)
             assert moved.tau_hat == pytest.approx(base.tau_hat, abs=1e-9)
             assert moved.width == pytest.approx(base.width, rel=1e-9)
+
+
+class TestBoundaryFits:
+    BOUND = CurvatureBound(2.0, "user")
+
+    def _intervals(self, sample, h, **shared):
+        return (cv_interval(sample, h, **shared), rbc_interval(sample, h, **shared),
+                flci_interval(sample, h, bound=self.BOUND, **shared))
+
+    def test_shared_fits_give_the_same_intervals(self):
+        sample = make_noisy_sample(n=120, seed=31)
+        sigma2 = nn_variance(sample, validate(sample))
+        fits = BoundaryFits.build(sample, 0.4, sigma2=sigma2)
+        for kwargs in ({}, {"sigma2": sigma2}, {"sigma2": sigma2, "fits": fits}):
+            for fresh, shared in zip(self._intervals(sample, 0.4),
+                                     self._intervals(sample, 0.4, **kwargs)):
+                assert (shared.tau_hat, shared.se, shared.ci_lower, shared.ci_upper) == (
+                    fresh.tau_hat, fresh.se, fresh.ci_lower, fresh.ci_upper)
+        assert fits.sigma2 is sigma2
+
+    def test_fits_for_other_arguments_are_rejected(self):
+        sample = make_noisy_sample(n=60, seed=32)
+        fits = BoundaryFits.build(sample, 0.5)
+        copy = RDSample(x=sample.x, y=sample.y, cutoff=sample.cutoff)
+        for args, kwargs in (((copy, 0.5), {}), ((sample, 0.4), {}),
+                             ((sample, 0.5), {"kernel": Kernel.UNIFORM}),
+                             ((sample, 0.5), {"sigma2": fits.sigma2.copy()})):
+            for interval in (cv_interval, rbc_interval):
+                with pytest.raises(ValueError, match="different"):
+                    interval(*args, fits=fits, **kwargs)
+            with pytest.raises(ValueError, match="different"):
+                flci_interval(*args, bound=self.BOUND, fits=fits, **kwargs)
+
+    def test_bias_fits_are_made_once_failure_included(self, monkeypatch):
+        calls = []
+
+        def counted(sample, side, degree, h, kernel=Kernel.TRIANGULAR):
+            calls.append(degree)
+            return local_poly_fit(sample, side, degree, h, kernel)
+
+        monkeypatch.setattr(rdsmall.inference, "local_poly_fit", counted)
+        # above the cutoff there are never three distinct scores
+        x = np.array([-0.18, -0.12, -0.06, -0.03, -0.3, -0.4, 0.05, 0.05, 0.1, 0.1])
+        sample = RDSample(x=x, y=np.arange(10.0), cutoff=0.0)
+        fits = BoundaryFits.build(sample, 0.2)
+        cv_interval(sample, 0.2, fits=fits)
+        assert calls == []
+        for _ in range(2):
+            with pytest.raises(InsufficientDataError):
+                rbc_interval(sample, 0.2, fits=fits)
+        failed = len(calls)
+        assert failed > 0
+        with pytest.raises(InsufficientDataError):
+            fits.bias_fits()
+        assert len(calls) == failed
+
+        good = make_noisy_sample(n=80, seed=33)
+        fits = BoundaryFits.build(good, 0.5)
+        first = rbc_interval(good, 0.5, fits=fits)
+        assert rbc_interval(good, 0.5, fits=fits).ci_upper == first.ci_upper
+        assert calls[failed:] == [2, 2]
