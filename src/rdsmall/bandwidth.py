@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteError,
     ZeroCurvatureBoundError,
 )
-from .local_poly import Kernel, local_poly_fit, nn_variance
+from .local_poly import Kernel, local_poly_fit
 
 # Pilot constants for the plug-in selector.  The first-stage window is
 # 1.84 * s* * n^(-1/5); the curvature-stage windows scale the variance/
@@ -48,6 +48,8 @@ _REGULARIZATION_CONST = 2160.0
 # on locally-cubicless data; note it is unit dependent, so exact scale
 # equivariance of the selector holds only while the floor is not binding.
 _M3_FLOOR = 0.01
+# Candidate bandwidths on the bounded-curvature selector's logarithmic grid.
+_AK_GRID_SIZE = 100
 
 
 @dataclass(frozen=True)
@@ -361,31 +363,29 @@ def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray,
 
 def ak_bandwidth(
     sample: RDSample,
-    kernel: Kernel = Kernel.TRIANGULAR,
-    bound: CurvatureBound | None = None,
+    bound: CurvatureBound,
     *,
-    sigma2: np.ndarray | None = None,
-    grid_size: int = 100,
+    sigma2: np.ndarray,
+    kernel: Kernel = Kernel.TRIANGULAR,
 ) -> BandwidthResult:
     """Minimize the finite-sample MSE proxy worst-case-bias^2 + variance.
 
-    For each candidate h on a logarithmic grid from the second-smallest
-    per-side distance to the full data range, the degree-1 boundary fits
-    give combined weights w; the candidate's score is
+    For each of _AK_GRID_SIZE candidates h on a logarithmic grid from the
+    second-smallest per-side distance to the full data range, the degree-1
+    boundary fits give combined weights w; the candidate's score is
 
         (M/2 * sum |w_i| (x_i-c)^2)^2  +  sum w_i^2 sigma2_i
 
-    with sigma2 the nearest-neighbor residual variances.  The minimizer is
-    returned; ties break toward smaller h.  The score depends on the
-    response only through sigma2, so re-running with frozen sigma2 and new
-    noise gives an identical bandwidth.
+    with sigma2 the sample's nearest-neighbor residual variances
+    (``nn_variance``).  The minimizer is returned; ties break toward
+    smaller h.  The score depends on the response only through sigma2, so
+    re-running with frozen sigma2 and new noise gives an identical
+    bandwidth.
 
     Raises ``ZeroCurvatureBoundError`` for a zero bound (the objective would
     degenerate to pure variance minimization).
     """
-    algorithm = "ak" if bound is None or bound.source == "data_driven" else "akm"
-    if bound is None:
-        raise ValueError("ak_bandwidth requires a curvature bound")
+    algorithm = "ak" if bound.source == "data_driven" else "akm"
     if bound.value <= 0:
         raise ZeroCurvatureBoundError("bounded-curvature bandwidth requires M > 0")
 
@@ -394,12 +394,6 @@ def ak_bandwidth(
         return BandwidthResult.failure(algorithm, "empty_side")
     if split.n_below < 2 or split.n_above < 2:
         return BandwidthResult.failure(algorithm, "insufficient_side")
-
-    if sigma2 is None:
-        try:
-            sigma2 = nn_variance(sample, split)
-        except InsufficientDataError:
-            return BandwidthResult.failure(algorithm, "nn_variance")
 
     u = sample.x - sample.cutoff
     dist_below = np.sort(np.abs(u[split.below]))
@@ -410,7 +404,7 @@ def ak_bandwidth(
         h_lo = max(1e-8 * h_hi, np.finfo(float).tiny)
     if h_hi <= h_lo:
         h_hi = 2.0 * h_lo
-    grid = np.geomspace(h_lo, h_hi, grid_size)
+    grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
 
     ok_b, bias_b, var_b = _grid_objective(u[split.below], sigma2[split.below], grid, kernel)
     ok_a, bias_a, var_a = _grid_objective(u[split.above], sigma2[split.above], grid, kernel)

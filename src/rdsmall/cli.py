@@ -112,6 +112,8 @@ def cmd_diss(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
+    if args.seed < 0:
+        raise SpecValidationError(f"seed: >= 0 required, got {args.seed!r}")
     x, y, dropped = read_xy_csv(args.input, args.x_col, args.y_col, args.strict)
     sample = RDSample(x=x, y=y, cutoff=args.cutoff)
     bound = None if args.m_bound is None else CurvatureBound(args.m_bound, "user")

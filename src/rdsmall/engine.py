@@ -96,6 +96,8 @@ class Plan:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise SpecValidationError(f"alpha: in (0, 1) required, got {self.alpha!r}")
+        if self.grid_points < 3 or self.grid_points % 2 == 0:
+            raise SpecValidationError(f"grid_points: odd >= 3 required, got {self.grid_points!r}")
         object.__setattr__(self, "methods", parse_methods(self.methods, self.lr_min))
 
 
@@ -162,7 +164,7 @@ def _bandwidth(alg: str, sample: RDSample, sigma2, bound) -> float | Outcome:
                 return piece
     try:
         result = (ik_bandwidth(sample) if alg == "ik"
-                  else ak_bandwidth(sample, bound=bound, sigma2=sigma2))
+                  else ak_bandwidth(sample, bound, sigma2=sigma2))
     except RDError as err:
         return _caught(err)
     return result.h if result.ok else Outcome(reason=result.failure_reason or "bandwidth")
@@ -183,12 +185,11 @@ def _continuity(method: str, sample: RDSample, plan: Plan, sigma2, m_hat,
         return shared
     try:
         if shared is None:
-            shared = fits[alg] = BoundaryFits.build(sample, h, sigma2=sigma2)
+            shared = fits[alg] = BoundaryFits.build(sample, h, sigma2)
         if inf == "flci":
-            est = flci_interval(sample, h, alpha=plan.alpha, bound=bound, fits=shared)
+            est = flci_interval(shared, bound, plan.alpha)
         else:
-            interval = cv_interval if inf == "cv" else rbc_interval
-            est = interval(sample, h, alpha=plan.alpha, fits=shared)
+            est = (cv_interval if inf == "cv" else rbc_interval)(shared, plan.alpha)
     except RDError as err:
         failed = _caught(err, bw=h)
         fits.setdefault(alg, failed)  # a failed degree-1 fit fails every method at h

@@ -1,8 +1,8 @@
 """Interval constructions for the boundary local-linear LATE.
 
-Three procedures, all built from the same degree-1 fits and nearest-neighbor
-variances, which ``BoundaryFits`` computes once per sample and bandwidth and
-all three read (rbc adds degree-2 bias fits, computed on its first use):
+Three procedures, all read off one ``BoundaryFits``: a sample's degree-1
+fits at one bandwidth and its nearest-neighbor variances (rbc adds degree-2
+bias fits, computed on its first use):
 
 * conventional (cv): center +- z_{alpha/2} * SE
 * robust bias-corrected (rbc): center shifted by an estimated bias, SE
@@ -24,14 +24,13 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .bandwidth import CurvatureBound
-from .core import EffectEstimate, RDSample, validate
+from .core import EffectEstimate, RDSample
 from .errors import InsufficientDataError, ZeroSEError
 from .local_poly import (
     Kernel,
     LinearFit,
     late_point_estimate,
     local_poly_fit,
-    nn_variance,
     se_of_linear_functional,
 )
 
@@ -118,15 +117,14 @@ class BoundaryFits:
     _bias: list = field(default_factory=list, init=False, repr=False)
 
     @classmethod
-    def build(cls, sample: RDSample, h: float, kernel: Kernel = Kernel.TRIANGULAR,
-              sigma2: np.ndarray | None = None) -> BoundaryFits:
-        """Fit both sides at h; sigma2 defaults to the nearest-neighbor variances.
+    def build(cls, sample: RDSample, h: float, sigma2: np.ndarray,
+              kernel: Kernel = Kernel.TRIANGULAR) -> BoundaryFits:
+        """Fit both sides at h; sigma2 holds the sample's nearest-neighbor
+        variances (``nn_variance``).
 
         Raises InsufficientDataError when either side's fit is infeasible.
         """
         tau, (below, above) = late_point_estimate(sample, 1, h, kernel)
-        if sigma2 is None:
-            sigma2 = nn_variance(sample, validate(sample))
         combined = above.weights - below.weights
         se = se_of_linear_functional(combined, sigma2)
         return cls(sample, h, kernel, below, above, tau, combined, se, sigma2)
@@ -158,35 +156,8 @@ class BoundaryFits:
         return self._bias[0]
 
 
-def _fits_for(sample, h, kernel, sigma2, fits) -> BoundaryFits:
-    """``fits``, checked against the call's arguments, or new fits if None."""
-    if fits is None:
-        return BoundaryFits.build(sample, h, kernel, sigma2)
-    if (fits.sample is not sample or fits.h != h or fits.kernel is not kernel
-            or (sigma2 is not None and sigma2 is not fits.sigma2)):
-        raise ValueError("fits were built for a different sample, bandwidth, kernel or sigma2")
-    return fits
-
-
-def cv_interval(
-    sample: RDSample,
-    h: float,
-    kernel: Kernel = Kernel.TRIANGULAR,
-    alpha: float = 0.05,
-    *,
-    sigma2: np.ndarray | None = None,
-    fits: BoundaryFits | None = None,
-    bw_label: str = "",
-) -> EffectEstimate:
-    """Conventional Wald interval: tau_hat +- z_{alpha/2} SE.
-
-    ``sigma2`` can carry precomputed nearest-neighbor variances, and
-    ``fits`` the ``BoundaryFits`` of this sample, h and kernel (the
-    estimation engine shares one of each across the three procedures); a
-    ``fits`` built for other arguments raises ValueError.  Raises
-    InsufficientDataError when either side's fit is infeasible.
-    """
-    fits = _fits_for(sample, h, kernel, sigma2, fits)
+def cv_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
+    """Conventional Wald interval: tau_hat +- z_{alpha/2} SE."""
     tau, se = fits.tau, fits.se
     z = float(ndtri(1.0 - alpha / 2.0))
     return EffectEstimate(
@@ -195,22 +166,13 @@ def cv_interval(
         ci_lower=tau - z * se,
         ci_upper=tau + z * se,
         alpha=alpha,
-        bandwidth_or_window=h,
-        method=(bw_label, "cv"),
+        bandwidth_or_window=fits.h,
+        method=("", "cv"),
     )
 
 
-def rbc_interval(
-    sample: RDSample,
-    h: float,
-    kernel: Kernel = Kernel.TRIANGULAR,
-    alpha: float = 0.05,
-    *,
-    sigma2: np.ndarray | None = None,
-    fits: BoundaryFits | None = None,
-    bw_label: str = "",
-) -> EffectEstimate:
-    """Robust bias-corrected interval (``sigma2`` and ``fits`` as in ``cv_interval``).
+def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
+    """Robust bias-corrected interval.
 
     The bias estimate is built from one-sided local quadratics, normally on
     the same window as the main fit (bias bandwidth = h; it expands only
@@ -225,7 +187,6 @@ def rbc_interval(
     identity.  The extra quadratic fits are the dominant small-sample
     failure mode and propagate InsufficientDataError.
     """
-    fits = _fits_for(sample, h, kernel, sigma2, fits)
     tau, below, above, se_cv = fits.tau, fits.below, fits.above, fits.se
     quad_below, quad_above, bias_bw = fits.bias_fits()
 
@@ -233,7 +194,7 @@ def rbc_interval(
         0.5 * above.weighted_x2 * quad_above.second_deriv_weights
         - 0.5 * below.weighted_x2 * quad_below.second_deriv_weights
     )
-    b_hat = float(corr_weights @ sample.y)
+    b_hat = float(corr_weights @ fits.sample.y)
     rbc_weights = fits.combined_weights - corr_weights
     se_rbc = se_of_linear_functional(rbc_weights, fits.sigma2)
     correction = BiasCorrection(
@@ -250,8 +211,8 @@ def rbc_interval(
         ci_lower=center - z * se_rbc,
         ci_upper=center + z * se_rbc,
         alpha=alpha,
-        bandwidth_or_window=h,
-        method=(bw_label, "rbc"),
+        bandwidth_or_window=fits.h,
+        method=("", "rbc"),
         diagnostics={
             "bias_correction": correction,
             "tau_uncorrected": tau,
@@ -261,28 +222,15 @@ def rbc_interval(
     )
 
 
-def flci_interval(
-    sample: RDSample,
-    h: float,
-    kernel: Kernel = Kernel.TRIANGULAR,
-    alpha: float = 0.05,
-    bound: CurvatureBound | None = None,
-    *,
-    sigma2: np.ndarray | None = None,
-    fits: BoundaryFits | None = None,
-    bw_label: str = "",
-) -> EffectEstimate:
+def flci_interval(fits: BoundaryFits, bound: CurvatureBound,
+                  alpha: float = 0.05) -> EffectEstimate:
     """Fixed-length interval: conventional center, folded-normal critical value.
 
     The half-width is z*(t) * SE with t = worst-case bias / SE under the
     curvature bound.  Contains the conventional interval for any M >= 0.
     A zero SE leaves t undefined and raises ZeroSEError rather than silently
-    widening; degenerate fixtures should fail loudly.  ``sigma2`` and
-    ``fits`` are as in ``cv_interval``.
+    widening; degenerate fixtures should fail loudly.
     """
-    if bound is None:
-        raise ValueError("flci_interval requires a curvature bound")
-    fits = _fits_for(sample, h, kernel, sigma2, fits)
     tau, below, above, se = fits.tau, fits.below, fits.above, fits.se
     if se == 0.0:
         raise ZeroSEError("zero standard error: folded-normal shape t is undefined")
@@ -295,8 +243,8 @@ def flci_interval(
         ci_lower=tau - half,
         ci_upper=tau + half,
         alpha=alpha,
-        bandwidth_or_window=h,
-        method=(bw_label, "flci"),
+        bandwidth_or_window=fits.h,
+        method=("", "flci"),
         diagnostics={
             "t": fn.t,
             "critical_value": fn.cv,

@@ -305,6 +305,9 @@ def lr_interval(
         scales the grid has no degrees of freedom; or y is constant within
         each side and the test rejects no effect at level alpha.
     """
+    if grid_points < 3 or grid_points % 2 == 0:
+        # an even grid has no point at the estimate, so it may accept none
+        raise ValueError(f"grid_points: odd >= 3 required, got {grid_points!r}")
     y_control = sample.y[window.indices_below]
     y_treated = sample.y[window.indices_above]
     if y_control.size == 0 or y_treated.size == 0:
@@ -345,7 +348,9 @@ def lr_interval(
         span = grid_span_sds * pooled_sd
         grid = np.linspace(point - span, point + span, grid_points)
         # The center always survives: at tau0 = point the observed statistic
-        # is zero, the least extreme value, so p = 1.
+        # is zero, the least extreme value, so p = 1.  linspace can miss the
+        # point by roundoff, and a coarse grid may accept the center alone.
+        grid[grid_points // 2] = point
         accepted = np.flatnonzero(_p_values(u, bounds, v, grid) > alpha)
     lo = float(grid[accepted[0]])
     hi = float(grid[accepted[-1]])

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -267,10 +268,12 @@ def validate_cell_spec(raw: dict) -> CellSpec:
         value = raw.get(key, default)
         if value is None:
             return None
-        try:
-            value = type_(value)
-        except (TypeError, ValueError):
+        # a bool is not a number, and an int field takes whole numbers only
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        whole = number and (isinstance(value, numbers.Integral) or float(value).is_integer())
+        if type_ is not str and not (whole if type_ is int else number):
             raise SpecValidationError(f"{key}: expected {type_.__name__}, got {value!r}")
+        value = type_(value)
         if check is not None and not check(value):
             raise SpecValidationError(f"{key}: {desc}, got {value!r}")
         return value
@@ -281,7 +284,7 @@ def validate_cell_spec(raw: dict) -> CellSpec:
         raise SpecValidationError("rv: required")
     if mu is None:
         raise SpecValidationError("mu: required")
-    m_bar = _get("m_bar", float, None, lambda v: v >= 1, ">= 1 required")
+    m_bar = _get("m_bar", float, None, lambda v: 1 <= v < math.inf, "finite >= 1 required")
     n = _get("n", int, None, lambda v: v >= 1, ">= 1 required")
     if m_bar is None and n is None:
         raise SpecValidationError("m_bar: either m_bar or n is required")
@@ -291,7 +294,7 @@ def validate_cell_spec(raw: dict) -> CellSpec:
         m_bar=m_bar,
         n=n,
         replications=_get("replications", int, 2000, lambda v: v >= 1, ">= 1 required"),
-        seed=_get("seed", int, 0),
+        seed=_get("seed", int, 0, lambda v: v >= 0, ">= 0 required"),
         methods=raw.get("methods", DEFAULT_METHODS),
         alpha=_get("alpha", float, 0.05, lambda v: 0 < v < 1, "in (0, 1) required"),
         lr_min=_get("lr_min", int, 5, lambda v: v >= 1, ">= 1 required"),
@@ -299,7 +302,8 @@ def validate_cell_spec(raw: dict) -> CellSpec:
         workers=_get("workers", int, 1, lambda v: v >= 1, ">= 1 required"),
         max_exact=_get("max_exact", int, DEFAULT_MAX_EXACT, lambda v: v >= 1, ">= 1 required"),
         n_mc=_get("n_mc", int, DEFAULT_N_MC, lambda v: v >= 1, ">= 1 required"),
-        grid_points=_get("grid_points", int, DEFAULT_GRID_POINTS, lambda v: v >= 3, ">= 3 required"),
+        grid_points=_get("grid_points", int, DEFAULT_GRID_POINTS, lambda v: v >= 3 and v % 2,
+                         "odd >= 3 required"),
     )
 
 

@@ -4,13 +4,17 @@ The oracles here intentionally avoid the library's computation paths: dense
 normal equations built from raw (uncentered-basis) design matrices, brute
 force double loops for neighbor variances, direct summation for standard
 errors.  Library routines are tested against these, never against
-themselves.
+themselves.  ``sigma2_of`` and ``fits_at`` are not oracles: they build the
+shared inputs that the interval and bandwidth routines take, as the
+estimation engine does.
 """
 
 import numpy as np
 import pytest
 
-from rdsmall.core import RDSample
+from rdsmall.core import RDSample, validate
+from rdsmall.inference import BoundaryFits
+from rdsmall.local_poly import Kernel, nn_variance
 
 
 def kernel_weight_plain(name, u):
@@ -71,3 +75,13 @@ def make_noisy_sample(n=120, seed=0, jump=0.1, noise=0.13):
     x = rng.uniform(-1, 1, n)
     y = 0.4 + 0.8 * x + 0.9 * x**2 + jump * (x >= 0) + noise * rng.standard_normal(n)
     return RDSample(x=x, y=y, cutoff=0.0)
+
+
+def sigma2_of(sample):
+    """The sample's nearest-neighbor variances, as the engine computes them."""
+    return nn_variance(sample, validate(sample))
+
+
+def fits_at(sample, h, kernel=Kernel.TRIANGULAR):
+    """The ``BoundaryFits`` that cv, rbc and flci read at bandwidth h."""
+    return BoundaryFits.build(sample, h, sigma2_of(sample), kernel)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_noisy_sample, wls_intercept_oracle
+from conftest import fits_at, make_noisy_sample, wls_intercept_oracle
 from rdsmall.bandwidth import CurvatureBound, silverman_rot_population
 from rdsmall.core import RDSample, affine_transform
 from rdsmall.diss import (
@@ -318,8 +318,9 @@ def test_criterion_9_invariance_suite():
     nested = True
     for seed in range(20):
         s = make_noisy_sample(n=100, seed=seed)
-        cv = cv_interval(s, h=0.6)
-        fl = flci_interval(s, h=0.6, bound=CurvatureBound(float(1 + seed % 5), "user"))
+        fits = fits_at(s, 0.6)
+        cv = cv_interval(fits)
+        fl = flci_interval(fits, CurvatureBound(float(1 + seed % 5), "user"))
         nested &= fl.ci_lower <= cv.ci_lower + 1e-12
         nested &= fl.ci_upper >= cv.ci_upper - 1e-12
     checks.append(("fixed-length interval contains conventional interval",

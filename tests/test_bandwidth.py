@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import make_noisy_sample
+from conftest import make_noisy_sample, sigma2_of
 from rdsmall.bandwidth import (
     CurvatureBound,
     ak_bandwidth,
@@ -131,7 +131,7 @@ class TestAKBandwidth:
     def test_zero_bound_rejected(self):
         sample = make_noisy_sample(seed=3)
         with pytest.raises(ZeroCurvatureBoundError):
-            ak_bandwidth(sample, bound=CurvatureBound(0.0, "user"))
+            ak_bandwidth(sample, CurvatureBound(0.0, "user"), sigma2=sigma2_of(sample))
 
     def test_grid_matches_fit_based_objective(self):
         # the vectorized candidate sweep must agree with explicit fits
@@ -169,7 +169,7 @@ class TestAKBandwidth:
         for _ in range(60):
             sample = generate_dataset("rv2", "mu2", 490, rng)
             ik = ik_bandwidth(sample)
-            ak = ak_bandwidth(sample, bound=estimate_m_hat(sample))
+            ak = ak_bandwidth(sample, estimate_m_hat(sample), sigma2=sigma2_of(sample))
             if ik.ok and ak.ok:
                 ik_h.append(ik.h)
                 ak_h.append(ak.h)
@@ -191,7 +191,8 @@ class TestEstimateMHat:
         bound = estimate_m_hat(sample)
         assert bound.value == pytest.approx(0.0, abs=1e-8)
         with pytest.raises(ZeroCurvatureBoundError):
-            ak_bandwidth(sample, bound=CurvatureBound(bound.value, bound.source))
+            ak_bandwidth(sample, CurvatureBound(bound.value, bound.source),
+                         sigma2=sigma2_of(sample))
 
     def test_insufficient_side(self):
         sample = RDSample(x=[-1, -0.5, -0.2, -0.6, 0.3, 0.4, 0.5, 0.6, 0.7],
@@ -228,7 +229,7 @@ def test_bandwidth_shrinks_at_root_n_fifth_rate(alg):
             if alg == "ik":
                 res = ik_bandwidth(sample)
             else:
-                res = ak_bandwidth(sample, bound=CurvatureBound(3.0, "user"))
+                res = ak_bandwidth(sample, CurvatureBound(3.0, "user"), sigma2=sigma2_of(sample))
             if res.ok:
                 hs.append(res.h)
         medians.append(np.median(hs))

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 from collections import Counter
 
@@ -8,16 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import rdsmall.bandwidth
-import rdsmall.inference
-import rdsmall.local_poly
 import rdsmall.simulation
 from rdsmall.bandwidth import CurvatureBound
 from rdsmall.cli import main
 from rdsmall.core import RDSample, validate
 from rdsmall.engine import CONTINUITY_METHODS, Outcome, Plan, estimate
 from rdsmall.errors import EmptySideWarning, SpecValidationError
-from rdsmall.local_poly import Kernel, local_poly_fit
+from rdsmall.local_poly import Kernel, local_poly_fit, nn_variance
 from rdsmall.simulation import CellSpec, run_cell, validate_cell_spec
 
 
@@ -100,6 +98,37 @@ def test_repeated_method_rejected_by_both_front_ends(ids, tmp_path, capsys):
 def test_analyze_rejects_out_of_range_settings(argv, tmp_path, capsys):
     code, _, err = _analyze(capsys, _noisy_csv(tmp_path), *argv)
     assert code == 2 and "required" in err
+
+
+@pytest.mark.parametrize("grid_points", [1, 2, 4, 6])
+def test_grid_without_a_center_rejected_by_every_entry_point(grid_points, tmp_path, capsys):
+    # an even grid has no point at the estimate, and a 1-point grid no step;
+    # the m_bar 57 spec with 4 or 6 points used to die in lr_interval with
+    # an IndexError
+    message = rf"grid_points: odd >= 3 required, got {grid_points}$"
+    with pytest.raises(SpecValidationError, match=message):
+        Plan(methods=("lr",), alpha=0.05, lr_min=5, window="capped", grid_points=grid_points)
+    with pytest.raises(SpecValidationError, match=message):
+        run_cell(CellSpec(rv="rv2", mu="mu2", n=40, replications=1, methods=("lr",),
+                          grid_points=grid_points))
+    spec = {"rv": "rv2", "mu": "mu2", "m_bar": 57, "grid_points": grid_points,
+            "methods": ["lr"], "lr_min": 20}
+    with pytest.raises(SpecValidationError, match=message):
+        validate_cell_spec(spec)
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: grid_points: odd >= 3 required, got {grid_points}\n"
+
+
+def test_negative_seed_rejected_by_both_front_ends(tmp_path, capsys):
+    code, _, err = _analyze(capsys, _noisy_csv(tmp_path), "--seed", "-1")
+    assert (code, err) == (2, "error: seed: >= 0 required, got -1\n")
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"rv": "rv2", "mu": "mu2", "n": 40, "replications": 2,
+                                "seed": -1, "methods": ["lr"]}), encoding="utf-8")
+    assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: seed: >= 0 required, got -1\n"
 
 
 def test_analyze_rows_follow_the_requested_order(tmp_path, capsys):
@@ -255,16 +284,21 @@ def test_shared_fits_match_one_method_at_a_time(sample, m_bound, akm_bound, alph
         assert str(shared.error) == str(alone.error), method
 
 
-def _counted_fits(monkeypatch):
-    fits = Counter()
+def _count_calls(monkeypatch, function, key):
+    """Count ``key(...)`` of the arguments of each call of ``function``,
+    through every binding of it in a loaded ``rdsmall`` module."""
+    calls = Counter()
 
-    def counted(sample, side, degree, h, kernel=Kernel.TRIANGULAR):
-        fits[degree, kernel, h if kernel is Kernel.TRIANGULAR else None] += 1
-        return local_poly_fit(sample, side, degree, h, kernel)
+    def counted(*args, **kwargs):
+        calls[key(*args, **kwargs)] += 1
+        return function(*args, **kwargs)
 
-    for module in (rdsmall.local_poly, rdsmall.inference, rdsmall.bandwidth):
-        monkeypatch.setattr(module, "local_poly_fit", counted)
-    return fits
+    for name, module in list(sys.modules.items()):
+        if name == "rdsmall" or name.startswith("rdsmall."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def test_each_fit_is_made_once_per_bandwidth(monkeypatch):
@@ -272,7 +306,10 @@ def test_each_fit_is_made_once_per_bandwidth(monkeypatch):
     x = rng.uniform(-1.0, 1.0, 200)
     sample = RDSample(x=x, y=x + x**2 + 0.5 * (x >= 0) + 0.2 * rng.standard_normal(200),
                       cutoff=0.0)
-    fits = _counted_fits(monkeypatch)
+    fits = _count_calls(monkeypatch, local_poly_fit,
+                        lambda sample, side, degree, h, kernel=Kernel.TRIANGULAR:
+                        (degree, kernel, h if kernel is Kernel.TRIANGULAR else None))
+    variances = _count_calls(monkeypatch, nn_variance, lambda sample, split: id(sample))
     out = _estimate(sample, ("ik/cv", "ik/rbc", "ik/flci"))
     assert all(o.ok for o in out.values())
     h = out["ik/cv"].bw
@@ -286,6 +323,12 @@ def test_each_fit_is_made_once_per_bandwidth(monkeypatch):
     assert all(o.ok for o in out.values())
     assert not any(degree == 2 and kernel is Kernel.TRIANGULAR for degree, kernel, _ in fits)
     assert sum(n for (degree, _, _), n in fits.items() if degree == 1) == 4
+
+    # ik/*, ak/* and akm/* share one set of nearest-neighbor variances
+    variances.clear()
+    out = _estimate(sample, CONTINUITY_METHODS, akm_bound=2.0)
+    assert all(o.ok for o in out.values())
+    assert variances == {id(sample): 1}
 
 
 # ---------------------------------------------------------------------------

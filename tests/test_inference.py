@@ -3,9 +3,9 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from conftest import make_noisy_sample, nn_variance_oracle, wls_weights_oracle
+from conftest import fits_at, make_noisy_sample, nn_variance_oracle, wls_weights_oracle
 from rdsmall.bandwidth import CurvatureBound
-from rdsmall.core import RDSample, validate
+from rdsmall.core import RDSample
 from rdsmall.errors import InsufficientDataError, ZeroSEError
 import rdsmall.inference
 from rdsmall.inference import (
@@ -16,7 +16,7 @@ from rdsmall.inference import (
     rbc_interval,
     worst_case_bias,
 )
-from rdsmall.local_poly import Kernel, LinearFit, local_poly_fit, nn_variance
+from rdsmall.local_poly import Kernel, LinearFit, local_poly_fit
 
 Z975 = 1.959963984540054
 
@@ -30,26 +30,26 @@ def _flat_zero_noise_sample():
 
 class TestCVInterval:
     def test_zero_noise_jump_gives_degenerate_interval(self):
-        est = cv_interval(_flat_zero_noise_sample(), h=0.6, alpha=0.05)
+        est = cv_interval(fits_at(_flat_zero_noise_sample(), 0.6), alpha=0.05)
         assert est.tau_hat == pytest.approx(0.1, abs=1e-10)
         assert est.se == 0.0
         assert est.ci_lower == pytest.approx(est.ci_upper, abs=1e-12)
 
     def test_sloped_zero_noise_recovers_jump(self):
         x = np.array([-0.5, -0.35, -0.2, -0.1, 0.05, 0.15, 0.3, 0.45])
-        est = cv_interval(RDSample(x=x, y=1 + x + 0.1 * (x >= 0), cutoff=0.0),
-                          h=0.6, alpha=0.05)
+        est = cv_interval(fits_at(RDSample(x=x, y=1 + x + 0.1 * (x >= 0), cutoff=0.0), 0.6),
+                          alpha=0.05)
         assert est.tau_hat == pytest.approx(0.1, abs=1e-10)
 
     def test_standard_normal_critical_value(self):
-        est = cv_interval(make_noisy_sample(seed=6), h=0.7, alpha=0.05)
+        est = cv_interval(fits_at(make_noisy_sample(seed=6), 0.7), alpha=0.05)
         half = (est.ci_upper - est.ci_lower) / 2
         assert half / est.se == pytest.approx(Z975, rel=1e-9)
 
     def test_matches_independent_oracle(self, eight_point_sample):
         s = eight_point_sample
         h = 0.5
-        est = cv_interval(s, h=h, alpha=0.05)
+        est = cv_interval(fits_at(s, h), alpha=0.05)
         w_above = wls_weights_oracle(s.x, 0.0, "above", 1, h)
         w_below = wls_weights_oracle(s.x, 0.0, "below", 1, h)
         sigma2 = nn_variance_oracle(s.x, s.y, 0.0, 3)
@@ -63,7 +63,7 @@ class TestCVInterval:
     def test_insufficient_data_propagates(self):
         sample = RDSample(x=[-0.1, 0.1, 0.2, 0.3], y=[1.0, 2, 3, 4], cutoff=0.0)
         with pytest.raises(InsufficientDataError):
-            cv_interval(sample, h=1.0)
+            cv_interval(fits_at(sample, 1.0))
 
 
 class TestRBCInterval:
@@ -72,17 +72,15 @@ class TestRBCInterval:
         x = rng.uniform(-1, 1, 200)
         y = 1 + 2 * x + 0.1 * (x >= 0)
         sample = RDSample(x=x, y=y, cutoff=0.0)
-        cv = cv_interval(sample, h=0.8)
-        rbc = rbc_interval(sample, h=0.8)
+        fits = fits_at(sample, 0.8)
+        cv, rbc = cv_interval(fits), rbc_interval(fits)
         corr = rbc.diagnostics["bias_correction"]
         assert corr.b_hat == pytest.approx(0.0, abs=1e-9)
         assert rbc.tau_hat == pytest.approx(cv.tau_hat, abs=1e-9)
 
     def test_variance_identity_defines_c_term(self):
         sample = make_noisy_sample(n=150, seed=15)
-        split = validate(sample)
-        sigma2 = nn_variance(sample, split)
-        rbc = rbc_interval(sample, h=0.5, sigma2=sigma2)
+        rbc = rbc_interval(fits_at(sample, 0.5))
         corr = rbc.diagnostics["bias_correction"]
         se_cv = rbc.diagnostics["se_cv"]
         assert np.sqrt(se_cv**2 + corr.c_term) == pytest.approx(rbc.se, rel=1e-10)
@@ -93,7 +91,7 @@ class TestRBCInterval:
 
     def test_bias_bandwidth_stays_at_h_when_feasible(self):
         sample = make_noisy_sample(n=150, seed=16)
-        rbc = rbc_interval(sample, h=0.5)
+        rbc = rbc_interval(fits_at(sample, 0.5))
         assert rbc.diagnostics["bias_bandwidth"] == 0.5
 
     def test_bias_bandwidth_expands_when_quadratic_infeasible(self):
@@ -102,7 +100,7 @@ class TestRBCInterval:
         x = np.array([-0.18, -0.12, -0.06, -0.03, 0.05, 0.1, 0.8, 0.9])
         y = np.array([0.9, 0.7, 0.5, 0.35, 0.3, 0.4, 1.9, 2.1])
         sample = RDSample(x=x, y=y, cutoff=0.0)
-        rbc = rbc_interval(sample, h=0.2)
+        rbc = rbc_interval(fits_at(sample, 0.2))
         assert rbc.diagnostics["bias_bandwidth"] > 0.2
         assert np.isfinite(rbc.tau_hat)
 
@@ -112,7 +110,7 @@ class TestRBCInterval:
         x = np.array([-0.18, -0.12, -0.06, -0.03, -0.3, -0.4, 0.05, 0.05, 0.1, 0.1])
         y = np.arange(10.0)
         with pytest.raises(InsufficientDataError):
-            rbc_interval(RDSample(x=x, y=y, cutoff=0.0), h=0.2)
+            rbc_interval(fits_at(RDSample(x=x, y=y, cutoff=0.0), 0.2))
 
 
 class TestWorstCaseBias:
@@ -178,36 +176,33 @@ class TestFoldedNormalCV:
 class TestFLCIInterval:
     def test_zero_bound_coincides_with_cv(self):
         sample = make_noisy_sample(seed=19)
-        cv = cv_interval(sample, h=0.6)
-        fl = flci_interval(sample, h=0.6, bound=CurvatureBound(0.0, "user"))
+        fits = fits_at(sample, 0.6)
+        cv, fl = cv_interval(fits), flci_interval(fits, CurvatureBound(0.0, "user"))
         assert fl.ci_lower == pytest.approx(cv.ci_lower, rel=1e-12)
         assert fl.ci_upper == pytest.approx(cv.ci_upper, rel=1e-12)
 
     def test_always_contains_cv(self):
         for seed in range(25):
             sample = make_noisy_sample(n=90, seed=seed)
-            cv = cv_interval(sample, h=0.6)
-            fl = flci_interval(
-                sample, h=0.6, bound=CurvatureBound(float(seed % 7), "user")
-            )
+            fits = fits_at(sample, 0.6)
+            cv = cv_interval(fits)
+            fl = flci_interval(fits, CurvatureBound(float(seed % 7), "user"))
             assert fl.ci_lower <= cv.ci_lower + 1e-12
             assert fl.ci_upper >= cv.ci_upper - 1e-12
             assert fl.tau_hat == cv.tau_hat
 
     def test_zero_se_is_loud(self):
         with pytest.raises(ZeroSEError):
-            flci_interval(
-                _flat_zero_noise_sample(), h=0.6, bound=CurvatureBound(1.0, "user")
-            )
+            flci_interval(fits_at(_flat_zero_noise_sample(), 0.6), CurvatureBound(1.0, "user"))
 
     def test_location_equivariance(self):
         sample = make_noisy_sample(n=120, seed=20)
         shifted = RDSample(sample.x, sample.y + 7.0, 0.0)
         bound = CurvatureBound(2.0, "user")
         for build in (
-            lambda s: cv_interval(s, h=0.6),
-            lambda s: rbc_interval(s, h=0.6),
-            lambda s: flci_interval(s, h=0.6, bound=bound),
+            lambda s: cv_interval(fits_at(s, 0.6)),
+            lambda s: rbc_interval(fits_at(s, 0.6)),
+            lambda s: flci_interval(fits_at(s, 0.6), bound),
         ):
             base, moved = build(sample), build(shifted)
             assert moved.tau_hat == pytest.approx(base.tau_hat, abs=1e-9)
@@ -217,33 +212,18 @@ class TestFLCIInterval:
 class TestBoundaryFits:
     BOUND = CurvatureBound(2.0, "user")
 
-    def _intervals(self, sample, h, **shared):
-        return (cv_interval(sample, h, **shared), rbc_interval(sample, h, **shared),
-                flci_interval(sample, h, bound=self.BOUND, **shared))
-
     def test_shared_fits_give_the_same_intervals(self):
         sample = make_noisy_sample(n=120, seed=31)
-        sigma2 = nn_variance(sample, validate(sample))
-        fits = BoundaryFits.build(sample, 0.4, sigma2=sigma2)
-        for kwargs in ({}, {"sigma2": sigma2}, {"sigma2": sigma2, "fits": fits}):
-            for fresh, shared in zip(self._intervals(sample, 0.4),
-                                     self._intervals(sample, 0.4, **kwargs)):
-                assert (shared.tau_hat, shared.se, shared.ci_lower, shared.ci_upper) == (
-                    fresh.tau_hat, fresh.se, fresh.ci_lower, fresh.ci_upper)
-        assert fits.sigma2 is sigma2
-
-    def test_fits_for_other_arguments_are_rejected(self):
-        sample = make_noisy_sample(n=60, seed=32)
-        fits = BoundaryFits.build(sample, 0.5)
-        copy = RDSample(x=sample.x, y=sample.y, cutoff=sample.cutoff)
-        for args, kwargs in (((copy, 0.5), {}), ((sample, 0.4), {}),
-                             ((sample, 0.5), {"kernel": Kernel.UNIFORM}),
-                             ((sample, 0.5), {"sigma2": fits.sigma2.copy()})):
-            for interval in (cv_interval, rbc_interval):
-                with pytest.raises(ValueError, match="different"):
-                    interval(*args, fits=fits, **kwargs)
-            with pytest.raises(ValueError, match="different"):
-                flci_interval(*args, bound=self.BOUND, fits=fits, **kwargs)
+        fits = fits_at(sample, 0.4)
+        # rbc first: its bias fits, kept on the shared fits, must not move cv or flci
+        shared = (rbc_interval(fits), cv_interval(fits), flci_interval(fits, self.BOUND))
+        fresh = (rbc_interval(fits_at(sample, 0.4)), cv_interval(fits_at(sample, 0.4)),
+                 flci_interval(fits_at(sample, 0.4), self.BOUND))
+        for a, b in zip(shared, fresh):
+            assert (a.tau_hat, a.se, a.ci_lower, a.ci_upper, a.bandwidth_or_window) == (
+                b.tau_hat, b.se, b.ci_lower, b.ci_upper, b.bandwidth_or_window)
+        sigma2 = fits.sigma2.copy()
+        assert BoundaryFits.build(sample, 0.4, sigma2).sigma2 is sigma2
 
     def test_bias_fits_are_made_once_failure_included(self, monkeypatch):
         calls = []
@@ -256,12 +236,12 @@ class TestBoundaryFits:
         # above the cutoff there are never three distinct scores
         x = np.array([-0.18, -0.12, -0.06, -0.03, -0.3, -0.4, 0.05, 0.05, 0.1, 0.1])
         sample = RDSample(x=x, y=np.arange(10.0), cutoff=0.0)
-        fits = BoundaryFits.build(sample, 0.2)
-        cv_interval(sample, 0.2, fits=fits)
+        fits = fits_at(sample, 0.2)
+        cv_interval(fits)
         assert calls == []
         for _ in range(2):
             with pytest.raises(InsufficientDataError):
-                rbc_interval(sample, 0.2, fits=fits)
+                rbc_interval(fits)
         failed = len(calls)
         assert failed > 0
         with pytest.raises(InsufficientDataError):
@@ -269,7 +249,7 @@ class TestBoundaryFits:
         assert len(calls) == failed
 
         good = make_noisy_sample(n=80, seed=33)
-        fits = BoundaryFits.build(good, 0.5)
-        first = rbc_interval(good, 0.5, fits=fits)
-        assert rbc_interval(good, 0.5, fits=fits).ci_upper == first.ci_upper
+        fits = fits_at(good, 0.5)
+        first = rbc_interval(fits)
+        assert rbc_interval(fits).ci_upper == first.ci_upper
         assert calls[failed:] == [2, 2]

@@ -297,6 +297,19 @@ class TestLRInterval:
         assert est.ci_upper - est.ci_lower == pytest.approx(
             (DEFAULT_GRID_POINTS - 1) * est.diagnostics["grid_step"])
 
+    @pytest.mark.parametrize("grid_points", [1, 2, 4, 6])
+    def test_grid_without_a_point_at_the_estimate_is_rejected(self, grid_points):
+        # on a 30+30 window every point of a 4- or 6-point grid lies at least
+        # 2 SD (about 7 SE) from the estimate, so such a grid accepts nothing
+        rng = np.random.default_rng(9)
+        x = np.concatenate([-rng.uniform(0.01, 1, 30), rng.uniform(0.01, 1, 30)])
+        sample = _sample(x, 0.2 * (x >= 0) + rng.normal(0, 0.2, 60))
+        window = select_window(sample, min_per_side=30)
+        with pytest.raises(ValueError, match="grid_points: odd >= 3 required"):
+            lr_interval(sample, window, grid_points=grid_points, rng=1)
+        est = lr_interval(sample, window, grid_points=5, rng=1)
+        assert est.ci_lower == est.tau_hat == est.ci_upper
+
 
 class TestSweepMatchesReference:
     """The sorted per-group sweep gives the direct per-point counts exactly."""

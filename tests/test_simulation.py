@@ -112,6 +112,31 @@ class TestCellSpecValidation:
         with pytest.raises(SpecValidationError, match="m_bar"):
             validate_cell_spec({"rv": "rv2", "mu": "mu2"})
 
+    @pytest.mark.parametrize("field, value, parsed", [
+        ("replications", 2.7, None),
+        ("n", 30.9, None),
+        ("replications", True, None),
+        ("seed", False, None),
+        ("workers", "2", None),
+        ("n_mc", float("nan"), None),
+        ("max_exact", float("inf"), None),
+        ("m_bar", True, None),
+        ("m_bar", float("inf"), None),
+        ("replications", 3.0, 3),
+        ("n", 30, 30),
+        ("seed", 0, 0),
+        ("grid_points", 5.0, 5),
+        ("m_bar", 10.5, 10.5),
+    ])
+    def test_numeric_fields_take_numbers_and_int_fields_whole_ones(self, field, value, parsed):
+        spec = {"rv": "rv2", "mu": "mu2", "n": 40, field: value}
+        if parsed is None:
+            with pytest.raises(SpecValidationError, match=rf"^{field}: "):
+                validate_cell_spec(spec)
+        else:
+            got = getattr(validate_cell_spec(spec), field)
+            assert got == parsed and type(got) is type(parsed)
+
     def test_lr_alias(self):
         cell = validate_cell_spec(
             {"rv": "rv1", "mu": "mu1", "n": 50, "methods": ["lr"], "lr_min": 4}
