@@ -40,9 +40,7 @@ from .diss import (
     population_diss,
 )
 from .inference import (
-    BiasCorrection,
     BoundaryFits,
-    FoldedNormalCV,
     cv_interval,
     flci_interval,
     folded_normal_cv,
@@ -79,12 +77,10 @@ __all__ = [
     "__version__",
     "BandwidthResult",
     "BetaSpec",
-    "BiasCorrection",
     "BoundaryFits",
     "CellSpec",
     "CurvatureBound",
     "EffectEstimate",
-    "FoldedNormalCV",
     "Kernel",
     "LinearFit",
     "LRWindow",

@@ -68,7 +68,6 @@ class CurvatureBound:
 class BandwidthResult:
     """Outcome of a bandwidth algorithm: a value or a failure reason."""
 
-    algorithm: str
     h: float | None
     failure_reason: str | None = None
     diagnostics: dict = field(default_factory=dict, compare=False)
@@ -76,10 +75,6 @@ class BandwidthResult:
     @property
     def ok(self) -> bool:
         return self.h is not None
-
-    @staticmethod
-    def failure(algorithm: str, reason: str, **diagnostics) -> "BandwidthResult":
-        return BandwidthResult(algorithm, None, reason, dict(diagnostics))
 
 
 def _sample_spread(x: np.ndarray) -> float:
@@ -176,14 +171,11 @@ def _variance(v: np.ndarray) -> float:
 def _pilot_stage(sample: RDSample):
     """First pilot stage: density and per-side response variances at the cutoff.
 
-    Returns (h1, f_hat, s2_below, s2_above, n1_below, n1_above) or a failure
-    reason string in place of the tuple.
+    Returns (f_hat, s2_below, s2_above) or a failure reason string in place
+    of the tuple.  Both sides must be nonempty, so n >= 2.
     """
     x, y, c = sample.x, sample.y, sample.cutoff
-    try:
-        s_star = _sample_spread(x)
-    except Exception:
-        return "degenerate_running_variable"
+    s_star = _sample_spread(x)
     if s_star <= 0:
         return "degenerate_running_variable"
     h1 = _PILOT_H1_FACTOR * s_star * x.size ** (-0.2)
@@ -196,17 +188,18 @@ def _pilot_stage(sample: RDSample):
     s2m, s2p = _variance(y[below]), _variance(y[above])
     if s2m + s2p <= 0:
         return "pilot_variance_zero"
-    return h1, f_hat, s2m, s2p, n1m, n1p
+    return f_hat, s2m, s2p
 
 
-def ik_bandwidth(sample: RDSample, kernel: Kernel = Kernel.TRIANGULAR) -> BandwidthResult:
+def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     """Regularized plug-in bandwidth for the boundary local-linear LATE.
 
     Pipeline: (i) rule-of-thumb pilot window gives f_hat(c) and per-side
     variances; (ii) a global cubic with an intercept jump sizes one-sided
     quadratic windows, whose fits give the one-sided curvatures mu''+-(c);
     (iii) a regularization term r = sum of 2160 * s2 / (N2 * h2^4) is added
-    to the squared curvature difference.  The bandwidth is
+    to the squared curvature difference.  The bandwidth, for the triangular
+    kernel, is
 
         C_K * [ (s2+ + s2-) / (n * f_hat * ((mu''+ - mu''-)^2 + r)) ]^(1/5)
 
@@ -214,15 +207,14 @@ def ik_bandwidth(sample: RDSample, kernel: Kernel = Kernel.TRIANGULAR) -> Bandwi
     curvature-window floor is not binding.  Any infeasible stage returns a
     ``BandwidthResult`` failure with a stage-specific reason.
     """
-    algorithm = "ik"
     split = validate(sample)
     if split.empty_side is not None:
-        return BandwidthResult.failure(algorithm, "empty_side")
+        return BandwidthResult(None, "empty_side")
 
     stage = _pilot_stage(sample)
     if isinstance(stage, str):
-        return BandwidthResult.failure(algorithm, stage)
-    h1, f_hat, s2m, s2p, n1m, n1p = stage
+        return BandwidthResult(None, stage)
+    f_hat, s2m, s2p = stage
 
     x, y, c = sample.x, sample.y, sample.cutoff
     n = sample.n
@@ -235,7 +227,7 @@ def ik_bandwidth(sample: RDSample, kernel: Kernel = Kernel.TRIANGULAR) -> Bandwi
     design = np.column_stack([np.ones(n), (u >= 0).astype(float), t, t**2, t**3])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 5:
-        return BandwidthResult.failure(algorithm, "pilot_cubic")
+        return BandwidthResult(None, "pilot_cubic")
     # a response linear on each side with one slope leaves only roundoff in
     # the cubic coefficient; snap it to zero, as estimate_m_hat does the
     # curvature, so that roundoff does not size the curvature windows
@@ -251,7 +243,7 @@ def ik_bandwidth(sample: RDSample, kernel: Kernel = Kernel.TRIANGULAR) -> Bandwi
         try:
             fit = local_poly_fit(sample, side, degree=2, h=h2, kernel=Kernel.UNIFORM)
         except (InsufficientDataError, BadBandwidthError):
-            return BandwidthResult.failure(algorithm, f"pilot_curvature_{side}")
+            return BandwidthResult(None, f"pilot_curvature_{side}")
         curvature[side] = fit.second_derivative(y)
         windows[side] = fit.n_effective
 
@@ -259,32 +251,12 @@ def ik_bandwidth(sample: RDSample, kernel: Kernel = Kernel.TRIANGULAR) -> Bandwi
     r_above = _REGULARIZATION_CONST * s2p / (windows["above"] * h2p**4)
     regularization = r_below + r_above
 
-    c_k = kernel_constant(kernel)
     curv_gap = curvature["above"] - curvature["below"]
     denom = n * f_hat * (curv_gap**2 + regularization)
-    h = c_k * ((s2m + s2p) / denom) ** 0.2
+    h = kernel_constant(Kernel.TRIANGULAR) * ((s2m + s2p) / denom) ** 0.2
     if not np.isfinite(h) or h <= 0:
-        return BandwidthResult.failure(algorithm, "nonfinite_result")
-
-    return BandwidthResult(
-        algorithm,
-        float(h),
-        diagnostics={
-            "h1": h1,
-            "f_hat": f_hat,
-            "sigma2_below": s2m,
-            "sigma2_above": s2p,
-            "m3_hat": m3,
-            "h2_below": h2m,
-            "h2_above": h2p,
-            "n2_below": windows["below"],
-            "n2_above": windows["above"],
-            "curvature_below": curvature["below"],
-            "curvature_above": curvature["above"],
-            "regularization": regularization,
-            "kernel_constant": c_k,
-        },
-    )
+        return BandwidthResult(None, "nonfinite_result")
+    return BandwidthResult(float(h))
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +280,11 @@ def ak_plugin_bandwidth(
     return float((c_k * (s2_below + s2_above) / (4.0 * f_at_cutoff * m**2 * n)) ** 0.2)
 
 
-def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray,
-                    kernel: Kernel, block: int = 32):
+def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray, block: int = 32):
     """One side's worst-case-bias and variance loadings for every candidate h.
 
-    Evaluates the degree-1 intercept-extraction weights in closed form (the
-    2x2 normal equations) for all candidates at once:
+    Evaluates the triangular-kernel degree-1 intercept-extraction weights in
+    closed form (the 2x2 normal equations) for all candidates at once:
 
         w_i = k(t_i) (S2 - S1 t_i) / (S0 S2 - S1^2),  t_i = u_i / h
 
@@ -341,7 +312,7 @@ def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray,
         if m_max < 2:
             continue
         t = u[None, :m_max] / h
-        w = kernel.weight(t)
+        w = Kernel.TRIANGULAR.weight(t)
         w[np.abs(t) >= 1.0] = 0.0
         s0 = w.sum(axis=1)
         wt = w * t
@@ -366,13 +337,13 @@ def ak_bandwidth(
     bound: CurvatureBound,
     *,
     sigma2: np.ndarray,
-    kernel: Kernel = Kernel.TRIANGULAR,
 ) -> BandwidthResult:
     """Minimize the finite-sample MSE proxy worst-case-bias^2 + variance.
 
     For each of _AK_GRID_SIZE candidates h on a logarithmic grid from the
     second-smallest per-side distance to the full data range, the degree-1
-    boundary fits give combined weights w; the candidate's score is
+    triangular-kernel boundary fits give combined weights w; the candidate's
+    score is
 
         (M/2 * sum |w_i| (x_i-c)^2)^2  +  sum w_i^2 sigma2_i
 
@@ -383,17 +354,17 @@ def ak_bandwidth(
     bandwidth.
 
     Raises ``ZeroCurvatureBoundError`` for a zero bound (the objective would
-    degenerate to pure variance minimization).
+    degenerate to pure variance minimization).  ``diagnostics`` holds the
+    grid's ends, ``grid_lo`` and ``grid_hi``.
     """
-    algorithm = "ak" if bound.source == "data_driven" else "akm"
     if bound.value <= 0:
         raise ZeroCurvatureBoundError("bounded-curvature bandwidth requires M > 0")
 
     split = validate(sample)
     if split.empty_side is not None:
-        return BandwidthResult.failure(algorithm, "empty_side")
+        return BandwidthResult(None, "empty_side")
     if split.n_below < 2 or split.n_above < 2:
-        return BandwidthResult.failure(algorithm, "insufficient_side")
+        return BandwidthResult(None, "insufficient_side")
 
     u = sample.x - sample.cutoff
     dist_below = np.sort(np.abs(u[split.below]))
@@ -406,33 +377,19 @@ def ak_bandwidth(
         h_hi = 2.0 * h_lo
     grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
 
-    ok_b, bias_b, var_b = _grid_objective(u[split.below], sigma2[split.below], grid, kernel)
-    ok_a, bias_a, var_a = _grid_objective(u[split.above], sigma2[split.above], grid, kernel)
+    ok_b, bias_b, var_b = _grid_objective(u[split.below], sigma2[split.below], grid)
+    ok_a, bias_a, var_a = _grid_objective(u[split.above], sigma2[split.above], grid)
     feasible = ok_b & ok_a
     if not feasible.any():
-        return BandwidthResult.failure(algorithm, "no_feasible_h")
+        return BandwidthResult(None, "no_feasible_h")
 
     half_m = 0.5 * bound.value
     bias_bound = half_m * (bias_b + bias_a)
     variance = var_b + var_a
     mse = np.where(feasible, bias_bound**2 + variance, np.inf)
     pick = int(np.argmin(mse))  # first minimum: ties break toward smaller h
-    best = (float(mse[pick]), float(grid[pick]), float(bias_bound[pick]),
-            float(variance[pick]))
-    n_feasible = int(feasible.sum())
-
-    diagnostics = {
-        "m": bound.value,
-        "m_source": bound.source,
-        "mse_at_h": best[0],
-        "bias_bound_at_h": best[2],
-        "variance_at_h": best[3],
-        "grid_lo": float(grid[0]),
-        "grid_hi": float(grid[-1]),
-        "n_feasible": n_feasible,
-        "kernel_constant": kernel_constant(kernel),
-    }
-    return BandwidthResult(algorithm, best[1], diagnostics=diagnostics)
+    return BandwidthResult(float(grid[pick]),
+                           diagnostics={"grid_lo": float(grid[0]), "grid_hi": float(grid[-1])})
 
 
 def estimate_m_hat(sample: RDSample) -> CurvatureBound:

@@ -72,14 +72,13 @@ class SideSplit:
 
 @dataclass(frozen=True)
 class EffectEstimate:
-    """Point estimate, interval and labels for the LATE at the cutoff.
+    """Point estimate and interval for the LATE at the cutoff.
 
     ``tau_hat`` is the interval's center: the local-linear contrast for
     conventional and fixed-length intervals, the bias-corrected point for
     robust bias-corrected intervals, the window difference-in-means for
     local randomization.  ``se`` is None for methods without a standard
-    error concept (local randomization).  ``method`` is a
-    ``(bandwidth_label, inference_label)`` pair.
+    error concept (local randomization).
     """
 
     tau_hat: float
@@ -88,7 +87,6 @@ class EffectEstimate:
     ci_upper: float
     alpha: float
     bandwidth_or_window: float
-    method: tuple[str, str]
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):

@@ -167,7 +167,7 @@ def _bandwidth(alg: str, sample: RDSample, sigma2, bound) -> float | Outcome:
                   else ak_bandwidth(sample, bound, sigma2=sigma2))
     except RDError as err:
         return _caught(err)
-    return result.h if result.ok else Outcome(reason=result.failure_reason or "bandwidth")
+    return result.h if result.ok else Outcome(reason=result.failure_reason)
 
 
 def _continuity(method: str, sample: RDSample, plan: Plan, sigma2, m_hat,

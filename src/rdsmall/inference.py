@@ -27,7 +27,6 @@ from .bandwidth import CurvatureBound
 from .core import EffectEstimate, RDSample
 from .errors import InsufficientDataError, ZeroSEError
 from .local_poly import (
-    Kernel,
     LinearFit,
     late_point_estimate,
     local_poly_fit,
@@ -35,30 +34,7 @@ from .local_poly import (
 )
 
 
-@dataclass(frozen=True)
-class FoldedNormalCV:
-    """Critical value z*(t) with P(|N(t,1)| <= z*) = 1 - alpha."""
-
-    t: float
-    alpha: float
-    cv: float
-
-
-@dataclass(frozen=True)
-class BiasCorrection:
-    """Estimated bias and the combined weights of the corrected estimator.
-
-    ``c_term`` is defined by the identity SE_rbc = sqrt(SE_cv^2 + c_term)
-    where SE_rbc comes from the combined weights; it is nonnegative in
-    practice but the identity, not a sign constraint, is the contract.
-    """
-
-    b_hat: float
-    combined_weights: np.ndarray
-    c_term: float
-
-
-def folded_normal_cv(t: float, alpha: float) -> FoldedNormalCV:
+def folded_normal_cv(t: float, alpha: float) -> float:
     """Solve Phi(cv - t) + Phi(cv + t) - 1 = 1 - alpha for cv.
 
     At t = 0 this is the usual two-sided normal critical value; for large t
@@ -78,9 +54,8 @@ def folded_normal_cv(t: float, alpha: float) -> FoldedNormalCV:
     if hi - t < z:
         # t (about 1e16 and up, an SE of roundoff size) swamps the bracket:
         # Phi(cv + t) is 1 and the root is t + z, as exact as t allows
-        return FoldedNormalCV(t=float(t), alpha=float(alpha), cv=float(t + z))
-    cv = brentq(gap, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
-    return FoldedNormalCV(t=float(t), alpha=float(alpha), cv=float(cv))
+        return float(t + z)
+    return float(brentq(gap, 0.0, hi, xtol=1e-12, rtol=8.9e-16))
 
 
 def worst_case_bias(fits: tuple[LinearFit, LinearFit], m: float) -> float:
@@ -107,7 +82,6 @@ class BoundaryFits:
 
     sample: RDSample
     h: float
-    kernel: Kernel
     below: LinearFit
     above: LinearFit
     tau: float
@@ -117,17 +91,16 @@ class BoundaryFits:
     _bias: list = field(default_factory=list, init=False, repr=False)
 
     @classmethod
-    def build(cls, sample: RDSample, h: float, sigma2: np.ndarray,
-              kernel: Kernel = Kernel.TRIANGULAR) -> BoundaryFits:
-        """Fit both sides at h; sigma2 holds the sample's nearest-neighbor
-        variances (``nn_variance``).
+    def build(cls, sample: RDSample, h: float, sigma2: np.ndarray) -> BoundaryFits:
+        """Fit both sides at h with the triangular kernel; sigma2 holds the
+        sample's nearest-neighbor variances (``nn_variance``).
 
         Raises InsufficientDataError when either side's fit is infeasible.
         """
-        tau, (below, above) = late_point_estimate(sample, 1, h, kernel)
+        tau, (below, above) = late_point_estimate(sample, 1, h)
         combined = above.weights - below.weights
         se = se_of_linear_functional(combined, sigma2)
-        return cls(sample, h, kernel, below, above, tau, combined, se, sigma2)
+        return cls(sample, h, below, above, tau, combined, se, sigma2)
 
     def bias_fits(self) -> tuple[LinearFit, LinearFit, float]:
         """Degree-2 fits for the bias estimate at the smallest workable bandwidth.
@@ -144,8 +117,8 @@ class BoundaryFits:
             b = self.h
             while not self._bias:
                 try:
-                    quad_below = local_poly_fit(self.sample, "below", 2, b, self.kernel)
-                    quad_above = local_poly_fit(self.sample, "above", 2, b, self.kernel)
+                    quad_below = local_poly_fit(self.sample, "below", 2, b)
+                    quad_above = local_poly_fit(self.sample, "above", 2, b)
                     self._bias.append((quad_below, quad_above, b))
                 except InsufficientDataError as err:
                     if b > reach:
@@ -167,7 +140,6 @@ def cv_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
         ci_upper=tau + z * se,
         alpha=alpha,
         bandwidth_or_window=fits.h,
-        method=("", "cv"),
     )
 
 
@@ -183,27 +155,19 @@ def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
 
     Both the correction and the main contrast are linear in y, so the
     corrected estimator's weights are formed explicitly and its SE computed
-    from them; the variance-inflation term is SE_rbc^2 - SE_cv^2 by that
-    identity.  The extra quadratic fits are the dominant small-sample
-    failure mode and propagate InsufficientDataError.
+    from them.  ``diagnostics`` holds the ``bias_bandwidth``.  The extra
+    quadratic fits are the dominant small-sample failure mode and propagate
+    InsufficientDataError.
     """
-    tau, below, above, se_cv = fits.tau, fits.below, fits.above, fits.se
+    below, above = fits.below, fits.above
     quad_below, quad_above, bias_bw = fits.bias_fits()
 
     corr_weights = (
         0.5 * above.weighted_x2 * quad_above.second_deriv_weights
         - 0.5 * below.weighted_x2 * quad_below.second_deriv_weights
     )
-    b_hat = float(corr_weights @ fits.sample.y)
-    rbc_weights = fits.combined_weights - corr_weights
-    se_rbc = se_of_linear_functional(rbc_weights, fits.sigma2)
-    correction = BiasCorrection(
-        b_hat=b_hat,
-        combined_weights=rbc_weights,
-        c_term=se_rbc**2 - se_cv**2,
-    )
-
-    center = tau - b_hat
+    center = fits.tau - float(corr_weights @ fits.sample.y)
+    se_rbc = se_of_linear_functional(fits.combined_weights - corr_weights, fits.sigma2)
     z = float(ndtri(1.0 - alpha / 2.0))
     return EffectEstimate(
         tau_hat=center,
@@ -212,13 +176,7 @@ def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
         ci_upper=center + z * se_rbc,
         alpha=alpha,
         bandwidth_or_window=fits.h,
-        method=("", "rbc"),
-        diagnostics={
-            "bias_correction": correction,
-            "tau_uncorrected": tau,
-            "se_cv": se_cv,
-            "bias_bandwidth": bias_bw,
-        },
+        diagnostics={"bias_bandwidth": bias_bw},
     )
 
 
@@ -234,9 +192,9 @@ def flci_interval(fits: BoundaryFits, bound: CurvatureBound,
     tau, below, above, se = fits.tau, fits.below, fits.above, fits.se
     if se == 0.0:
         raise ZeroSEError("zero standard error: folded-normal shape t is undefined")
-    bias_bound = worst_case_bias((below, above), bound.value)
-    fn = folded_normal_cv(bias_bound / se, alpha)
-    half = fn.cv * se
+    t = worst_case_bias((below, above), bound.value) / se
+    cv = folded_normal_cv(t, alpha)
+    half = cv * se
     return EffectEstimate(
         tau_hat=tau,
         se=se,
@@ -244,13 +202,9 @@ def flci_interval(fits: BoundaryFits, bound: CurvatureBound,
         ci_upper=tau + half,
         alpha=alpha,
         bandwidth_or_window=fits.h,
-        method=("", "flci"),
         diagnostics={
-            "t": fn.t,
-            "critical_value": fn.cv,
-            "bias_bound": bias_bound,
+            "t": t,
+            "critical_value": cv,
             "bound_exact": below.sign_constant and above.sign_constant,
-            "m": bound.value,
-            "m_source": bound.source,
         },
     )

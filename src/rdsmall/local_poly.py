@@ -181,17 +181,15 @@ def local_poly_fit(
 
 
 def late_point_estimate(
-    sample: RDSample,
-    degree: int,
-    h: float,
-    kernel: Kernel = Kernel.TRIANGULAR,
+    sample: RDSample, degree: int, h: float
 ) -> tuple[float, tuple[LinearFit, LinearFit]]:
-    """Local average treatment effect at the cutoff: above fit minus below fit.
+    """Local average treatment effect at the cutoff: above fit minus below
+    fit, both with the triangular kernel.
 
     Propagates InsufficientDataError from either side.
     """
-    below = local_poly_fit(sample, "below", degree, h, kernel)
-    above = local_poly_fit(sample, "above", degree, h, kernel)
+    below = local_poly_fit(sample, "below", degree, h)
+    above = local_poly_fit(sample, "above", degree, h)
     return above.fitted_at_cutoff - below.fitted_at_cutoff, (below, above)
 
 

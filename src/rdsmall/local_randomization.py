@@ -280,7 +280,6 @@ def lr_interval(
     alpha: float = 0.05,
     *,
     grid_points: int = DEFAULT_GRID_POINTS,
-    grid_span_sds: float = DEFAULT_GRID_SPAN_SDS,
     max_exact: int = DEFAULT_MAX_EXACT,
     n_mc: int = DEFAULT_N_MC,
     rng: np.random.Generator | int | None = None,
@@ -289,14 +288,14 @@ def lr_interval(
 
     The point estimate is the window difference in means.  The interval is
     the hull of grid values tau0 with p(tau0) > alpha, on a grid centered at
-    the point estimate spanning +- grid_span_sds pooled within-group
+    the point estimate spanning +- DEFAULT_GRID_SPAN_SDS pooled within-group
     standard deviations.  When the pooled sd is zero (to within roundoff of
     the responses' scale) the test rejects every effect other than the
     point or none of them, so the interval is the point or the call raises.
-    A disconnected acceptance region is reported as a diagnostic flag; the
-    hull is still returned.  So is an accepted set that reaches the first or
-    last grid point (``grid_clipped``): the interval is then cut off by the
-    grid, not by the test.
+    A disconnected acceptance region gives its hull.  ``diagnostics`` holds
+    the assignment ``mode`` and ``n_assignments``, the ``grid_step``, and
+    ``grid_clipped``: the accepted set reaches the first or last grid point,
+    so the interval is cut off by the grid, not by the test.
 
     Raises
     ------
@@ -345,7 +344,7 @@ def lr_interval(
         # the point itself has p = 1, which roundoff in u must not undo
         grid, accepted = np.array([point]), np.array([0])
     else:
-        span = grid_span_sds * pooled_sd
+        span = DEFAULT_GRID_SPAN_SDS * pooled_sd
         grid = np.linspace(point - span, point + span, grid_points)
         # The center always survives: at tau0 = point the observed statistic
         # is zero, the least extreme value, so p = 1.  linspace can miss the
@@ -354,7 +353,6 @@ def lr_interval(
         accepted = np.flatnonzero(_p_values(u, bounds, v, grid) > alpha)
     lo = float(grid[accepted[0]])
     hi = float(grid[accepted[-1]])
-    disconnected = bool(np.any(np.diff(accepted) > 1))
 
     return EffectEstimate(
         tau_hat=point,
@@ -363,15 +361,11 @@ def lr_interval(
         ci_upper=hi,
         alpha=alpha,
         bandwidth_or_window=window.half_width,
-        method=("lr", "lr"),
         diagnostics={
             "mode": mode,
             "n_assignments": u.size,
             "grid_step": float(grid[1] - grid[0]) if grid.size > 1 else 0.0,
-            "disconnected_acceptance": disconnected,
             "grid_clipped": bool(grid.size > 1 and (accepted[0] == 0
                                                     or accepted[-1] == grid.size - 1)),
-            "n_window_below": n_c,
-            "n_window_above": n_t,
         },
     )

@@ -223,13 +223,42 @@ def design_table() -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+# The type and range of each numeric or named CellSpec field: (type, check,
+# what is required).  m_bar, n and m_bound may also be None.
+_FIELD_RULES = {
+    "rv": (str, lambda v: v in RV_SPECS, f"one of {sorted(RV_SPECS)}"),
+    "mu": (str, lambda v: v in MU_FUNCTIONS, f"one of {sorted(MU_FUNCTIONS)}"),
+    "m_bar": (float, lambda v: 1 <= v < math.inf, "finite >= 1 required"),
+    "n": (int, lambda v: v >= 1, ">= 1 required"),
+    "replications": (int, lambda v: v >= 1, ">= 1 required"),
+    "seed": (int, lambda v: v >= 0, ">= 0 required"),
+    "alpha": (float, lambda v: 0 < v < 1, "in (0, 1) required"),
+    "lr_min": (int, lambda v: v >= 1, ">= 1 required"),
+    "m_bound": (float, lambda v: v > 0, "> 0 required"),
+    "workers": (int, lambda v: v >= 1, ">= 1 required"),
+    "max_exact": (int, lambda v: v >= 1, ">= 1 required"),
+    "n_mc": (int, lambda v: v >= 1, ">= 1 required"),
+    "grid_points": (int, lambda v: v >= 3 and v % 2, "odd >= 3 required"),
+}
+_OPTIONAL_FIELDS = ("m_bar", "n", "m_bound")
+
+
+def _is_a(value, type_) -> bool:
+    """A bool is not a number, and an int field takes integers only."""
+    if type_ is str:
+        return isinstance(value, str)
+    wanted = numbers.Integral if type_ is int else numbers.Real
+    return isinstance(value, wanted) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One simulation cell: a DGP, a study size, methods, and run controls.
 
-    ``methods`` is parsed by ``engine.parse_methods`` on construction, so it
-    holds canonical ids.  ``m_bound`` replaces the design's curvature bound
-    as the bound of the akm/* methods.
+    Construction checks each field's type and range, raising
+    SpecValidationError that names the field, and parses ``methods`` with
+    ``engine.parse_methods``, so it holds canonical ids.  ``m_bound``
+    replaces the design's curvature bound as the bound of the akm/* methods.
     """
 
     rv: str
@@ -248,6 +277,16 @@ class CellSpec:
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
+        for key, (type_, check, desc) in _FIELD_RULES.items():
+            value = getattr(self, key)
+            if value is None and key in _OPTIONAL_FIELDS:
+                continue
+            if not _is_a(value, type_):
+                raise SpecValidationError(f"{key}: expected {type_.__name__}, got {value!r}")
+            if not check(value):
+                raise SpecValidationError(f"{key}: {desc}, got {value!r}")
+        if self.m_bar is None and self.n is None:
+            raise SpecValidationError("m_bar: either m_bar or n is required")
         object.__setattr__(self, "methods", parse_methods(self.methods, self.lr_min))
 
     def cell_id(self) -> str:
@@ -256,55 +295,30 @@ class CellSpec:
 
 
 def validate_cell_spec(raw: dict) -> CellSpec:
-    """Build a CellSpec from a JSON-style dict, reporting the failing field."""
+    """Build a CellSpec from a JSON-style dict, reporting the failing field.
+
+    The dict's rules live here: its shape, its known fields, and JSON's
+    number types (a whole float such as 3.0 fills an int field, an integer
+    fills a float field as a float).  ``CellSpec`` checks the types and
+    ranges that follow.
+    """
     if not isinstance(raw, dict):
         raise SpecValidationError("spec: expected a JSON object")
     known = set(CellSpec.__dataclass_fields__)
     for key in raw:
         if key not in known:
             raise SpecValidationError(f"{key}: unknown field")
+    for key in ("rv", "mu"):
+        if raw.get(key) is None:
+            raise SpecValidationError(f"{key}: required")
 
-    def _get(key, type_, default, check=None, desc=""):
-        value = raw.get(key, default)
-        if value is None:
-            return None
-        # a bool is not a number, and an int field takes whole numbers only
-        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        whole = number and (isinstance(value, numbers.Integral) or float(value).is_integer())
-        if type_ is not str and not (whole if type_ is int else number):
-            raise SpecValidationError(f"{key}: expected {type_.__name__}, got {value!r}")
-        value = type_(value)
-        if check is not None and not check(value):
-            raise SpecValidationError(f"{key}: {desc}, got {value!r}")
-        return value
-
-    rv = _get("rv", str, None, lambda v: v in RV_SPECS, f"one of {sorted(RV_SPECS)}")
-    mu = _get("mu", str, None, lambda v: v in MU_FUNCTIONS, f"one of {sorted(MU_FUNCTIONS)}")
-    if rv is None:
-        raise SpecValidationError("rv: required")
-    if mu is None:
-        raise SpecValidationError("mu: required")
-    m_bar = _get("m_bar", float, None, lambda v: 1 <= v < math.inf, "finite >= 1 required")
-    n = _get("n", int, None, lambda v: v >= 1, ">= 1 required")
-    if m_bar is None and n is None:
-        raise SpecValidationError("m_bar: either m_bar or n is required")
-    return CellSpec(
-        rv=rv,
-        mu=mu,
-        m_bar=m_bar,
-        n=n,
-        replications=_get("replications", int, 2000, lambda v: v >= 1, ">= 1 required"),
-        seed=_get("seed", int, 0, lambda v: v >= 0, ">= 0 required"),
-        methods=raw.get("methods", DEFAULT_METHODS),
-        alpha=_get("alpha", float, 0.05, lambda v: 0 < v < 1, "in (0, 1) required"),
-        lr_min=_get("lr_min", int, 5, lambda v: v >= 1, ">= 1 required"),
-        m_bound=_get("m_bound", float, None, lambda v: v > 0, "> 0 required"),
-        workers=_get("workers", int, 1, lambda v: v >= 1, ">= 1 required"),
-        max_exact=_get("max_exact", int, DEFAULT_MAX_EXACT, lambda v: v >= 1, ">= 1 required"),
-        n_mc=_get("n_mc", int, DEFAULT_N_MC, lambda v: v >= 1, ">= 1 required"),
-        grid_points=_get("grid_points", int, DEFAULT_GRID_POINTS, lambda v: v >= 3 and v % 2,
-                         "odd >= 3 required"),
-    )
+    fields = dict(raw)
+    for key, value in raw.items():
+        type_ = _FIELD_RULES[key][0] if key in _FIELD_RULES else None
+        whole = _is_a(value, float) and float(value).is_integer()
+        if type_ is str or (type_ is float and _is_a(value, float)) or (type_ is int and whole):
+            fields[key] = type_(value)
+    return CellSpec(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from rdsmall.core import RDSample, validate
 from rdsmall.inference import BoundaryFits
-from rdsmall.local_poly import Kernel, nn_variance
+from rdsmall.local_poly import nn_variance
 
 
 def kernel_weight_plain(name, u):
@@ -82,6 +82,6 @@ def sigma2_of(sample):
     return nn_variance(sample, validate(sample))
 
 
-def fits_at(sample, h, kernel=Kernel.TRIANGULAR):
+def fits_at(sample, h):
     """The ``BoundaryFits`` that cv, rbc and flci read at bandwidth h."""
-    return BoundaryFits.build(sample, h, sigma2_of(sample), kernel)
+    return BoundaryFits.build(sample, h, sigma2_of(sample))

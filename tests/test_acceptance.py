@@ -326,7 +326,7 @@ def test_criterion_9_invariance_suite():
     checks.append(("fixed-length interval contains conventional interval",
                    nested, "20 fixtures"))
 
-    cv0 = folded_normal_cv(0.0, 0.05).cv
+    cv0 = folded_normal_cv(0.0, 0.05)
     checks.append(("folded normal cv(0, 0.05) = 1.959964 +- 1e-6",
                    abs(cv0 - 1.959964) <= 1e-6, f"{cv0:.7f}"))
     _report(9, "invariance suite", checks)

@@ -10,13 +10,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rdsmall.simulation
-from rdsmall.bandwidth import CurvatureBound
+from rdsmall.bandwidth import CurvatureBound, _grid_objective, estimate_m_hat
 from rdsmall.cli import main
 from rdsmall.core import RDSample, validate
 from rdsmall.engine import CONTINUITY_METHODS, Outcome, Plan, estimate
 from rdsmall.errors import EmptySideWarning, SpecValidationError
 from rdsmall.local_poly import Kernel, local_poly_fit, nn_variance
-from rdsmall.simulation import CellSpec, run_cell, validate_cell_spec
+from rdsmall.simulation import (
+    MU_FUNCTIONS,
+    RV_SPECS,
+    CellSpec,
+    generate_dataset,
+    run_cell,
+    validate_cell_spec,
+)
 
 
 def _write_csv(path, x, y):
@@ -414,3 +421,68 @@ def test_permutation_of_rows_moves_no_estimate(sample, seed, m_bound, akm_bound,
     _assert_same_outcomes(_estimate(sample, CONTINUITY_METHODS, m_bound, akm_bound, alpha),
                           _estimate(permuted, CONTINUITY_METHODS, m_bound, akm_bound, alpha),
                           float(np.abs(sample.y).max()))
+
+
+def _ak_objective(sample, m, hs):
+    """ak's worst-case-bias^2 + variance at each bandwidth in hs."""
+    split = validate(sample)
+    u = sample.x - sample.cutoff
+    sigma2 = nn_variance(sample, split)
+    sides = [_grid_objective(u[idx], sigma2[idx], np.asarray(hs, float))
+             for idx in (split.below, split.above)]
+    assert all(ok.all() for ok, _, _ in sides)
+    (_, bias_b, var_b), (_, bias_a, var_a) = sides
+    return (0.5 * m * (bias_b + bias_a)) ** 2 + (var_b + var_a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rv=st.sampled_from(sorted(RV_SPECS)),
+    mu=st.sampled_from(sorted(MU_FUNCTIONS)),
+    n=st.integers(12, 200),
+    seed=st.integers(0, 2**16),
+    a=st.sampled_from([0.25, 3.0, 40.0]),
+    b=st.sampled_from([-2.0, 0.0, 5.0]),
+    k=st.sampled_from([-1.0, 0.0, 2.0]),
+    m_bound=st.sampled_from([None, 2.0]),
+)
+# each side's ak window holds exactly two points on a stretch of candidates,
+# so the linear fits interpolate and three candidates tie at 0.34029431
+@example(rv="rv2", mu="mu1", n=95, seed=36, a=40.0, b=0.0, k=0.0, m_bound=None)
+def test_affine_map_of_scores_and_responses_moves_estimates_alike(rv, mu, n, seed, a, b, k,
+                                                                   m_bound):
+    # x -> a x + b (cutoff too) and y -> c y + d with c = a^3, which leaves
+    # ik's third-derivative estimate, and so its _M3_FLOOR comparison, unchanged
+    sample = generate_dataset(rv, mu, n, np.random.default_rng(seed))
+    c = a**3
+    scale = c * float(np.abs(sample.y).max())
+    d = k * scale
+    moved = RDSample(a * sample.x + b, c * sample.y + d, a * sample.cutoff + b)
+    ratio = c / a**2  # how a curvature bound moves
+
+    def run(s, r):
+        plan = Plan(methods=ALL_METHODS, alpha=0.05, lr_min=5, window="strict",
+                    m_bound=_bound(None if m_bound is None else r * m_bound),
+                    akm_bound=_bound(r * 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptySideWarning)
+            return estimate(s, validate(s), plan, np.random.default_rng(0))
+
+    base, mapped = run(sample, 1.0), run(moved, ratio)
+    tol = 1e-6 * (scale + abs(d))
+    for method, x in base.items():
+        y = mapped[method]
+        assert x.reason == y.reason, method
+        if not x.ok:
+            continue
+        if not math.isclose(a * x.bw, y.bw, rel_tol=1e-6):
+            # ak and akm may pick another bandwidth only where their
+            # objective is flat between the two picks
+            alg = method.split("/")[0]
+            assert alg in ("ak", "akm"), method
+            m = 2.0 if alg == "akm" else m_bound or estimate_m_hat(sample).value
+            first, second = _ak_objective(sample, m, [x.bw, y.bw / a])
+            assert math.isclose(first, second, rel_tol=1e-9), method
+            continue
+        assert abs(c * x.tau - y.tau) <= tol, method
+        assert abs(c * (x.hi - x.lo) - (y.hi - y.lo)) <= tol, method

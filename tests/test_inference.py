@@ -74,20 +74,23 @@ class TestRBCInterval:
         sample = RDSample(x=x, y=y, cutoff=0.0)
         fits = fits_at(sample, 0.8)
         cv, rbc = cv_interval(fits), rbc_interval(fits)
-        corr = rbc.diagnostics["bias_correction"]
-        assert corr.b_hat == pytest.approx(0.0, abs=1e-9)
         assert rbc.tau_hat == pytest.approx(cv.tau_hat, abs=1e-9)
 
-    def test_variance_identity_defines_c_term(self):
+    def test_corrected_estimator_is_linear_in_y(self):
+        # rbc on the unit responses e_i, with the same scores and sigma2,
+        # reads off its weights w; the estimate and its SE must be w @ y and
+        # sqrt(sum w^2 sigma2)
         sample = make_noisy_sample(n=150, seed=15)
-        rbc = rbc_interval(fits_at(sample, 0.5))
-        corr = rbc.diagnostics["bias_correction"]
-        se_cv = rbc.diagnostics["se_cv"]
-        assert np.sqrt(se_cv**2 + corr.c_term) == pytest.approx(rbc.se, rel=1e-10)
-        # the combined weights really are the corrected estimator
-        assert corr.combined_weights @ sample.y == pytest.approx(
-            rbc.tau_hat, rel=1e-10
-        )
+        fits = fits_at(sample, 0.5)
+        rbc = rbc_interval(fits)
+        unit = np.eye(sample.n)
+        w = np.array([
+            rbc_interval(BoundaryFits.build(RDSample(sample.x, unit[i], 0.0), 0.5,
+                                            fits.sigma2)).tau_hat
+            for i in range(sample.n)
+        ])
+        assert w @ sample.y == pytest.approx(rbc.tau_hat, rel=1e-10)
+        assert np.sqrt(np.sum(w**2 * fits.sigma2)) == pytest.approx(rbc.se, rel=1e-10)
 
     def test_bias_bandwidth_stays_at_h_when_feasible(self):
         sample = make_noisy_sample(n=150, seed=16)
@@ -150,26 +153,26 @@ class TestWorstCaseBias:
 
 class TestFoldedNormalCV:
     def test_zero_shape_is_standard_normal(self):
-        assert folded_normal_cv(0.0, 0.05).cv == pytest.approx(1.959964, abs=1e-6)
+        assert folded_normal_cv(0.0, 0.05) == pytest.approx(1.959964, abs=1e-6)
 
     def test_unit_shape_value(self):
-        got = folded_normal_cv(1.0, 0.05).cv
+        got = folded_normal_cv(1.0, 0.05)
         oracle = brentq(lambda c: ndtr(c - 1) + ndtr(c + 1) - 1 - 0.95, 0, 10,
                         xtol=1e-12)
         assert got == pytest.approx(oracle, abs=1e-9)
         assert got == pytest.approx(2.650, abs=5e-3)
 
     def test_large_shape_one_sided_limit(self):
-        assert folded_normal_cv(10.0, 0.05).cv == pytest.approx(
+        assert folded_normal_cv(10.0, 0.05) == pytest.approx(
             10 + 1.6449, abs=1e-4
         )
 
     def test_monotone_in_shape_and_alpha(self):
         shapes = np.linspace(0, 5, 21)
-        values = [folded_normal_cv(t, 0.05).cv for t in shapes]
+        values = [folded_normal_cv(t, 0.05) for t in shapes]
         assert np.all(np.diff(values) > 0)
         alphas = np.linspace(0.01, 0.5, 15)
-        values = [folded_normal_cv(1.0, a).cv for a in alphas]
+        values = [folded_normal_cv(1.0, a) for a in alphas]
         assert np.all(np.diff(values) < 0)
 
 

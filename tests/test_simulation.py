@@ -122,20 +122,45 @@ class TestCellSpecValidation:
         ("max_exact", float("inf"), None),
         ("m_bar", True, None),
         ("m_bar", float("inf"), None),
+        ("m_bar", 0.5, None),
+        ("rv", "rv9", None),
+        ("mu", "mu0", None),
+        ("n", 0, None),
+        ("replications", 0, None),
+        ("seed", -1, None),
+        ("alpha", 1.0, None),
+        ("lr_min", 0, None),
+        ("m_bound", -1.0, None),
+        ("workers", 0, None),
+        ("max_exact", 0, None),
+        ("n_mc", 0, None),
+        ("grid_points", 4, None),
         ("replications", 3.0, 3),
         ("n", 30, 30),
         ("seed", 0, 0),
         ("grid_points", 5.0, 5),
         ("m_bar", 10.5, 10.5),
+        ("m_bar", 10, 10.0),
     ])
     def test_numeric_fields_take_numbers_and_int_fields_whole_ones(self, field, value, parsed):
+        # each row goes through the JSON path and, as the value itself (a
+        # rejected one) or as its parsed value (an accepted one), through a
+        # CellSpec built in Python; both must agree
         spec = {"rv": "rv2", "mu": "mu2", "n": 40, field: value}
         if parsed is None:
-            with pytest.raises(SpecValidationError, match=rf"^{field}: "):
+            with pytest.raises(SpecValidationError, match=rf"^{field}: ") as from_json:
                 validate_cell_spec(spec)
+            with pytest.raises(SpecValidationError) as direct:
+                CellSpec(**spec)
+            assert str(direct.value) == str(from_json.value)
         else:
-            got = getattr(validate_cell_spec(spec), field)
-            assert got == parsed and type(got) is type(parsed)
+            for cell in (validate_cell_spec(spec), CellSpec(**{**spec, field: parsed})):
+                got = getattr(cell, field)
+                assert got == parsed and type(got) is type(parsed)
+
+    def test_python_cellspec_requires_a_size(self):
+        with pytest.raises(SpecValidationError, match="^m_bar: either m_bar or n is required$"):
+            CellSpec(rv="rv2", mu="mu2")
 
     def test_lr_alias(self):
         cell = validate_cell_spec(
