@@ -2,7 +2,8 @@
 
 The package covers the full small-study RD workflow:
 
-* ``core`` — samples, cutoff splits, affine score handling
+* ``core`` — samples, checked and split at the cutoff once; affine score
+  handling
 * ``local_poly`` — boundary local-polynomial fits as linear-in-y weights
 * ``bandwidth`` — rule-of-thumb, plug-in (ik) and bounded-curvature (ak)
   bandwidth selection
@@ -29,7 +30,7 @@ from .bandwidth import (
     silverman_rot,
     silverman_rot_population,
 )
-from .core import EffectEstimate, RDSample, SideSplit, affine_transform, validate
+from .core import EffectEstimate, RDSample, affine_transform
 from .diss import (
     BetaSpec,
     beta_cdf,
@@ -86,7 +87,6 @@ __all__ = [
     "LRWindow",
     "PermutationResult",
     "RDSample",
-    "SideSplit",
     "SimCellResult",
     "affine_transform",
     "ak_bandwidth",
@@ -117,7 +117,6 @@ __all__ = [
     "select_window",
     "silverman_rot",
     "silverman_rot_population",
-    "validate",
     "validate_cell_spec",
     "worst_case_bias",
     "write_cell_outputs",

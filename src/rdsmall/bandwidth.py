@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import RDSample, validate
+from .core import RDSample
 from .errors import (
     BadBandwidthError,
     DegenerateSampleError,
@@ -57,7 +57,6 @@ class CurvatureBound:
     """Global bound M on |second derivative of the mean function|."""
 
     value: float
-    source: str  # "user" or "data_driven"
 
     def __post_init__(self):
         if not np.isfinite(self.value) or self.value < 0:
@@ -179,9 +178,9 @@ def _pilot_stage(sample: RDSample):
     if s_star <= 0:
         return "degenerate_running_variable"
     h1 = _PILOT_H1_FACTOR * s_star * x.size ** (-0.2)
-    below = (x >= c - h1) & (x < c)
-    above = (x >= c) & (x <= c + h1)
-    n1m, n1p = int(below.sum()), int(above.sum())
+    below = sample.below[x[sample.below] >= c - h1]
+    above = sample.above[x[sample.above] <= c + h1]
+    n1m, n1p = below.size, above.size
     if n1m < 2 or n1p < 2:
         return "pilot_variance"
     f_hat = (n1m + n1p) / (2.0 * x.size * h1)
@@ -207,8 +206,7 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     curvature-window floor is not binding.  Any infeasible stage returns a
     ``BandwidthResult`` failure with a stage-specific reason.
     """
-    split = validate(sample)
-    if split.empty_side is not None:
+    if sample.empty_side is not None:
         return BandwidthResult(None, "empty_side")
 
     stage = _pilot_stage(sample)
@@ -224,7 +222,9 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     # third derivative used to size the curvature windows.
     scale = max(np.abs(u).max(), 1e-300)
     t = u / scale
-    design = np.column_stack([np.ones(n), (u >= 0).astype(float), t, t**2, t**3])
+    jump = np.zeros(n)
+    jump[sample.above] = 1.0
+    design = np.column_stack([np.ones(n), jump, t, t**2, t**3])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 5:
         return BandwidthResult(None, "pilot_cubic")
@@ -234,8 +234,8 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     m3 = 6.0 * coef[4] / scale**3 if abs(coef[4]) >= 1e-8 * np.std(y) else 0.0
 
     m3sq = max(m3**2, _M3_FLOOR)
-    h2m = _PILOT_H2_FACTOR * (s2m / (f_hat * m3sq)) ** _PILOT_H2_RATE * split.n_below ** (-_PILOT_H2_RATE)
-    h2p = _PILOT_H2_FACTOR * (s2p / (f_hat * m3sq)) ** _PILOT_H2_RATE * split.n_above ** (-_PILOT_H2_RATE)
+    h2m = _PILOT_H2_FACTOR * (s2m / (f_hat * m3sq)) ** _PILOT_H2_RATE * sample.n_below ** (-_PILOT_H2_RATE)
+    h2p = _PILOT_H2_FACTOR * (s2p / (f_hat * m3sq)) ** _PILOT_H2_RATE * sample.n_above ** (-_PILOT_H2_RATE)
 
     curvature = {}
     windows = {}
@@ -360,15 +360,14 @@ def ak_bandwidth(
     if bound.value <= 0:
         raise ZeroCurvatureBoundError("bounded-curvature bandwidth requires M > 0")
 
-    split = validate(sample)
-    if split.empty_side is not None:
+    if sample.empty_side is not None:
         return BandwidthResult(None, "empty_side")
-    if split.n_below < 2 or split.n_above < 2:
+    if sample.n_below < 2 or sample.n_above < 2:
         return BandwidthResult(None, "insufficient_side")
 
     u = sample.x - sample.cutoff
-    dist_below = np.sort(np.abs(u[split.below]))
-    dist_above = np.sort(np.abs(u[split.above]))
+    dist_below = np.sort(np.abs(u[sample.below]))
+    dist_above = np.sort(np.abs(u[sample.above]))
     h_lo = max(dist_below[1], dist_above[1])
     h_hi = float(sample.x.max() - sample.x.min())
     if h_lo <= 0:
@@ -377,8 +376,8 @@ def ak_bandwidth(
         h_hi = 2.0 * h_lo
     grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
 
-    ok_b, bias_b, var_b = _grid_objective(u[split.below], sigma2[split.below], grid)
-    ok_a, bias_a, var_a = _grid_objective(u[split.above], sigma2[split.above], grid)
+    ok_b, bias_b, var_b = _grid_objective(u[sample.below], sigma2[sample.below], grid)
+    ok_a, bias_a, var_a = _grid_objective(u[sample.above], sigma2[sample.above], grid)
     feasible = ok_b & ok_a
     if not feasible.any():
         return BandwidthResult(None, "no_feasible_h")
@@ -406,9 +405,8 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
     InsufficientDataError
         A side has fewer than 5 points or fewer than 5 distinct scores.
     """
-    split = validate(sample)
     worst = 0.0
-    for name, idx in (("below", split.below), ("above", split.above)):
+    for name, idx in (("below", sample.below), ("above", sample.above)):
         xs = sample.x[idx]
         ys = sample.y[idx]
         if xs.size < 5 or np.unique(xs).size < 5:
@@ -441,4 +439,4 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
         if side_worst < 1e-8 * y_scale / scale**2 or not np.ptp(ys):
             side_worst = 0.0
         worst = max(worst, side_worst)
-    return CurvatureBound(value=float(worst), source="data_driven")
+    return CurvatureBound(float(worst))

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._version import __version__
 from .bandwidth import CurvatureBound
-from .core import RDSample, validate
+from .core import RDSample
 from .diss import diss_m
 from .engine import Outcome, Plan, estimate
 from .errors import (
@@ -102,7 +102,7 @@ def cmd_diss(args) -> dict:
     report.update(
         {
             "n": int(sample.n),
-            "n_below": int(np.count_nonzero(x < args.cutoff)),
+            "n_below": sample.n_below,
             "h_rot": h_rot,
             "m": m,
             "dropped_rows": dropped,
@@ -116,13 +116,12 @@ def cmd_analyze(args) -> dict:
         raise SpecValidationError(f"seed: >= 0 required, got {args.seed!r}")
     x, y, dropped = read_xy_csv(args.input, args.x_col, args.y_col, args.strict)
     sample = RDSample(x=x, y=y, cutoff=args.cutoff)
-    bound = None if args.m_bound is None else CurvatureBound(args.m_bound, "user")
+    bound = None if args.m_bound is None else CurvatureBound(args.m_bound)
     plan = Plan(
         methods=args.methods.split(","), alpha=args.alpha, lr_min=args.lr_min,
         window="strict", m_bound=bound, akm_bound=bound,
     )
-    split = validate(sample)
-    outcomes = estimate(sample, split, plan, np.random.default_rng(args.seed))
+    outcomes = estimate(sample, plan, np.random.default_rng(args.seed))
 
     report = _base_report(
         args,
@@ -132,7 +131,7 @@ def cmd_analyze(args) -> dict:
     report.update(
         {
             "n": int(sample.n),
-            "n_below": int(split.n_below),
+            "n_below": sample.n_below,
             "dropped_rows": dropped,
             "results": [_result_row(m, out) for m, out in outcomes.items()],
         }
@@ -264,15 +263,7 @@ def main(argv=None) -> int:
         if args.command == "diss":
             _emit(cmd_diss(args), args.out, args.format)
         elif args.command == "analyze":
-            report = cmd_analyze(args)
-            if args.format == "csv":
-                text = _rows_to_csv(report["results"])
-                if args.out:
-                    Path(args.out).write_text(text, encoding="utf-8")
-                else:
-                    sys.stdout.write(text)
-            else:
-                _emit(report, args.out, "json")
+            _emit(cmd_analyze(args), args.out, args.format, table_key="results")
         elif args.command == "simulate":
             return cmd_simulate(args)
     except (RDError, FileNotFoundError) as err:

@@ -1,4 +1,4 @@
-"""Core domain types: samples, cutoff splits, effect estimates.
+"""Core domain types: samples and their cutoff split, effect estimates.
 
 Conventions used everywhere in the package:
 
@@ -8,49 +8,72 @@ Conventions used everywhere in the package:
   loudly rather than leaving to the comparison operator.
 * Vectors are dense float arrays with no missing-value encoding.  Ingestion
   (see :mod:`rdsmall.cli`) must drop or reject incomplete rows before an
-  :class:`RDSample` is built; ``validate`` rejects NaN/inf outright.
-* Index sets are 0-based positions into the sample arrays.
+  :class:`RDSample` is built, which rejects NaN/inf outright.
+* An :class:`RDSample` is checked and split by side once, when it is built;
+  every estimator reads its ``below``/``above`` index sets, 0-based
+  ascending positions into the sample arrays.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySideWarning, LengthMismatchError, NonFiniteError, ZeroScaleError
+from .errors import LengthMismatchError, NonFiniteError, ZeroScaleError
 
 
 @dataclass(frozen=True)
 class RDSample:
     """Paired running-variable / response observations with a cutoff.
 
-    Construction only coerces to float arrays; contract checks live in
-    :func:`validate` so that bad data raises a semantic error at the point
-    of use rather than an opaque one at construction.
+    Construction coerces x and y to float arrays (without copying float
+    input), checks the sample's contract and splits it once by the sharp
+    rule: ``below`` and ``above`` are the ascending positions with
+    ``x < cutoff`` and ``x >= cutoff``.  Every estimator reads these, so no
+    other code decides a side.
+
+    Raises
+    ------
+    NonFiniteError
+        Any NaN/inf in x, y, or the cutoff.
+    LengthMismatchError
+        x and y differ in length, or the sample is empty.
+
+    An empty side is not an error here: each estimator that needs both
+    sides reports it as its failure.
     """
 
     x: np.ndarray
     y: np.ndarray
     cutoff: float
+    below: np.ndarray = field(init=False, repr=False, compare=False)
+    above: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "cutoff", float(self.cutoff))
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        cutoff = float(self.cutoff)
+        if x.size != y.size:
+            raise LengthMismatchError(f"x has length {x.size}, y has length {y.size}")
+        if x.size == 0:
+            raise LengthMismatchError("sample is empty")
+        if not np.isfinite(cutoff):
+            raise NonFiniteError("cutoff is not finite")
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteError("running variable contains NaN or inf")
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteError("response contains NaN or inf")
+        above = x >= cutoff
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "below", np.flatnonzero(~above))
+        object.__setattr__(self, "above", np.flatnonzero(above))
 
     @property
     def n(self) -> int:
         return self.x.size
-
-
-@dataclass(frozen=True)
-class SideSplit:
-    """Partition of sample indices by the sharp-design rule ``x >= c``."""
-
-    below: np.ndarray
-    above: np.ndarray
 
     @property
     def n_below(self) -> int:
@@ -101,45 +124,6 @@ class EffectEstimate:
     @property
     def width(self) -> float:
         return self.ci_upper - self.ci_lower
-
-
-def validate(sample: RDSample) -> SideSplit:
-    """Check sample contracts and return the cutoff partition.
-
-    Raises
-    ------
-    NonFiniteError
-        Any NaN/inf in x, y, or the cutoff.
-    LengthMismatchError
-        x and y differ in length, or the sample is empty.
-
-    An empty side is a warning-level condition (``EmptySideWarning``), not an
-    error: estimators that need both sides check the returned counts.
-    """
-    if sample.x.size != sample.y.size:
-        raise LengthMismatchError(
-            f"x has length {sample.x.size}, y has length {sample.y.size}"
-        )
-    if sample.x.size == 0:
-        raise LengthMismatchError("sample is empty")
-    if not np.isfinite(sample.cutoff):
-        raise NonFiniteError("cutoff is not finite")
-    if not np.all(np.isfinite(sample.x)):
-        raise NonFiniteError("running variable contains NaN or inf")
-    if not np.all(np.isfinite(sample.y)):
-        raise NonFiniteError("response contains NaN or inf")
-
-    above_mask = sample.x >= sample.cutoff
-    split = SideSplit(
-        below=np.flatnonzero(~above_mask),
-        above=np.flatnonzero(above_mask),
-    )
-    if split.empty_side is not None:
-        warnings.warn(
-            f"no observations {split.empty_side} the cutoff", EmptySideWarning,
-            stacklevel=2,
-        )
-    return split
 
 
 def affine_transform(sample: RDSample, a: float, b: float) -> RDSample:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import CurvatureBound, ak_bandwidth, estimate_m_hat, ik_bandwidth
-from .core import RDSample, SideSplit
+from .core import RDSample
 from .errors import (
     EmptyWindowSideError,
     RDError,
@@ -211,18 +211,18 @@ def _local_randomization(sample: RDSample, plan: Plan, rng) -> Outcome:
                    est.diagnostics["grid_step"])
 
 
-def estimate(sample: RDSample, split: SideSplit, plan: Plan,
+def estimate(sample: RDSample, plan: Plan,
              rng: np.random.Generator | None = None) -> dict[str, Outcome]:
     """One ``Outcome`` per method of ``plan``, in the plan's order.
 
-    ``split`` is ``validate(sample)``.  ``rng`` drives local randomization's
-    Monte Carlo assignments, used when a window is too large to enumerate.
+    ``rng`` drives local randomization's Monte Carlo assignments, used when
+    a window is too large to enumerate.
     """
     algorithms = dict.fromkeys(m.split("/")[0] for m in plan.methods if m in CONTINUITY_METHODS)
     sigma2 = None
     if algorithms:
         try:
-            sigma2 = nn_variance(sample, split)
+            sigma2 = nn_variance(sample)
         except RDError as err:
             sigma2 = _caught(err, "nn_variance")
     m_hat = plan.m_bound

@@ -69,7 +69,3 @@ class SpecValidationError(RDError):
 
     The message carries the JSON path of the offending field.
     """
-
-
-class EmptySideWarning(UserWarning):
-    """One side of the cutoff has no observations (warning-level)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import RDSample, SideSplit
+from .core import RDSample
 from .errors import (
     BadBandwidthError,
     InsufficientDataError,
@@ -83,16 +83,12 @@ class LinearFit:
         return float(self.second_deriv_weights @ np.asarray(y, dtype=float))
 
 
-def _side_window_mask(sample: RDSample, side: str, h: float) -> np.ndarray:
-    u = sample.x - sample.cutoff
-    if side == "below":
-        on_side = u < 0
-    elif side == "above":
-        on_side = u >= 0
-    else:
+def _side_window(sample: RDSample, side: str, h: float) -> np.ndarray:
+    if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
+    idx = getattr(sample, side)
     # Open window: weights are exactly zero outside (c-h, c+h).
-    return on_side & (np.abs(u) < h)
+    return idx[np.abs(sample.x[idx] - sample.cutoff) < h]
 
 
 def local_poly_fit(
@@ -125,8 +121,7 @@ def local_poly_fit(
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
 
-    mask = _side_window_mask(sample, side, h)
-    idx = np.flatnonzero(mask)
+    idx = _side_window(sample, side, h)
     t = (sample.x[idx] - sample.cutoff) / h
     w = kernel.weight(t)
     pos = w > 0
@@ -193,7 +188,7 @@ def late_point_estimate(
     return above.fitted_at_cutoff - below.fitted_at_cutoff, (below, above)
 
 
-def nn_variance(sample: RDSample, split: SideSplit, j: int = 3) -> np.ndarray:
+def nn_variance(sample: RDSample, j: int = 3) -> np.ndarray:
     """Per-observation nearest-neighbor residual variance.
 
     For each observation, sigma2_i = (j/(j+1)) * (y_i - ybar_i)^2 where
@@ -209,7 +204,7 @@ def nn_variance(sample: RDSample, split: SideSplit, j: int = 3) -> np.ndarray:
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     sigma2 = np.zeros(sample.n)
-    for name, idx in (("below", split.below), ("above", split.above)):
+    for name, idx in (("below", sample.below), ("above", sample.above)):
         s = idx.size
         if s <= j:
             raise InsufficientDataError(

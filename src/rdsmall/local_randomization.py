@@ -29,8 +29,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import EffectEstimate, RDSample, validate
-from .errors import EmptyWindowSideError, InsufficientDataError
+from .core import EffectEstimate, RDSample
+from .errors import EmptyWindowSideError, InsufficientDataError, NonFiniteError
 
 DEFAULT_MAX_EXACT = 20_000
 DEFAULT_N_MC = 999
@@ -90,12 +90,11 @@ def select_window(sample: RDSample, min_per_side: int = 5,
         raise ValueError(f"min_per_side must be >= 1, got {min_per_side}")
     if policy not in WINDOW_POLICIES:
         raise ValueError(f"policy must be one of {WINDOW_POLICIES}, got {policy!r}")
-    split = validate(sample)
-    if split.empty_side is not None:
-        raise EmptyWindowSideError(f"no observations {split.empty_side} the cutoff")
+    if sample.empty_side is not None:
+        raise EmptyWindowSideError(f"no observations {sample.empty_side} the cutoff")
     dist = np.abs(sample.x - sample.cutoff)
     per_side = []
-    for name, idx in (("below", split.below), ("above", split.above)):
+    for name, idx in (("below", sample.below), ("above", sample.above)):
         need = min(min_per_side, idx.size) if policy == "capped" else min_per_side
         if idx.size < need:
             raise InsufficientDataError(
@@ -107,8 +106,8 @@ def select_window(sample: RDSample, min_per_side: int = 5,
     inside = dist <= w
     return LRWindow(
         half_width=w,
-        indices_below=split.below[inside[split.below]],
-        indices_above=split.above[inside[split.above]],
+        indices_below=sample.below[inside[sample.below]],
+        indices_above=sample.above[inside[sample.above]],
     )
 
 
@@ -255,11 +254,22 @@ def permutation_test(
     observed assignment.  Two-sided p-value; ties count as extreme, and in
     exact mode p >= 1/n_assignments because the observed assignment counts
     itself.
+
+    Raises
+    ------
+    EmptyWindowSideError
+        A window side has no responses.
+    NonFiniteError
+        A response or tau0 is NaN or inf.
     """
     y_control = np.asarray(y_control, dtype=float)
     y_treated = np.asarray(y_treated, dtype=float)
     if y_control.size == 0 or y_treated.size == 0:
         raise EmptyWindowSideError("both window sides must be nonempty")
+    if not (np.isfinite(y_control).all() and np.isfinite(y_treated).all()):
+        raise NonFiniteError("response contains NaN or inf")
+    if not np.isfinite(tau0):
+        raise NonFiniteError(f"tau0 must be finite, got {tau0}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     y_window = np.concatenate([y_control, y_treated])

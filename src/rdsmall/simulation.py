@@ -21,7 +21,6 @@ import io
 import json
 import math
 import numbers
-import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -31,14 +30,10 @@ import numpy as np
 
 from ._version import __version__
 from .bandwidth import CurvatureBound
-from .core import RDSample, validate
+from .core import RDSample
 from .diss import BetaSpec, beta_quantile, beta_sigma_star, n_for_target_diss
 from .engine import Outcome, Plan, estimate, parse_methods
-from .errors import (
-    EmptySideWarning,
-    OutOfSupportError,
-    SpecValidationError,
-)
+from .errors import OutOfSupportError, SpecValidationError
 from .local_randomization import (
     DEFAULT_GRID_POINTS,
     DEFAULT_MAX_EXACT,
@@ -333,11 +328,7 @@ def _rep_rng(cell: CellSpec, n: int, rep: int) -> np.random.Generator:
 
 def _replicate(cell: CellSpec, n: int, plan: Plan, rep: int) -> dict[str, Outcome]:
     rng = _rep_rng(cell, n, rep)
-    sample = generate_dataset(cell.rv, cell.mu, n, rng)
-    # empty sides inside a replication are ordinary failures, not warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptySideWarning)
-        return estimate(sample, validate(sample), plan, rng)
+    return estimate(generate_dataset(cell.rv, cell.mu, n, rng), plan, rng)
 
 
 def _run_chunk(cell: CellSpec, n: int, plan: Plan, lo: int, hi: int):
@@ -386,6 +377,9 @@ class SimCellResult:
 
 @dataclass(frozen=True)
 class CellResult:
+    """A cell's aggregates and records; ``cell_id`` names its output files."""
+
+    cell_id: str
     config: dict
     per_method: dict[str, SimCellResult]
     records: list  # (rep, method, Outcome) in replication order
@@ -470,7 +464,7 @@ def _aggregate(cell: CellSpec, n: int, true_m: float,
     config["resolved_m_bound"] = true_m
     config["true_tau"] = true_tau
     records = [(rep, m, rows[rep][m]) for rep in range(r_total) for m in methods]
-    return CellResult(config=config, per_method=per_method, records=records)
+    return CellResult(cell.cell_id(), config, per_method, records)
 
 
 def run_cell(cell: CellSpec) -> CellResult:
@@ -487,7 +481,7 @@ def run_cell(cell: CellSpec) -> CellResult:
     )
     plan = Plan(
         methods=cell.methods, alpha=cell.alpha, lr_min=cell.lr_min, window="capped",
-        akm_bound=CurvatureBound(true_m, "user"), max_exact=cell.max_exact,
+        akm_bound=CurvatureBound(true_m), max_exact=cell.max_exact,
         n_mc=cell.n_mc, grid_points=cell.grid_points,
     )
     r = cell.replications
@@ -543,11 +537,8 @@ def write_cell_outputs(result: CellResult, outdir: str | Path) -> tuple[Path, Pa
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = result.config
-    size = f"mbar{cfg['m_bar']:g}" if cfg["m_bar"] is not None else f"n{cfg['n']}"
-    stem = f"{cfg['rv']}_{cfg['mu']}_{size}"
-    json_path = outdir / f"{stem}.json"
-    csv_path = outdir / f"{stem}_replications.csv"
+    json_path = outdir / f"{result.cell_id}.json"
+    csv_path = outdir / f"{result.cell_id}_replications.csv"
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2,
                          allow_nan=True)
     json_path.write_text(payload + "\n", encoding="utf-8")

@@ -12,7 +12,7 @@ estimation engine does.
 import numpy as np
 import pytest
 
-from rdsmall.core import RDSample, validate
+from rdsmall.core import RDSample
 from rdsmall.inference import BoundaryFits
 from rdsmall.local_poly import nn_variance
 
@@ -79,7 +79,7 @@ def make_noisy_sample(n=120, seed=0, jump=0.1, noise=0.13):
 
 def sigma2_of(sample):
     """The sample's nearest-neighbor variances, as the engine computes them."""
-    return nn_variance(sample, validate(sample))
+    return nn_variance(sample)
 
 
 def fits_at(sample, h):

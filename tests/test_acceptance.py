@@ -320,7 +320,7 @@ def test_criterion_9_invariance_suite():
         s = make_noisy_sample(n=100, seed=seed)
         fits = fits_at(s, 0.6)
         cv = cv_interval(fits)
-        fl = flci_interval(fits, CurvatureBound(float(1 + seed % 5), "user"))
+        fl = flci_interval(fits, CurvatureBound(float(1 + seed % 5)))
         nested &= fl.ci_lower <= cv.ci_lower + 1e-12
         nested &= fl.ci_upper >= cv.ci_upper - 1e-12
     checks.append(("fixed-length interval contains conventional interval",

@@ -14,7 +14,7 @@ from rdsmall.bandwidth import (
     silverman_rot,
     silverman_rot_population,
 )
-from rdsmall.core import RDSample, affine_transform, validate
+from rdsmall.core import RDSample, affine_transform
 from rdsmall.errors import (
     DegenerateSampleError,
     InsufficientDataError,
@@ -129,20 +129,19 @@ class TestAKBandwidth:
     def test_zero_bound_rejected(self):
         sample = make_noisy_sample(seed=3)
         with pytest.raises(ZeroCurvatureBoundError):
-            ak_bandwidth(sample, CurvatureBound(0.0, "user"), sigma2=sigma2_of(sample))
+            ak_bandwidth(sample, CurvatureBound(0.0), sigma2=sigma2_of(sample))
 
     def test_grid_matches_fit_based_objective(self):
         # the vectorized candidate sweep must agree with explicit fits
         rng = np.random.default_rng(31)
         for _ in range(6):
             sample = generate_dataset("rv2", "mu3", int(rng.integers(60, 250)), rng)
-            split = validate(sample)
-            sigma2 = nn_variance(sample, split)
-            res = ak_bandwidth(sample, bound=CurvatureBound(5.0, "user"), sigma2=sigma2)
+            sigma2 = nn_variance(sample)
+            res = ak_bandwidth(sample, bound=CurvatureBound(5.0), sigma2=sigma2)
             assert res.ok
             u = sample.x - sample.cutoff
             grid = np.array([res.h])
-            for name, idx in (("below", split.below), ("above", split.above)):
+            for name, idx in (("below", sample.below), ("above", sample.above)):
                 ok, bias_load, variance = _grid_objective(u[idx], sigma2[idx], grid)
                 fit = local_poly_fit(sample, name, 1, res.h)
                 assert ok[0]
@@ -152,9 +151,8 @@ class TestAKBandwidth:
 
     def test_depends_on_y_only_through_sigma2(self):
         sample = make_noisy_sample(n=200, seed=4)
-        split = validate(sample)
-        sigma2 = nn_variance(sample, split)
-        bound = CurvatureBound(3.0, "user")
+        sigma2 = nn_variance(sample)
+        bound = CurvatureBound(3.0)
         first = ak_bandwidth(sample, bound=bound, sigma2=sigma2)
         rng = np.random.default_rng(55)
         reshuffled = RDSample(sample.x, sample.y + rng.normal(size=200), 0.0)
@@ -183,7 +181,6 @@ class TestEstimateMHat:
         sample = RDSample(x=x, y=3 * x**2, cutoff=0.0)
         bound = estimate_m_hat(sample)
         assert bound.value == pytest.approx(6.0, abs=1e-6)
-        assert bound.source == "data_driven"
 
     def test_linear_gives_zero_and_ak_rejects(self):
         x = np.linspace(-1, 1, 30)
@@ -191,8 +188,7 @@ class TestEstimateMHat:
         bound = estimate_m_hat(sample)
         assert bound.value == pytest.approx(0.0, abs=1e-8)
         with pytest.raises(ZeroCurvatureBoundError):
-            ak_bandwidth(sample, CurvatureBound(bound.value, bound.source),
-                         sigma2=sigma2_of(sample))
+            ak_bandwidth(sample, bound, sigma2=sigma2_of(sample))
 
     def test_insufficient_side(self):
         sample = RDSample(x=[-1, -0.5, -0.2, -0.6, 0.3, 0.4, 0.5, 0.6, 0.7],
@@ -229,7 +225,7 @@ def test_bandwidth_shrinks_at_root_n_fifth_rate(alg):
             if alg == "ik":
                 res = ik_bandwidth(sample)
             else:
-                res = ak_bandwidth(sample, CurvatureBound(3.0, "user"), sigma2=sigma2_of(sample))
+                res = ak_bandwidth(sample, CurvatureBound(3.0), sigma2=sigma2_of(sample))
             if res.ok:
                 hs.append(res.h)
         medians.append(np.median(hs))

@@ -105,6 +105,14 @@ class TestDissCommand:
         assert code == 2
         assert "row 3" in err and "'nan'" in err
 
+    @pytest.mark.parametrize("cutoff", ["nan", "inf"])
+    def test_nonfinite_cutoff_is_an_error(self, tmp_path, capsys, cutoff):
+        code, out, err = _run(capsys, [
+            "diss", "--input", str(_toy_csv(tmp_path)), "--x-col", "x", "--y-col", "y",
+            "--cutoff", cutoff,
+        ])
+        assert (code, out, err) == (2, "", "error: cutoff is not finite\n")
+
     def test_csv_format_output(self, tmp_path, capsys):
         path = _toy_csv(tmp_path)
         out_path = tmp_path / "report.csv"
@@ -202,6 +210,21 @@ class TestAnalyzeCommand:
         assert row["method"] == "lr1"
         assert not row["success"]
         assert "InsufficientData" in row["reason"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("methods", [[], ["--methods", "ik/flci,ak/rbc,akm/cv,lr",
+                                              "--m-bound", "2.0"]])
+    def test_one_sided_sample_fails_every_method_quietly(self, tmp_path, capsys, methods):
+        path = tmp_path / "above.csv"
+        _write_csv(path, [f"{0.05 * i},{1.0 + 0.02 * i + 0.01 * (i % 3)}" for i in range(30)])
+        code, out, err = _run(capsys, [
+            "analyze", "--input", str(path), "--x-col", "x", "--y-col", "y",
+            "--cutoff", "0", *methods,
+        ])
+        assert code == 0 and err == ""
+        rows = json.loads(out)["results"]
+        assert len(rows) == (len(methods[1].split(",")) if methods else 7)
+        assert all(not row["success"] and row["reason"] for row in rows)
 
     def test_akm_requires_bound(self, tmp_path, capsys):
         path = _analysis_csv(tmp_path)

@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -12,9 +11,9 @@ from hypothesis import strategies as st
 import rdsmall.simulation
 from rdsmall.bandwidth import CurvatureBound, _grid_objective, estimate_m_hat
 from rdsmall.cli import main
-from rdsmall.core import RDSample, validate
+from rdsmall.core import RDSample
 from rdsmall.engine import CONTINUITY_METHODS, Outcome, Plan, estimate
-from rdsmall.errors import EmptySideWarning, SpecValidationError
+from rdsmall.errors import SpecValidationError
 from rdsmall.local_poly import Kernel, local_poly_fit, nn_variance
 from rdsmall.simulation import (
     MU_FUNCTIONS,
@@ -235,13 +234,11 @@ def _samples(draw, integer_scores=True):
 def test_one_outcome_per_method_and_nothing_escapes(sample, window, m_bound, akm_bound,
                                                     lr_min, alpha):
     def bound(value):
-        return None if value is None else CurvatureBound(value, "user")
+        return None if value is None else CurvatureBound(value)
 
     plan = Plan(methods=ALL_METHODS, alpha=alpha, lr_min=lr_min, window=window,
                 m_bound=bound(m_bound), akm_bound=bound(akm_bound), n_mc=99)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptySideWarning)
-        outcomes = estimate(sample, validate(sample), plan, np.random.default_rng(0))
+    outcomes = estimate(sample, plan, np.random.default_rng(0))
     assert list(outcomes) == list(plan.methods)
     for method, out in outcomes.items():
         assert isinstance(out, Outcome)
@@ -259,15 +256,13 @@ def test_one_outcome_per_method_and_nothing_escapes(sample, window, m_bound, akm
 
 
 def _bound(value):
-    return None if value is None else CurvatureBound(value, "user")
+    return None if value is None else CurvatureBound(value)
 
 
 def _estimate(sample, methods, m_bound=None, akm_bound=None, alpha=0.05):
     plan = Plan(methods=methods, alpha=alpha, lr_min=5, window="strict",
                 m_bound=_bound(m_bound), akm_bound=_bound(akm_bound))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptySideWarning)
-        return estimate(sample, validate(sample), plan)
+    return estimate(sample, plan)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -316,7 +311,7 @@ def test_each_fit_is_made_once_per_bandwidth(monkeypatch):
     fits = _count_calls(monkeypatch, local_poly_fit,
                         lambda sample, side, degree, h, kernel=Kernel.TRIANGULAR:
                         (degree, kernel, h if kernel is Kernel.TRIANGULAR else None))
-    variances = _count_calls(monkeypatch, nn_variance, lambda sample, split: id(sample))
+    variances = _count_calls(monkeypatch, nn_variance, lambda sample: id(sample))
     out = _estimate(sample, ("ik/cv", "ik/rbc", "ik/flci"))
     assert all(o.ok for o in out.values())
     h = out["ik/cv"].bw
@@ -425,11 +420,10 @@ def test_permutation_of_rows_moves_no_estimate(sample, seed, m_bound, akm_bound,
 
 def _ak_objective(sample, m, hs):
     """ak's worst-case-bias^2 + variance at each bandwidth in hs."""
-    split = validate(sample)
     u = sample.x - sample.cutoff
-    sigma2 = nn_variance(sample, split)
+    sigma2 = nn_variance(sample)
     sides = [_grid_objective(u[idx], sigma2[idx], np.asarray(hs, float))
-             for idx in (split.below, split.above)]
+             for idx in (sample.below, sample.above)]
     assert all(ok.all() for ok, _, _ in sides)
     (_, bias_b, var_b), (_, bias_a, var_a) = sides
     return (0.5 * m * (bias_b + bias_a)) ** 2 + (var_b + var_a)
@@ -464,9 +458,7 @@ def test_affine_map_of_scores_and_responses_moves_estimates_alike(rv, mu, n, see
         plan = Plan(methods=ALL_METHODS, alpha=0.05, lr_min=5, window="strict",
                     m_bound=_bound(None if m_bound is None else r * m_bound),
                     akm_bound=_bound(r * 2.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptySideWarning)
-            return estimate(s, validate(s), plan, np.random.default_rng(0))
+        return estimate(s, plan, np.random.default_rng(0))
 
     base, mapped = run(sample, 1.0), run(moved, ratio)
     tol = 1e-6 * (scale + abs(d))

@@ -180,7 +180,7 @@ class TestFLCIInterval:
     def test_zero_bound_coincides_with_cv(self):
         sample = make_noisy_sample(seed=19)
         fits = fits_at(sample, 0.6)
-        cv, fl = cv_interval(fits), flci_interval(fits, CurvatureBound(0.0, "user"))
+        cv, fl = cv_interval(fits), flci_interval(fits, CurvatureBound(0.0))
         assert fl.ci_lower == pytest.approx(cv.ci_lower, rel=1e-12)
         assert fl.ci_upper == pytest.approx(cv.ci_upper, rel=1e-12)
 
@@ -189,19 +189,19 @@ class TestFLCIInterval:
             sample = make_noisy_sample(n=90, seed=seed)
             fits = fits_at(sample, 0.6)
             cv = cv_interval(fits)
-            fl = flci_interval(fits, CurvatureBound(float(seed % 7), "user"))
+            fl = flci_interval(fits, CurvatureBound(float(seed % 7)))
             assert fl.ci_lower <= cv.ci_lower + 1e-12
             assert fl.ci_upper >= cv.ci_upper - 1e-12
             assert fl.tau_hat == cv.tau_hat
 
     def test_zero_se_is_loud(self):
         with pytest.raises(ZeroSEError):
-            flci_interval(fits_at(_flat_zero_noise_sample(), 0.6), CurvatureBound(1.0, "user"))
+            flci_interval(fits_at(_flat_zero_noise_sample(), 0.6), CurvatureBound(1.0))
 
     def test_location_equivariance(self):
         sample = make_noisy_sample(n=120, seed=20)
         shifted = RDSample(sample.x, sample.y + 7.0, 0.0)
-        bound = CurvatureBound(2.0, "user")
+        bound = CurvatureBound(2.0)
         for build in (
             lambda s: cv_interval(fits_at(s, 0.6)),
             lambda s: rbc_interval(fits_at(s, 0.6)),
@@ -213,7 +213,7 @@ class TestFLCIInterval:
 
 
 class TestBoundaryFits:
-    BOUND = CurvatureBound(2.0, "user")
+    BOUND = CurvatureBound(2.0)
 
     def test_shared_fits_give_the_same_intervals(self):
         sample = make_noisy_sample(n=120, seed=31)

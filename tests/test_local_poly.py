@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import nn_variance_oracle, wls_intercept_oracle
-from rdsmall.core import RDSample, affine_transform, validate
+from rdsmall.core import RDSample, affine_transform
 from rdsmall.errors import (
     BadBandwidthError,
     InsufficientDataError,
@@ -160,21 +160,18 @@ class TestLatePointEstimate:
 class TestNNVariance:
     def test_constant_side_gives_zero(self):
         sample = _sample([-3, -2, -1, 1, 2, 3], [5, 5, 5, 1, 2, 3])
-        split = validate(sample)
-        sigma2 = nn_variance(sample, split, j=1)
+        sigma2 = nn_variance(sample, j=1)
         np.testing.assert_array_equal(sigma2[:3], 0.0)
 
     def test_hand_example_j1(self):
         sample = _sample([-1, -2, 1, 2, 3], [5.0, 5.0, 0.0, 1.0, 0.0])
-        split = validate(sample)
-        sigma2 = nn_variance(sample, split, j=1)
+        sigma2 = nn_variance(sample, j=1)
         np.testing.assert_allclose(sigma2[2:], [0.5, 0.5, 0.5])
 
     def test_tie_breaks_to_lower_index(self):
         # x = 2 is equidistant from 1 and 3; the lower-index neighbor wins
         sample = _sample([-1, -2, 1, 2, 3], [0.0, 0.0, 0.0, 1.0, 9.0])
-        split = validate(sample)
-        sigma2 = nn_variance(sample, split, j=1)
+        sigma2 = nn_variance(sample, j=1)
         assert sigma2[3] == pytest.approx(0.5 * (1.0 - 0.0) ** 2)
 
     def test_matches_bruteforce_oracle(self):
@@ -182,17 +179,15 @@ class TestNNVariance:
         x = rng.uniform(-1, 1, 50)
         y = rng.normal(size=50)
         sample = _sample(x, y, c=0.05)
-        split = validate(sample)
         for j in (1, 2, 3, 5):
-            got = nn_variance(sample, split, j=j)
+            got = nn_variance(sample, j=j)
             want = nn_variance_oracle(x, y, 0.05, j)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_side_size_equal_j_is_insufficient(self):
         sample = _sample([-1, -2, -3, 1, 2, 3], np.zeros(6))
-        split = validate(sample)
         with pytest.raises(InsufficientDataError):
-            nn_variance(sample, split, j=3)
+            nn_variance(sample, j=3)
 
 
 class TestSEOfLinearFunctional:

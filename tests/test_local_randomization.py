@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdsmall.core import RDSample
-from rdsmall.errors import EmptyWindowSideError, InsufficientDataError
+from rdsmall.errors import EmptyWindowSideError, InsufficientDataError, NonFiniteError
 from rdsmall.local_randomization import (
     _TIE_RTOL,
     DEFAULT_GRID_POINTS,
@@ -154,7 +154,6 @@ class TestSelectWindow:
         assert window.half_width == 0.6
         assert window.n_below == 2 and window.n_above == 3
 
-    @pytest.mark.filterwarnings("ignore::rdsmall.errors.EmptySideWarning")
     @pytest.mark.parametrize("policy", ["strict", "capped"])
     def test_empty_side(self, policy):
         with pytest.raises(EmptyWindowSideError):
@@ -207,6 +206,16 @@ class TestPermutationTest:
     def test_empty_side_rejected(self):
         with pytest.raises(EmptyWindowSideError):
             permutation_test([], [1.0, 2.0])
+
+
+    @pytest.mark.parametrize("y_control, y_treated, tau0", [
+        ([np.nan, 1.0, 2.0], [2.0, 3.0, 5.0], 0.0),
+        ([0.0, 1.0, 2.0], [2.0, 3.0, 5.0], np.nan),
+        ([0.0, 1.0, 2.0], [2.0, 3.0, 5.0], np.inf),
+    ])
+    def test_nonfinite_input_rejected(self, y_control, y_treated, tau0):
+        with pytest.raises(NonFiniteError):
+            permutation_test(y_control, y_treated, tau0)
 
 
 class TestLRInterval:
