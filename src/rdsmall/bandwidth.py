@@ -78,7 +78,8 @@ class BandwidthResult:
 
 def _sample_spread(x: np.ndarray) -> float:
     """s* = min(IQR/1.34, sd), linear-interpolation quartiles, sd with ddof=1."""
-    iqr = float(np.percentile(x, 75) - np.percentile(x, 25))
+    q25, q75 = np.percentile(x, (25, 75))
+    iqr = float(q75 - q25)
     sd = float(np.std(x, ddof=1))
     return min(iqr / 1.34, sd)
 
@@ -312,8 +313,7 @@ def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray, block: in
         if m_max < 2:
             continue
         t = u[None, :m_max] / h
-        w = Kernel.TRIANGULAR.weight(t)
-        w[np.abs(t) >= 1.0] = 0.0
+        w = Kernel.TRIANGULAR.weight(t)  # +0.0 at |t| >= 1
         s0 = w.sum(axis=1)
         wt = w * t
         s1 = wt.sum(axis=1)

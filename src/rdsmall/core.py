@@ -129,9 +129,10 @@ class EffectEstimate:
 def affine_transform(sample: RDSample, a: float, b: float) -> RDSample:
     """Rescale the running variable: x' = a*x + b, cutoff' = a*c + b.
 
-    The response is untouched.  With a > 0 every observation stays on its
-    side of the cutoff; a < 0 flips the sides (allowed, occasionally useful
-    for mirroring a design).
+    The response is untouched.  Sides follow the sharp rule x' >= cutoff':
+    with a > 0 every observation keeps its side; with a < 0 (for mirroring a
+    design) the strict sides swap but a point at the cutoff stays treated,
+    so x = [-1, 0, 1] about 0 maps under a = -1 to below [2], above [0, 1].
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NonFiniteError("affine coefficients must be finite")

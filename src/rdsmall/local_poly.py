@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .core import RDSample
 from .errors import (
@@ -29,6 +29,8 @@ from .errors import (
 _RANK_RTOL = 1e-10
 # The curvature weights divide by h**2, which must be a normal float.
 _MIN_H_SQUARED = np.finfo(float).tiny
+# LAPACK dtrtrs, without scipy's input checks: a fit's inputs are finite.
+(_trtrs,) = get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 
 class Kernel(enum.Enum):
@@ -40,10 +42,10 @@ class Kernel(enum.Enum):
 
     def weight(self, u):
         """Kernel value at scaled offsets u (vectorized)."""
-        u = np.asarray(u, dtype=float)
-        inside = np.abs(u) <= 1.0
+        u = np.abs(np.asarray(u, dtype=float))  # every kernel is symmetric
+        inside = u <= 1.0
         if self is Kernel.TRIANGULAR:
-            return np.where(inside, 1.0 - np.abs(u), 0.0)
+            return np.where(inside, 1.0 - u, 0.0)
         if self is Kernel.UNIFORM:
             return np.where(inside, 0.5, 0.0)
         return np.where(inside, 0.75 * (1.0 - u * u), 0.0)
@@ -135,7 +137,7 @@ def local_poly_fit(
 
     z = np.vander(t, degree + 1, increasing=True)
     sw = np.sqrt(w)
-    q, r = np.linalg.qr(sw[:, None] * z)
+    r = np.linalg.qr(sw[:, None] * z, mode="r")
     rdiag = np.abs(np.diag(r))
     if rdiag.min() <= _RANK_RTOL * rdiag.max():
         raise InsufficientDataError(
@@ -144,9 +146,11 @@ def local_poly_fit(
 
     def extraction_weights(coef_index: int) -> np.ndarray:
         # w_lin = W Z (Z'WZ)^{-1} e_k with Z'WZ = R'R from the QR factor.
+        # R'v = e, then Rg = v, on R.T as lower: R as upper rounds differently.
         e = np.zeros(degree + 1)
         e[coef_index] = 1.0
-        g = solve_triangular(r, solve_triangular(r, e, trans="T"))
+        v, _ = _trtrs(r.T, e, lower=1, trans=0)
+        g, _ = _trtrs(r.T, v, lower=1, trans=1)
         return w * (z @ g)
 
     w_local = extraction_weights(0)

@@ -11,6 +11,7 @@ estimation engine does.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rdsmall.core import RDSample
 from rdsmall.inference import BoundaryFits
@@ -85,3 +86,29 @@ def sigma2_of(sample):
 def fits_at(sample, h):
     """The ``BoundaryFits`` that cv, rbc and flci read at bandwidth h."""
     return BoundaryFits.build(sample, h, sigma2_of(sample))
+
+
+@st.composite
+def small_samples(draw, integer_scores=True):
+    """Small samples: integer scores with ties at the cutoff (unless
+    ``integer_scores`` is false) or real scores, sometimes on one
+    side only; constant, linear or noisy responses; scales from 1e-6 to 1e6."""
+    n = draw(st.sampled_from(range(1, 31)))
+    if integer_scores and draw(st.booleans()):
+        x = np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)), float)
+    else:
+        x = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    side = draw(st.sampled_from(["both", "both", "both", "below", "above"]))
+    if side == "below":
+        x = -np.abs(x) - 0.5
+    elif side == "above":
+        x = np.abs(x)
+    kind = draw(st.sampled_from(["constant", "linear", "noisy"]))
+    y = np.full(n, draw(st.floats(-2, 2)))
+    if kind != "constant":
+        y += draw(st.floats(-2, 2)) * x + 0.1 * (x >= 0)
+    if kind == "noisy":
+        y += np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(n)
+    x = x * 10.0 ** draw(st.integers(-6, 6))
+    y = y * 10.0 ** draw(st.integers(-6, 6))
+    return RDSample(x=x, y=y, cutoff=0.0)

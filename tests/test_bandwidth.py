@@ -6,6 +6,7 @@ from conftest import make_noisy_sample, sigma2_of
 from rdsmall.bandwidth import (
     CurvatureBound,
     _grid_objective,
+    _sample_spread,
     ak_bandwidth,
     ak_plugin_bandwidth,
     estimate_m_hat,
@@ -42,6 +43,17 @@ class TestSilverman:
             silverman_rot(np.array([1.0]))
         with pytest.raises(DegenerateSampleError):
             silverman_rot_population(0.0, 1.0, 50)
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(4).lognormal(0.0, 1.5, 57),
+        np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 9.0]),
+        np.array([-3.7, 11.2]),
+    ], ids=["random", "tied", "n2"])
+    def test_spread_takes_both_quartiles_from_one_call(self, x):
+        iqr = float(np.percentile(x, 75) - np.percentile(x, 25))
+        sd = float(np.std(x, ddof=1))
+        assert iqr / 1.34 < sd  # the IQR is the binding term
+        assert _sample_spread(x) == iqr / 1.34
 
 
 class TestKernelConstant:

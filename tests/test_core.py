@@ -120,3 +120,13 @@ def test_side_split_invariant_under_positive_scale():
         moved = affine_transform(sample, a, b)
         np.testing.assert_array_equal(moved.below, sample.below)
         np.testing.assert_array_equal(moved.above, sample.above)
+
+
+def test_negative_scale_keeps_a_cutoff_point_treated():
+    sample = RDSample(x=[-1.0, 0.0, 1.0], y=[0.0, 0.0, 0.0], cutoff=0.0)
+    np.testing.assert_array_equal(sample.below, [0])
+    np.testing.assert_array_equal(sample.above, [1, 2])
+    mirrored = affine_transform(sample, -1.0, 0.0)
+    # the strict sides swap; the point at the cutoff stays above it
+    np.testing.assert_array_equal(mirrored.below, [2])
+    np.testing.assert_array_equal(mirrored.above, [0, 1])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import small_samples
 import rdsmall.simulation
 from rdsmall.bandwidth import CurvatureBound, _grid_objective, estimate_m_hat
 from rdsmall.cli import main
@@ -182,35 +183,9 @@ def test_zero_curvature_fails_alike_in_analyze_and_harness(tmp_path, capsys, mon
 ALL_METHODS = CONTINUITY_METHODS + ("lr",)
 
 
-@st.composite
-def _samples(draw, integer_scores=True):
-    """Small samples: integer scores with ties at the cutoff (unless
-    ``integer_scores`` is false) or real scores, sometimes on one
-    side only; constant, linear or noisy responses; scales from 1e-6 to 1e6."""
-    n = draw(st.sampled_from(range(1, 31)))
-    if integer_scores and draw(st.booleans()):
-        x = np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)), float)
-    else:
-        x = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
-    side = draw(st.sampled_from(["both", "both", "both", "below", "above"]))
-    if side == "below":
-        x = -np.abs(x) - 0.5
-    elif side == "above":
-        x = np.abs(x)
-    kind = draw(st.sampled_from(["constant", "linear", "noisy"]))
-    y = np.full(n, draw(st.floats(-2, 2)))
-    if kind != "constant":
-        y += draw(st.floats(-2, 2)) * x + 0.1 * (x >= 0)
-    if kind == "noisy":
-        y += np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(n)
-    x = x * 10.0 ** draw(st.integers(-6, 6))
-    y = y * 10.0 ** draw(st.integers(-6, 6))
-    return RDSample(x=x, y=y, cutoff=0.0)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    sample=_samples(),
+    sample=small_samples(),
     window=st.sampled_from(["strict", "capped"]),
     m_bound=st.sampled_from([None, 0.0, 2.0]),
     akm_bound=st.sampled_from([None, 0.0, 2.0]),
@@ -267,7 +242,7 @@ def _estimate(sample, methods, m_bound=None, akm_bound=None, alpha=0.05):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    sample=_samples(),
+    sample=small_samples(),
     m_bound=st.sampled_from([None, 0.0, 2.0]),
     akm_bound=st.sampled_from([None, 0.0, 2.0]),
     alpha=st.sampled_from([0.05, 0.3, 0.9]),
@@ -353,7 +328,7 @@ _LINEAR_X = np.array([5, -1, -5, -4, -4, -1, 5, 0, -2, -2, 6, -4, -4, -2, 6, 6, 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    sample=_samples(),
+    sample=small_samples(),
     k=st.sampled_from([-3.0, -1.0, 0.5, 1.0, 10.0]),
     m_bound=st.sampled_from([None, 2.0]),
     akm_bound=st.sampled_from([None, 2.0]),
@@ -393,7 +368,7 @@ def _distance_ties(x):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    sample=_samples(integer_scores=False),
+    sample=small_samples(integer_scores=False),
     seed=st.integers(0, 2**16),
     m_bound=st.sampled_from([None, 2.0]),
     akm_bound=st.sampled_from([None, 2.0]),

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
-from conftest import nn_variance_oracle, wls_intercept_oracle
+from conftest import nn_variance_oracle, small_samples, wls_intercept_oracle
 from rdsmall.core import RDSample, affine_transform
 from rdsmall.errors import (
     BadBandwidthError,
@@ -9,7 +12,10 @@ from rdsmall.errors import (
     LengthMismatchError,
 )
 from rdsmall.local_poly import (
+    _RANK_RTOL,
     Kernel,
+    LinearFit,
+    _side_window,
     late_point_estimate,
     local_poly_fit,
     nn_variance,
@@ -124,6 +130,125 @@ class TestLocalPolyFit:
         spread = max(fits) - min(fits)
         # regression bound: the three kernels agreed within 0.031 when frozen
         assert spread < 0.05
+
+
+def _reference_kernel_weight(kernel, u):
+    """Kernel weights by the plain formula, with |u| taken twice and the
+    triangular weights masked to +0.0 at |u| >= 1 in a separate step:
+    ``Kernel.weight`` must give these bits without the mask."""
+    u = np.asarray(u, dtype=float)
+    inside = np.abs(u) <= 1.0
+    if kernel is Kernel.TRIANGULAR:
+        w = np.where(inside, 1.0 - np.abs(u), 0.0)
+        w[np.abs(u) >= 1.0] = 0.0
+        return w
+    if kernel is Kernel.UNIFORM:
+        return np.where(inside, 0.5, 0.0)
+    return np.where(inside, 0.75 * (1.0 - u * u), 0.0)
+
+
+def _reference_fit(sample, side, degree, h, kernel):
+    """The fit through numpy's full QR and scipy's checked triangular
+    solves; ``local_poly_fit`` must reproduce it bit for bit."""
+    if not np.isfinite(h) or h <= 0:
+        raise BadBandwidthError(f"bandwidth must be positive and finite, got {h}")
+    if h * h < np.finfo(float).tiny:
+        raise BadBandwidthError(f"bandwidth {h} is too small to square in floating point")
+    idx = _side_window(sample, side, h)
+    t = (sample.x[idx] - sample.cutoff) / h
+    w = _reference_kernel_weight(kernel, t)
+    pos = w > 0
+    idx, t, w = idx[pos], t[pos], w[pos]
+    m = idx.size
+    if m < degree + 1:
+        raise InsufficientDataError(
+            f"{m} usable point(s) {side} the cutoff within h={h:g}; "
+            f"degree {degree} needs {degree + 1}"
+        )
+    z = np.vander(t, degree + 1, increasing=True)
+    _, r = np.linalg.qr(np.sqrt(w)[:, None] * z)
+    rdiag = np.abs(np.diag(r))
+    if rdiag.min() <= _RANK_RTOL * rdiag.max():
+        raise InsufficientDataError(
+            f"rank-deficient degree-{degree} design {side} the cutoff (h={h:g})"
+        )
+
+    def extraction_weights(coef_index):
+        e = np.zeros(degree + 1)
+        e[coef_index] = 1.0
+        return w * (z @ solve_triangular(r, solve_triangular(r, e, trans="T")))
+
+    w_local = extraction_weights(0)
+    weights = np.zeros(sample.n)
+    weights[idx] = w_local
+    second = None
+    if degree >= 2:
+        second = np.zeros(sample.n)
+        second[idx] = (2.0 / h**2) * extraction_weights(2)
+    u = t * h
+    nonzero = w_local[w_local != 0.0]
+    return LinearFit(
+        weights=weights,
+        fitted_at_cutoff=float(w_local @ sample.y[idx]),
+        side=side,
+        degree=degree,
+        bandwidth=float(h),
+        n_effective=m,
+        weighted_x2=float(w_local @ u**2),
+        abs_weighted_x2=float(np.abs(w_local) @ u**2),
+        sign_constant=bool(nonzero.size == 0 or (nonzero > 0).all() or (nonzero < 0).all()),
+        second_deriv_weights=second,
+    )
+
+
+def _outcome(fit, *args):
+    try:
+        return fit(*args)
+    except (BadBandwidthError, InsufficientDataError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_kernel_weights_match_the_reference_formula(kernel):
+    t = np.array([-1.0, -0.5, 0.0, 1.0, 1.0 + 1e-16, np.nextafter(1.0, 2.0), 2.0])
+    assert _same_bits(kernel.weight(t), _reference_kernel_weight(kernel, t))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    sample=small_samples(),
+    side=st.sampled_from(["below", "above"]),
+    degree=st.sampled_from([1, 2]),
+    kernel=st.sampled_from(list(Kernel)),
+    data=st.data(),
+)
+def test_fit_is_bit_identical_to_the_reference(sample, side, degree, kernel, data):
+    # h from half the side's nearest distance to the cutoff, through each
+    # point's distance (the open window's edge) and just past it, to twice
+    # the side's range
+    dist = np.unique(np.abs(sample.x[getattr(sample, side)] - sample.cutoff))
+    dist = dist[dist > 0]
+    assume(dist.size > 0)
+    h = float(dist[data.draw(st.integers(0, dist.size - 1))]
+              * data.draw(st.sampled_from([0.5, 1.0, 1.0 + 1e-9, 2.0])))
+    got = _outcome(local_poly_fit, sample, side, degree, h, kernel)
+    want = _outcome(_reference_fit, sample, side, degree, h, kernel)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, LinearFit)
+    for field in ("weights", "fitted_at_cutoff", "weighted_x2", "abs_weighted_x2",
+                  "n_effective", "sign_constant"):
+        assert _same_bits(getattr(got, field), getattr(want, field)), field
+    if degree == 1:
+        assert got.second_deriv_weights is None and want.second_deriv_weights is None
+    else:
+        assert _same_bits(got.second_deriv_weights, want.second_deriv_weights)
 
 
 class TestLatePointEstimate:
