@@ -507,7 +507,7 @@ _CSV_COLUMNS = ("rep", "method", "bw", "success", "tau_hat", "ci_lo", "ci_hi",
 
 
 def _fmt(value: float) -> str:
-    return "" if not np.isfinite(value) else repr(float(value))
+    return repr(value) if math.isfinite(value) else ""
 
 
 def replications_csv(result: CellResult) -> str:

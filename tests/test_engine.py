@@ -414,20 +414,22 @@ def _ak_objective(sample, m, hs):
     b=st.sampled_from([-2.0, 0.0, 5.0]),
     k=st.sampled_from([-1.0, 0.0, 2.0]),
     m_bound=st.sampled_from([None, 2.0]),
+    sign=st.sampled_from([1.0, -1.0]),
 )
 # each side's ak window holds exactly two points on a stretch of candidates,
 # so the linear fits interpolate and three candidates tie at 0.34029431
-@example(rv="rv2", mu="mu1", n=95, seed=36, a=40.0, b=0.0, k=0.0, m_bound=None)
+@example(rv="rv2", mu="mu1", n=95, seed=36, a=40.0, b=0.0, k=0.0, m_bound=None, sign=1.0)
 def test_affine_map_of_scores_and_responses_moves_estimates_alike(rv, mu, n, seed, a, b, k,
-                                                                   m_bound):
-    # x -> a x + b (cutoff too) and y -> c y + d with c = a^3, which leaves
-    # ik's third-derivative estimate, and so its _M3_FLOOR comparison, unchanged
+                                                                   m_bound, sign):
+    # x -> a x + b (cutoff too) and y -> c y + d with c = +-a^3, which leaves
+    # ik's squared third-derivative estimate, and so its _M3_FLOOR comparison,
+    # unchanged; c < 0 swaps the interval's ends
     sample = generate_dataset(rv, mu, n, np.random.default_rng(seed))
-    c = a**3
-    scale = c * float(np.abs(sample.y).max())
+    c = sign * a**3
+    scale = abs(c) * float(np.abs(sample.y).max())
     d = k * scale
     moved = RDSample(a * sample.x + b, c * sample.y + d, a * sample.cutoff + b)
-    ratio = c / a**2  # how a curvature bound moves
+    ratio = abs(c) / a**2  # how a curvature bound moves
 
     def run(s, r):
         plan = Plan(methods=ALL_METHODS, alpha=0.05, lr_min=5, window="strict",
@@ -452,4 +454,7 @@ def test_affine_map_of_scores_and_responses_moves_estimates_alike(rv, mu, n, see
             assert math.isclose(first, second, rel_tol=1e-9), method
             continue
         assert abs(c * x.tau - y.tau) <= tol, method
-        assert abs(c * (x.hi - x.lo) - (y.hi - y.lo)) <= tol, method
+        assert abs(abs(c) * (x.hi - x.lo) - (y.hi - y.lo)) <= tol, method
+        lo, hi = (y.lo, y.hi) if c > 0 else (y.hi, y.lo)
+        assert abs(c * x.lo - lo) <= tol, method
+        assert abs(c * x.hi - hi) <= tol, method

@@ -1,6 +1,10 @@
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from rdsmall import simulation
 from rdsmall.diss import beta_cdf
 from rdsmall.errors import OutOfSupportError, SpecValidationError
 from rdsmall.simulation import (
@@ -180,6 +184,7 @@ class TestRunCell:
     def test_parallelism_does_not_change_results(self):
         serial = run_cell(_small_cell(workers=1))
         parallel = run_cell(_small_cell(workers=2))
+        assert not multiprocessing.active_children()  # the pool is joined
         assert serial.to_json_dict() == parallel.to_json_dict()
         # record-level comparison through the CSV writer (NaN-safe)
         assert replications_csv(serial) == replications_csv(parallel)
@@ -217,6 +222,29 @@ class TestRunCell:
         assert sum(counts.values()) == round(
             30 * (1 - result.per_method["ik/cv"].interval_success_rate)
         )
+
+
+_REPLICATE = simulation._replicate
+
+
+def _failing_replicate(cell, n, plan, rep):
+    # forked workers see the patched module, so only the first chunk fails
+    if rep == 0:
+        raise RuntimeError("replication 0 failed")
+    return _REPLICATE(cell, n, plan, rep)
+
+
+def test_a_failing_chunk_leaves_no_worker_behind(monkeypatch):
+    cell = _small_cell(workers=2)
+    monkeypatch.setattr(simulation, "_replicate", _failing_replicate)
+    with pytest.raises(RuntimeError, match="replication 0 failed"):
+        run_cell(cell)
+    # the worker that ran the other chunk is joined too, so the next pool
+    # forks with no thread or worker of the old one alive
+    assert not multiprocessing.active_children()
+    monkeypatch.undo()
+    serial = run_cell(dataclasses.replace(cell, workers=1))
+    assert replications_csv(run_cell(cell)) == replications_csv(serial)
 
 
 def test_mcse_formulas_match_closed_forms():
