@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteError,
     ZeroCurvatureBoundError,
 )
-from .local_poly import Kernel, local_poly_fit
+from .local_poly import Kernel, local_poly_fit, power_columns
 
 # Pilot constants for the plug-in selector.  The first-stage window is
 # 1.84 * s* * n^(-1/5); the curvature-stage windows scale the variance/
@@ -417,7 +417,7 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
         u = xs - sample.cutoff
         scale = np.abs(u).max()
         t = u / scale
-        design = np.vander(t, 5, increasing=True)
+        design = power_columns(t, 5)
         coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
         if rank < 5:
             raise InsufficientDataError(f"rank-deficient quartic design on side {name}")

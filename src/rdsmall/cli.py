@@ -53,35 +53,40 @@ from .simulation import (
 def read_xy_csv(path: str | Path, x_col: str, y_col: str, strict: bool = False):
     """Read two numeric columns from a CSV; returns (x, y, n_dropped)."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file (header row required)")
-        for col in (x_col, y_col):
-            if col not in reader.fieldnames:
-                raise MissingColumnError(
-                    f"{path}: column {col!r} not found; available: {reader.fieldnames}"
-                )
-        xs, ys, dropped = [], [], 0
-        for row_number, row in enumerate(reader, start=2):
-            raw_x, raw_y = row.get(x_col), row.get(y_col)
-            try:
-                x = float(raw_x)
-                y = float(raw_y)
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError
-            except (TypeError, ValueError):
-                if strict:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file (header row required)")
+            for col in (x_col, y_col):
+                if col not in header:
+                    raise MissingColumnError(
+                        f"{path}: column {col!r} not found; available: {header}"
+                    )
+            # a repeated name reads its last column; blank lines are no rows
+            ix, iy = (len(header) - 1 - header[::-1].index(c) for c in (x_col, y_col))
+            xs, ys, dropped = [], [], 0
+            for row_number, row in enumerate(filter(None, reader), start=2):
+                try:
+                    x, y = float(row[ix]), float(row[iy])
+                except (IndexError, ValueError):
+                    x = y = math.nan
+                if math.isfinite(x) and math.isfinite(y):
+                    xs.append(x)
+                    ys.append(y)
+                elif strict:
+                    raw_x, raw_y = (row[i] if i < len(row) else None for i in (ix, iy))
                     raise ParseError(
                         f"{path}: row {row_number}: non-numeric or missing "
                         f"value ({x_col}={raw_x!r}, {y_col}={raw_y!r})"
                     )
-                dropped += 1
-                continue
-            xs.append(x)
-            ys.append(y)
+                else:
+                    dropped += 1
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except csv.Error as err:
+        raise ParseError(f"{path}: {err}") from None
     if not xs:
         raise ParseError(f"{path}: no usable data rows")
     return np.array(xs), np.array(ys), dropped
@@ -167,11 +172,9 @@ def cmd_simulate(args) -> int:
     if args.spec is None:
         raise SpecValidationError("simulate needs --spec PATH or --table1")
     spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise FileNotFoundError(f"no such file: {spec_path}")
     try:
         raw = json.loads(spec_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SpecValidationError(f"{spec_path}: invalid JSON ({err})")
     cell = validate_cell_spec(raw)
     result = run_cell(cell)
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
             _emit(cmd_analyze(args), args.out, args.format, table_key="results")
         elif args.command == "simulate":
             return cmd_simulate(args)
-    except (RDError, FileNotFoundError) as err:
+    except (RDError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

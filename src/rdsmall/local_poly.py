@@ -29,8 +29,9 @@ from .errors import (
 _RANK_RTOL = 1e-10
 # The curvature weights divide by h**2, which must be a normal float.
 _MIN_H_SQUARED = np.finfo(float).tiny
-# LAPACK dtrtrs, without scipy's input checks: a fit's inputs are finite.
-(_trtrs,) = get_lapack_funcs(("trtrs",), dtype=np.float64)
+# LAPACK dgeqrf and dtrtrs, without numpy's and scipy's input checks: a
+# fit's inputs are finite.
+_geqrf, _trtrs = get_lapack_funcs(("geqrf", "trtrs"), dtype=np.float64)
 
 
 class Kernel(enum.Enum):
@@ -85,12 +86,12 @@ class LinearFit:
         return float(self.second_deriv_weights @ np.asarray(y, dtype=float))
 
 
-def _side_window(sample: RDSample, side: str, h: float) -> np.ndarray:
-    if side not in ("below", "above"):
-        raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-    idx = getattr(sample, side)
-    # Open window: weights are exactly zero outside (c-h, c+h).
-    return idx[np.abs(sample.x[idx] - sample.cutoff) < h]
+def power_columns(t: np.ndarray, k: int) -> np.ndarray:
+    """Columns 1, t, t*t, ... of a row-major array: numpy's vander, bit for bit."""
+    z = np.ones((t.size, k))
+    for j in range(1, k):
+        np.multiply(z[:, j - 1], t, out=z[:, j])
+    return z
 
 
 def local_poly_fit(
@@ -123,8 +124,13 @@ def local_poly_fit(
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
 
-    idx = _side_window(sample, side, h)
-    t = (sample.x[idx] - sample.cutoff) / h
+    if side not in ("below", "above"):
+        raise ValueError(f"side must be 'below' or 'above', got {side!r}")
+    idx = getattr(sample, side)
+    d = sample.x[idx] - sample.cutoff
+    # Open window: weights are exactly zero outside (c-h, c+h).
+    inside = np.abs(d) < h
+    idx, t = idx[inside], d[inside] / h
     w = kernel.weight(t)
     pos = w > 0
     idx, t, w = idx[pos], t[pos], w[pos]
@@ -135,36 +141,39 @@ def local_poly_fit(
             f"degree {degree} needs {degree + 1}"
         )
 
-    z = np.vander(t, degree + 1, increasing=True)
-    sw = np.sqrt(w)
-    r = np.linalg.qr(sw[:, None] * z, mode="r")
-    rdiag = np.abs(np.diag(r))
-    if rdiag.min() <= _RANK_RTOL * rdiag.max():
+    k = degree + 1
+    z = power_columns(t, k)
+    # The weighted design in column-major order, factored in place; R is the
+    # upper triangle of its first k rows.
+    qr, _, _, _ = _geqrf(np.multiply(np.sqrt(w)[:, None], z, order="F"), overwrite_a=1)
+    rdiag = [abs(r_jj) for r_jj in qr.diagonal().tolist()]
+    if min(rdiag) <= _RANK_RTOL * max(rdiag):
         raise InsufficientDataError(
             f"rank-deficient degree-{degree} design {side} the cutoff (h={h:g})"
         )
+    # R.T, column-major, as the lower triangle dtrtrs reads
+    rt = np.asfortranarray(qr[:k].T)
 
     def extraction_weights(coef_index: int) -> np.ndarray:
         # w_lin = W Z (Z'WZ)^{-1} e_k with Z'WZ = R'R from the QR factor.
         # R'v = e, then Rg = v, on R.T as lower: R as upper rounds differently.
-        e = np.zeros(degree + 1)
+        e = np.zeros(k)
         e[coef_index] = 1.0
-        v, _ = _trtrs(r.T, e, lower=1, trans=0)
-        g, _ = _trtrs(r.T, v, lower=1, trans=1)
+        v, _ = _trtrs(rt, e, lower=1, trans=0)
+        g, _ = _trtrs(rt, v, lower=1, trans=1)
         return w * (z @ g)
 
     w_local = extraction_weights(0)
     weights = np.zeros(sample.n)
     weights[idx] = w_local
 
-    u = t * h
     second = None
     if degree >= 2:
         v_local = (2.0 / h**2) * extraction_weights(2)
         second = np.zeros(sample.n)
         second[idx] = v_local
 
-    nonzero = w_local[w_local != 0.0]
+    u2 = (t * h) ** 2
     return LinearFit(
         weights=weights,
         fitted_at_cutoff=float(w_local @ sample.y[idx]),
@@ -172,9 +181,10 @@ def local_poly_fit(
         degree=degree,
         bandwidth=float(h),
         n_effective=m,
-        weighted_x2=float(w_local @ u**2),
-        abs_weighted_x2=float(np.abs(w_local) @ u**2),
-        sign_constant=bool(nonzero.size == 0 or (nonzero > 0).all() or (nonzero < 0).all()),
+        weighted_x2=float(w_local @ u2),
+        abs_weighted_x2=float(np.abs(w_local) @ u2),
+        # the nonzero weights share one sign
+        sign_constant=bool(w_local.min() >= 0 or w_local.max() <= 0),
         second_deriv_weights=second,
     )
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -121,11 +120,24 @@ def _exact_layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k_A = k_groups[g].  Row 0, the only row with k_A = k, is the observed
     assignment.  The arrays are shared between calls and read-only.
     """
-    idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
-    idx, bounds, k_groups = _group_rows(idx, n - k)
+    idx, bounds, k_groups = _group_rows(_k_subsets(n, k), n - k)
     for arr in (idx, bounds, k_groups):
         arr.flags.writeable = False
     return idx, bounds, k_groups
+
+
+def _k_subsets(n: int, k: int) -> np.ndarray:
+    """``itertools.combinations(range(n), k)`` as an (n_choose_k, k) array."""
+    idx = np.zeros((1, 0), dtype=np.intp)
+    last = np.full(1, -1, dtype=np.intp)
+    for j in range(k):
+        # a row ending in p is followed by p + 1, ..., n - k + j, in order
+        counts = (n - k + j) - last
+        starts = np.cumsum(counts) - counts
+        offset = np.repeat(last + 1 - starts, counts)
+        last = np.arange(offset.size, dtype=np.intp) + offset
+        idx = np.column_stack((np.repeat(idx, counts, axis=0), last))
+    return idx
 
 
 def _group_rows(idx: np.ndarray, n_control: int):

@@ -54,6 +54,10 @@ M_BAR_GRID = (10, 21, 27, 44, 57)
 
 DEFAULT_METHODS = ("ik/cv", "ik/rbc", "ik/flci", "ak/cv", "ak/rbc", "ak/flci", "lr")
 
+# Replications per pooled task, at most: small tasks keep every worker busy
+# to the end of a cell, and an interrupted cell waits for one task per worker.
+_POOL_CHUNK = 25
+
 
 # ---------------------------------------------------------------------------
 # Mean functions
@@ -488,13 +492,18 @@ def run_cell(cell: CellSpec) -> CellResult:
     if cell.workers <= 1 or r < 2 * cell.workers:
         rows = _run_chunk(cell, n, plan, 0, r)
     else:
-        bounds = np.linspace(0, r, cell.workers + 1).astype(int)
+        size = min(_POOL_CHUNK, math.ceil(r / cell.workers))
         with ProcessPoolExecutor(max_workers=cell.workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, cell, n, plan, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            rows = [row for fut in futures for row in fut.result()]
+            try:
+                futures = [
+                    pool.submit(_run_chunk, cell, n, plan, lo, min(lo + size, r))
+                    for lo in range(0, r, size)
+                ]
+                rows = [row for fut in futures for row in fut.result()]
+            except BaseException:
+                # drop the queued tasks before the with block joins the workers
+                pool.shutdown(cancel_futures=True)
+                raise
     return _aggregate(cell, n, true_m, rows)
 
 

@@ -1,10 +1,13 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rdsmall.cli import main
+from rdsmall.cli import main, read_xy_csv
+from rdsmall.errors import MissingColumnError, ParseError
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -123,6 +126,96 @@ class TestDissCommand:
         assert code == 0
         text = out_path.read_text()
         assert "n_below" in text.splitlines()[0]
+
+
+def _reference_read_xy_csv(path, x_col, y_col, strict=False):
+    """The reader through one ``csv.DictReader`` dict per row;
+    ``read_xy_csv`` must give the same arrays, counts and errors."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError(f"{path}: empty file (header row required)")
+        for col in (x_col, y_col):
+            if col not in reader.fieldnames:
+                raise MissingColumnError(
+                    f"{path}: column {col!r} not found; available: {reader.fieldnames}"
+                )
+        xs, ys, dropped = [], [], 0
+        for row_number, row in enumerate(reader, start=2):
+            raw_x, raw_y = row.get(x_col), row.get(y_col)
+            try:
+                x = float(raw_x)
+                y = float(raw_y)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError
+            except (TypeError, ValueError):
+                if strict:
+                    raise ParseError(
+                        f"{path}: row {row_number}: non-numeric or missing "
+                        f"value ({x_col}={raw_x!r}, {y_col}={raw_y!r})"
+                    )
+                dropped += 1
+                continue
+            xs.append(x)
+            ys.append(y)
+    if not xs:
+        raise ParseError(f"{path}: no usable data rows")
+    return np.array(xs), np.array(ys), dropped
+
+
+_READER_CASES = {
+    "plain": "x,y\n1,2\n3,4\n",
+    "blank_lines": "x,y\n\n1,2\n\n\n3,4\nbad,5\n\n",
+    "crlf_and_blank": "x,y\r\n1,2\r\n\r\n3,oops\r\n5,6\r\n",
+    "short_rows": "x,y\n1,2\n3\n\n4,5\n",
+    "long_rows": "x,y\n1,2,3,4\n5,6,\n7,8\n",
+    "repeated_name": "x,y,x\n1,2,3\n4,5\n7,8,9,10\n",
+    "repeated_name_short_first": "x,x,y\n1,2,3\n4,5\n",
+    "empty_first_line": "\nx,y\n1,2\n",
+    "header_only": "x,y\n",
+    "empty_file": "",
+    "missing_column": "a,y\n1,2\n",
+    "whitespace": "x,y\n 1 , 2\n\t3,4 \n  ,5\n6,7\n",
+    "non_finite": "x,y\nnan,1\n1,inf\n-Infinity,2\n3,4\nNaN,NaN\n",
+    "underscores_and_exponents": "x,y\n1_000,1e3\n_1,2\n1__0,3\n3,4\n2E-2,1_0.5\n",
+    "quoted_commas": 'x,y\n"1,5",2\n"3",4\n5,"6"\n',
+    "quoted_newlines": 'x,y\n"1\n",2\n"3\n4",5\n6,7\n',
+    "all_rows_bad": "x,y\n,\na,b\n",
+}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_reader_matches_the_dict_reader_reference(tmp_path, case, strict):
+    path = tmp_path / "in.csv"
+    path.write_bytes(_READER_CASES[case].encode("utf-8"))
+
+    def outcome(read):
+        try:
+            x, y, dropped = read(path, "x", "y", strict)
+        except (ParseError, MissingColumnError) as err:
+            return type(err), str(err)
+        return x.dtype, x.tobytes(), y.dtype, y.tobytes(), dropped
+
+    assert outcome(read_xy_csv) == outcome(_reference_read_xy_csv)
+
+
+@pytest.mark.parametrize("command", ["diss", "analyze"])
+@pytest.mark.parametrize("content", [None, b"x,y\n1,2\n\xff,3\n",
+                                     b'x,y\n"' + b"1" * 200_000 + b'",2\n'],
+                         ids=["directory", "not_utf8", "oversized_field"])
+def test_unreadable_input_is_an_error_not_a_crash(tmp_path, capsys, command, content):
+    path = tmp_path / "in.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = _run(capsys, [
+        command, "--input", str(path), "--x-col", "x", "--y-col", "y", "--cutoff", "0",
+    ])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
 
 def _analysis_csv(tmp_path, noise=0.01, seed=5, n=80):
@@ -312,6 +405,17 @@ class TestSimulateCommand:
         code, _, err = _run(capsys, ["simulate", "--spec", str(spec)])
         assert code == 2
         assert "methods[1]" in err
+
+    @pytest.mark.parametrize("content", [None, b"\xff{}"], ids=["directory", "not_utf8"])
+    def test_unreadable_spec_is_an_error_not_a_crash(self, tmp_path, capsys, content):
+        spec = tmp_path / "cell.json"
+        if content is None:
+            spec.mkdir()
+        else:
+            spec.write_bytes(content)
+        code, out, err = _run(capsys, ["simulate", "--spec", str(spec)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(spec) in err
 
     def test_table1_helper_emits_design_grid(self, tmp_path, capsys):
         code, out, _ = _run(capsys, ["simulate", "--table1"])

@@ -15,10 +15,10 @@ from rdsmall.local_poly import (
     _RANK_RTOL,
     Kernel,
     LinearFit,
-    _side_window,
     late_point_estimate,
     local_poly_fit,
     nn_variance,
+    power_columns,
     se_of_linear_functional,
 )
 
@@ -147,6 +147,14 @@ def _reference_kernel_weight(kernel, u):
     return np.where(inside, 0.75 * (1.0 - u * u), 0.0)
 
 
+def _side_window(sample, side, h):
+    if side not in ("below", "above"):
+        raise ValueError(f"side must be 'below' or 'above', got {side!r}")
+    idx = getattr(sample, side)
+    # Open window: weights are exactly zero outside (c-h, c+h).
+    return idx[np.abs(sample.x[idx] - sample.cutoff) < h]
+
+
 def _reference_fit(sample, side, degree, h, kernel):
     """The fit through numpy's full QR and scipy's checked triangular
     solves; ``local_poly_fit`` must reproduce it bit for bit."""
@@ -211,6 +219,14 @@ def _outcome(fit, *args):
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_power_columns_are_numpys_vander(k):
+    t = np.random.default_rng(k).uniform(-1.0, 1.0, 50) * 10.0 ** np.arange(-24, 26)
+    t[:3] = [0.0, -0.0, 1.0]
+    got, want = power_columns(t, k), np.vander(t, k, increasing=True)
+    assert _same_bits(got, want) and got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))

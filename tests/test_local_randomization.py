@@ -12,8 +12,10 @@ from rdsmall.local_randomization import (
     _TIE_RTOL,
     DEFAULT_GRID_POINTS,
     DEFAULT_GRID_SPAN_SDS,
+    DEFAULT_MAX_EXACT,
     LRWindow,
     _assignment_stats,
+    _k_subsets,
     _p_values,
     lr_interval,
     permutation_test,
@@ -48,6 +50,17 @@ def _reference_stats(y_window, k, max_exact, n_mc, rng):
     k_a = (idx >= n_control).sum(axis=1)
     v = k_a / k - (k - k_a) / n_control
     return u, v
+
+
+def test_k_subsets_are_the_combinations_in_order():
+    for n in range(21):
+        for k in range(n + 1):
+            if math.comb(n, k) > DEFAULT_MAX_EXACT:
+                continue
+            want = np.array(list(combinations(range(n), k)), dtype=np.intp)
+            got = _k_subsets(n, k)
+            assert got.dtype == want.dtype and got.shape == want.shape, (n, k)
+            assert np.array_equal(got, want), (n, k)
 
 
 def _reference_p_value(u, v, tau0):

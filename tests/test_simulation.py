@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import multiprocessing
 
@@ -245,6 +246,28 @@ def test_a_failing_chunk_leaves_no_worker_behind(monkeypatch):
     monkeypatch.undo()
     serial = run_cell(dataclasses.replace(cell, workers=1))
     assert replications_csv(run_cell(cell)) == replications_csv(serial)
+
+
+def test_an_interrupted_cell_drops_its_queued_chunks(monkeypatch, tmp_path):
+    log = tmp_path / "reps.log"
+
+    def logged_replicate(cell, n, plan, rep):
+        with log.open("a") as fh:
+            fh.write(f"{rep}\n")
+        return _REPLICATE(cell, n, plan, rep)
+
+    def interrupted(self, timeout=None):
+        raise KeyboardInterrupt
+
+    cell = _small_cell(workers=2, replications=200)
+    monkeypatch.setattr(simulation, "_replicate", logged_replicate)
+    # Ctrl-C while the parent waits for its first chunk
+    monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cell(cell)
+    assert not multiprocessing.active_children()
+    ran = log.read_text().split() if log.exists() else []
+    assert len(ran) < cell.replications
 
 
 def test_mcse_formulas_match_closed_forms():
