@@ -4,7 +4,8 @@ The package covers the full small-study RD workflow:
 
 * ``core`` — samples, checked and split at the cutoff once; affine score
   handling
-* ``local_poly`` — boundary local-polynomial fits as linear-in-y weights
+* ``local_poly`` — boundary local-polynomial fits as linear-in-y weights,
+  with the triangular kernel (the uniform one for ik's curvature pilot)
 * ``bandwidth`` — rule-of-thumb, plug-in (ik) and bounded-curvature (ak)
   bandwidth selection
 * ``diss`` — the density-inclusive study size metric, sample and population
@@ -23,10 +24,8 @@ from .bandwidth import (
     BandwidthResult,
     CurvatureBound,
     ak_bandwidth,
-    ak_plugin_bandwidth,
     estimate_m_hat,
     ik_bandwidth,
-    kernel_constant,
     silverman_rot,
     silverman_rot_population,
 )
@@ -51,7 +50,6 @@ from .inference import (
 from .local_poly import (
     Kernel,
     LinearFit,
-    late_point_estimate,
     local_poly_fit,
     nn_variance,
     se_of_linear_functional,
@@ -90,7 +88,6 @@ __all__ = [
     "SimCellResult",
     "affine_transform",
     "ak_bandwidth",
-    "ak_plugin_bandwidth",
     "beta_cdf",
     "beta_quantile",
     "beta_sigma_star",
@@ -102,8 +99,6 @@ __all__ = [
     "folded_normal_cv",
     "generate_dataset",
     "ik_bandwidth",
-    "kernel_constant",
-    "late_point_estimate",
     "local_poly_fit",
     "lr_interval",
     "max_abs_second_derivative",

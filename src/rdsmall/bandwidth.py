@@ -18,9 +18,7 @@ counts, not an exception.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,8 +46,16 @@ _REGULARIZATION_CONST = 2160.0
 # on locally-cubicless data; note it is unit dependent, so exact scale
 # equivariance of the selector holds only while the floor is not binding.
 _M3_FLOOR = 0.01
-# Candidate bandwidths on the bounded-curvature selector's logarithmic grid.
+# The triangular kernel's boundary local-linear AMSE constant C_K, on the
+# fifth-root scale: with one-sided moments nu_j = integral of u^j (1 - u) on
+# [0, 1], bias constant b = (nu2^2 - nu1 nu3) / (nu0 nu2 - nu1^2) and
+# variance constant v = integral of ((nu2 - nu1 u)(1 - u))^2 / (nu0 nu2 -
+# nu1^2)^2, v / b^2 = 480 exactly (Imbens and Kalyanaraman, 2012).
+_IK_KERNEL_CONSTANT = 480.0 ** 0.2
+# Candidate bandwidths on the bounded-curvature selector's logarithmic grid,
+# and the candidates evaluated at once in one block of its sweep.
 _AK_GRID_SIZE = 100
+_AK_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -108,53 +114,6 @@ def silverman_rot_population(iqr: float, sd: float, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return 0.9 * min(iqr / 1.34, sd) * n ** (-0.2)
-
-
-# ---------------------------------------------------------------------------
-# Kernel constant
-# ---------------------------------------------------------------------------
-
-_KERNEL_POLY = {
-    # Coefficients of k(u) on [0, 1], ascending powers, exact rationals.
-    Kernel.TRIANGULAR: (Fraction(1), Fraction(-1)),
-    Kernel.UNIFORM: (Fraction(1, 2),),
-    Kernel.EPANECHNIKOV: (Fraction(3, 4), Fraction(0), Fraction(-3, 4)),
-}
-
-
-def _poly_moment(coeffs, j: int) -> Fraction:
-    return sum(c / Fraction(i + j + 1) for i, c in enumerate(coeffs))
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for k, cb in enumerate(b):
-            out[i + k] += ca * cb
-    return out
-
-
-@functools.cache
-def kernel_constant(kernel: Kernel) -> float:
-    """Boundary local-linear AMSE constant of a kernel, fifth-root scale.
-
-    Built from the one-sided kernel moments nu_j = integral of u^j k(u) on
-    [0, 1]: with b the equivalent-kernel bias constant and v its variance
-    constant, the MSE-optimal bandwidth is (v/b^2)^(1/5) times
-    ((sigma+^2 + sigma-^2) / (f * (mu''+ - mu''-)^2 * n))^(1/5); this
-    function returns (v/b^2)^(1/5).  Triangular: 480^(1/5) = 3.4375...
-
-    Exact rational arithmetic, so the value is deterministic per kernel;
-    computed once per kernel and cached.
-    """
-    coeffs = _KERNEL_POLY[kernel]
-    nu = [_poly_moment(coeffs, j) for j in range(4)]
-    det = nu[0] * nu[2] - nu[1] ** 2
-    bias_const = (nu[2] ** 2 - nu[1] * nu[3]) / det
-    # variance constant: integral of ((nu2 - nu1 u) k(u))^2 / det^2
-    equiv = _poly_mul((nu[2], -nu[1]), coeffs)
-    var_const = _poly_moment(_poly_mul(equiv, equiv), 0) / det**2
-    return float(var_const / bias_const**2) ** 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +204,7 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
             fit = local_poly_fit(sample, side, degree=2, h=h2, kernel=Kernel.UNIFORM)
         except (InsufficientDataError, BadBandwidthError):
             return BandwidthResult(None, f"pilot_curvature_{side}")
-        curvature[side] = fit.second_derivative(y)
+        curvature[side] = float(fit.second_deriv_weights @ y)
         windows[side] = fit.n_effective
 
     r_below = _REGULARIZATION_CONST * s2m / (windows["below"] * h2m**4)
@@ -254,7 +213,7 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
 
     curv_gap = curvature["above"] - curvature["below"]
     denom = n * f_hat * (curv_gap**2 + regularization)
-    h = kernel_constant(Kernel.TRIANGULAR) * ((s2m + s2p) / denom) ** 0.2
+    h = _IK_KERNEL_CONSTANT * ((s2m + s2p) / denom) ** 0.2
     if not np.isfinite(h) or h <= 0:
         return BandwidthResult(None, "nonfinite_result")
     return BandwidthResult(float(h))
@@ -265,23 +224,7 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
 # ---------------------------------------------------------------------------
 
 
-def ak_plugin_bandwidth(
-    s2_below: float, s2_above: float, f_at_cutoff: float, m: float, n: int,
-    kernel: Kernel = Kernel.TRIANGULAR,
-) -> float:
-    """Closed-form bounded-curvature bandwidth
-    [C_K (s2+ + s2-) / (4 f M^2 n)]^(1/5).
-
-    A closed-form point of comparison for the finite-sample minimizer of
-    ``ak_bandwidth``, which does not compute it.
-    """
-    if m <= 0:
-        raise ZeroCurvatureBoundError("plug-in bandwidth undefined for M = 0")
-    c_k = kernel_constant(kernel)
-    return float((c_k * (s2_below + s2_above) / (4.0 * f_at_cutoff * m**2 * n)) ** 0.2)
-
-
-def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray, block: int = 32):
+def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray):
     """One side's worst-case-bias and variance loadings for every candidate h.
 
     Evaluates the triangular-kernel degree-1 intercept-extraction weights in
@@ -306,14 +249,14 @@ def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray, block: in
     variance = np.full(k_count, np.inf)
     counts = np.searchsorted(absu, grid, side="left")
 
-    for start in range(0, k_count, block):
-        stop = min(start + block, k_count)
+    for start in range(0, k_count, _AK_BLOCK):
+        stop = min(start + _AK_BLOCK, k_count)
         h = grid[start:stop, None]
         m_max = int(counts[start:stop].max())
         if m_max < 2:
             continue
         t = u[None, :m_max] / h
-        w = Kernel.TRIANGULAR.weight(t)  # +0.0 at |t| >= 1
+        w = np.maximum(1.0 - np.abs(t), 0.0)  # triangular, +0.0 at |t| >= 1
         s0 = w.sum(axis=1)
         wt = w * t
         s1 = wt.sum(axis=1)

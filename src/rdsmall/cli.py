@@ -54,7 +54,8 @@ def read_xy_csv(path: str | Path, x_col: str, y_col: str, strict: bool = False):
     """Read two numeric columns from a CSV; returns (x, y, n_dropped)."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # utf-8-sig: a spreadsheet's "CSV UTF-8" file starts with a byte-order mark
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -26,12 +26,7 @@ from scipy.special import ndtr, ndtri
 from .bandwidth import CurvatureBound
 from .core import EffectEstimate, RDSample
 from .errors import InsufficientDataError, ZeroSEError
-from .local_poly import (
-    LinearFit,
-    late_point_estimate,
-    local_poly_fit,
-    se_of_linear_functional,
-)
+from .local_poly import LinearFit, local_poly_fit, se_of_linear_functional
 
 
 def folded_normal_cv(t: float, alpha: float) -> float:
@@ -92,12 +87,15 @@ class BoundaryFits:
 
     @classmethod
     def build(cls, sample: RDSample, h: float, sigma2: np.ndarray) -> BoundaryFits:
-        """Fit both sides at h with the triangular kernel; sigma2 holds the
-        sample's nearest-neighbor variances (``nn_variance``).
+        """Fit both sides at h with the triangular kernel; tau is the above
+        fit minus the below fit at the cutoff.  sigma2 holds the sample's
+        nearest-neighbor variances (``nn_variance``).
 
         Raises InsufficientDataError when either side's fit is infeasible.
         """
-        tau, (below, above) = late_point_estimate(sample, 1, h)
+        below = local_poly_fit(sample, "below", 1, h)
+        above = local_poly_fit(sample, "above", 1, h)
+        tau = above.fitted_at_cutoff - below.fitted_at_cutoff
         combined = above.weights - below.weights
         se = se_of_linear_functional(combined, sigma2)
         return cls(sample, h, below, above, tau, combined, se, sigma2)

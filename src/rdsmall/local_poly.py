@@ -35,21 +35,16 @@ _geqrf, _trtrs = get_lapack_funcs(("geqrf", "trtrs"), dtype=np.float64)
 
 
 class Kernel(enum.Enum):
-    """Nonnegative symmetric weight functions supported on [-1, 1]."""
+    """The fit weights' kernels, symmetric and positive on (-1, 1)."""
 
     TRIANGULAR = "triangular"
     UNIFORM = "uniform"
-    EPANECHNIKOV = "epanechnikov"
 
-    def weight(self, u):
-        """Kernel value at scaled offsets u (vectorized)."""
-        u = np.abs(np.asarray(u, dtype=float))  # every kernel is symmetric
-        inside = u <= 1.0
+    def weight(self, u: np.ndarray) -> np.ndarray:
+        """Kernel value at scaled offsets u, all inside the open window |u| < 1."""
         if self is Kernel.TRIANGULAR:
-            return np.where(inside, 1.0 - u, 0.0)
-        if self is Kernel.UNIFORM:
-            return np.where(inside, 0.5, 0.0)
-        return np.where(inside, 0.75 * (1.0 - u * u), 0.0)
+            return 1.0 - np.abs(u)
+        return np.full(np.shape(u), 0.5)
 
 
 @dataclass(frozen=True)
@@ -69,21 +64,11 @@ class LinearFit:
 
     weights: np.ndarray
     fitted_at_cutoff: float
-    side: str
-    degree: int
-    bandwidth: float
     n_effective: int
     weighted_x2: float
     abs_weighted_x2: float
     sign_constant: bool
     second_deriv_weights: np.ndarray | None = None
-
-    def second_derivative(self, y: np.ndarray) -> float:
-        if self.second_deriv_weights is None:
-            raise InsufficientDataError(
-                f"degree-{self.degree} fit carries no curvature estimate"
-            )
-        return float(self.second_deriv_weights @ np.asarray(y, dtype=float))
 
 
 def power_columns(t: np.ndarray, k: int) -> np.ndarray:
@@ -128,12 +113,11 @@ def local_poly_fit(
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
     idx = getattr(sample, side)
     d = sample.x[idx] - sample.cutoff
-    # Open window: weights are exactly zero outside (c-h, c+h).
+    # Open window: weights are exactly zero outside (c-h, c+h).  Inside it
+    # |t| < 1 after rounding too, so every kernel weight is positive.
     inside = np.abs(d) < h
     idx, t = idx[inside], d[inside] / h
     w = kernel.weight(t)
-    pos = w > 0
-    idx, t, w = idx[pos], t[pos], w[pos]
     m = idx.size
     if m < degree + 1:
         raise InsufficientDataError(
@@ -177,9 +161,6 @@ def local_poly_fit(
     return LinearFit(
         weights=weights,
         fitted_at_cutoff=float(w_local @ sample.y[idx]),
-        side=side,
-        degree=degree,
-        bandwidth=float(h),
         n_effective=m,
         weighted_x2=float(w_local @ u2),
         abs_weighted_x2=float(np.abs(w_local) @ u2),
@@ -187,19 +168,6 @@ def local_poly_fit(
         sign_constant=bool(w_local.min() >= 0 or w_local.max() <= 0),
         second_deriv_weights=second,
     )
-
-
-def late_point_estimate(
-    sample: RDSample, degree: int, h: float
-) -> tuple[float, tuple[LinearFit, LinearFit]]:
-    """Local average treatment effect at the cutoff: above fit minus below
-    fit, both with the triangular kernel.
-
-    Propagates InsufficientDataError from either side.
-    """
-    below = local_poly_fit(sample, "below", degree, h)
-    above = local_poly_fit(sample, "above", degree, h)
-    return above.fitted_at_cutoff - below.fitted_at_cutoff, (below, above)
 
 
 def nn_variance(sample: RDSample, j: int = 3) -> np.ndarray:

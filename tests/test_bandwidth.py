@@ -4,14 +4,13 @@ from scipy import integrate
 
 from conftest import make_noisy_sample, sigma2_of
 from rdsmall.bandwidth import (
+    _IK_KERNEL_CONSTANT,
     CurvatureBound,
     _grid_objective,
     _sample_spread,
     ak_bandwidth,
-    ak_plugin_bandwidth,
     estimate_m_hat,
     ik_bandwidth,
-    kernel_constant,
     silverman_rot,
     silverman_rot_population,
 )
@@ -21,7 +20,7 @@ from rdsmall.errors import (
     InsufficientDataError,
     ZeroCurvatureBoundError,
 )
-from rdsmall.local_poly import Kernel, local_poly_fit, nn_variance
+from rdsmall.local_poly import local_poly_fit, nn_variance
 from rdsmall.simulation import generate_dataset
 
 
@@ -58,24 +57,12 @@ class TestSilverman:
 
 class TestKernelConstant:
     def test_triangular_value(self):
-        assert kernel_constant(Kernel.TRIANGULAR) == pytest.approx(3.4375, abs=1e-3)
+        assert _IK_KERNEL_CONSTANT == pytest.approx(3.4375, abs=1e-3)
 
-    def test_deterministic(self):
-        for kernel in Kernel:
-            assert kernel_constant(kernel) == kernel_constant(kernel)
+    def test_matches_quadrature_oracle(self):
+        def k(u):
+            return 1 - u  # the triangular kernel on [0, 1]
 
-    def test_kernels_are_distinct(self):
-        values = {kernel: kernel_constant(kernel) for kernel in Kernel}
-        assert len(set(values.values())) == 3
-
-    @pytest.mark.parametrize("kernel", list(Kernel))
-    def test_matches_quadrature_oracle(self, kernel):
-        fns = {
-            Kernel.TRIANGULAR: lambda u: 1 - u,
-            Kernel.UNIFORM: lambda u: 0.5,
-            Kernel.EPANECHNIKOV: lambda u: 0.75 * (1 - u * u),
-        }
-        k = fns[kernel]
         nu = [integrate.quad(lambda u, j=j: u**j * k(u), 0, 1)[0] for j in range(4)]
         det = nu[0] * nu[2] - nu[1] ** 2
         bias_const = (nu[2] ** 2 - nu[1] * nu[3]) / det
@@ -84,7 +71,7 @@ class TestKernelConstant:
             / det**2
         )
         expected = (var_const / bias_const**2) ** 0.2
-        assert kernel_constant(kernel) == pytest.approx(expected, rel=1e-9)
+        assert _IK_KERNEL_CONSTANT == pytest.approx(expected, rel=1e-9)
 
 
 class TestIKBandwidth:
@@ -127,17 +114,6 @@ class TestIKBandwidth:
 
 
 class TestAKBandwidth:
-    def test_plugin_formula_example(self):
-        h = ak_plugin_bandwidth(1.0, 1.0, 0.5, 1.0, 100)
-        assert round(h, 3) == 0.510
-        expected = (kernel_constant(Kernel.TRIANGULAR) * 2.0 / (4 * 0.5 * 1.0 * 100)) ** 0.2
-        assert h == pytest.approx(expected, rel=1e-12)
-
-    def test_plugin_doubling_m(self):
-        h1 = ak_plugin_bandwidth(1.3, 0.8, 0.6, 1.0, 250)
-        h2 = ak_plugin_bandwidth(1.3, 0.8, 0.6, 2.0, 250)
-        assert h2 / h1 == pytest.approx(2 ** (-0.4), rel=1e-12)
-
     def test_zero_bound_rejected(self):
         sample = make_noisy_sample(seed=3)
         with pytest.raises(ZeroCurvatureBoundError):

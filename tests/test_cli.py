@@ -132,7 +132,7 @@ def _reference_read_xy_csv(path, x_col, y_col, strict=False):
     """The reader through one ``csv.DictReader`` dict per row;
     ``read_xy_csv`` must give the same arrays, counts and errors."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file (header row required)")
@@ -166,6 +166,7 @@ def _reference_read_xy_csv(path, x_col, y_col, strict=False):
 
 _READER_CASES = {
     "plain": "x,y\n1,2\n3,4\n",
+    "byte_order_mark": "\ufeffx,y\n1,2\n3,4\n",
     "blank_lines": "x,y\n\n1,2\n\n\n3,4\nbad,5\n\n",
     "crlf_and_blank": "x,y\r\n1,2\r\n\r\n3,oops\r\n5,6\r\n",
     "short_rows": "x,y\n1,2\n3\n\n4,5\n",

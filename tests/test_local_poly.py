@@ -15,7 +15,6 @@ from rdsmall.local_poly import (
     _RANK_RTOL,
     Kernel,
     LinearFit,
-    late_point_estimate,
     local_poly_fit,
     nn_variance,
     power_columns,
@@ -128,23 +127,22 @@ class TestLocalPolyFit:
             for kernel in Kernel
         ]
         spread = max(fits) - min(fits)
-        # regression bound: the three kernels agreed within 0.031 when frozen
+        # regression bound: the kernels agreed within 0.031 when frozen
         assert spread < 0.05
 
 
 def _reference_kernel_weight(kernel, u):
     """Kernel weights by the plain formula, with |u| taken twice and the
     triangular weights masked to +0.0 at |u| >= 1 in a separate step:
-    ``Kernel.weight`` must give these bits without the mask."""
+    inside the open window ``Kernel.weight`` must give these bits without
+    the mask."""
     u = np.asarray(u, dtype=float)
     inside = np.abs(u) <= 1.0
     if kernel is Kernel.TRIANGULAR:
         w = np.where(inside, 1.0 - np.abs(u), 0.0)
         w[np.abs(u) >= 1.0] = 0.0
         return w
-    if kernel is Kernel.UNIFORM:
-        return np.where(inside, 0.5, 0.0)
-    return np.where(inside, 0.75 * (1.0 - u * u), 0.0)
+    return np.where(inside, 0.5, 0.0)
 
 
 def _side_window(sample, side, h):
@@ -198,9 +196,6 @@ def _reference_fit(sample, side, degree, h, kernel):
     return LinearFit(
         weights=weights,
         fitted_at_cutoff=float(w_local @ sample.y[idx]),
-        side=side,
-        degree=degree,
-        bandwidth=float(h),
         n_effective=m,
         weighted_x2=float(w_local @ u**2),
         abs_weighted_x2=float(np.abs(w_local) @ u**2),
@@ -231,7 +226,9 @@ def test_power_columns_are_numpys_vander(k):
 
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_kernel_weights_match_the_reference_formula(kernel):
-    t = np.array([-1.0, -0.5, 0.0, 1.0, 1.0 + 1e-16, np.nextafter(1.0, 2.0), 2.0])
+    # the open window's offsets, its edges included: |t| < 1
+    t = np.array([np.nextafter(-1.0, 0.0), -0.5, -0.0, 0.0, 1e-300, 0.75,
+                  1.0 - 1e-16, np.nextafter(1.0, 0.0)])
     assert _same_bits(kernel.weight(t), _reference_kernel_weight(kernel, t))
 
 
@@ -252,6 +249,13 @@ def test_fit_is_bit_identical_to_the_reference(sample, side, degree, kernel, dat
     assume(dist.size > 0)
     h = float(dist[data.draw(st.integers(0, dist.size - 1))]
               * data.draw(st.sampled_from([0.5, 1.0, 1.0 + 1e-9, 2.0])))
+    if data.draw(st.booleans()):
+        # points one float inside the window's edges c - h and c + h
+        c = sample.cutoff
+        edges = np.nextafter([c - h, c + h], c)
+        y_edges = [data.draw(st.floats(-2, 2)) for _ in edges]
+        sample = RDSample(x=np.concatenate([sample.x, edges]),
+                          y=np.concatenate([sample.y, y_edges]), cutoff=c)
     got = _outcome(local_poly_fit, sample, side, degree, h, kernel)
     want = _outcome(_reference_fit, sample, side, degree, h, kernel)
     if isinstance(want, tuple):
@@ -265,37 +269,6 @@ def test_fit_is_bit_identical_to_the_reference(sample, side, degree, kernel, dat
         assert got.second_deriv_weights is None and want.second_deriv_weights is None
     else:
         assert _same_bits(got.second_deriv_weights, want.second_deriv_weights)
-
-
-class TestLatePointEstimate:
-    def test_linear_dgp_recovers_jump(self):
-        rng = np.random.default_rng(5)
-        x = rng.uniform(-1, 1, 60)
-        y = 1 + x + 0.1 * (x >= 0)
-        tau, _ = late_point_estimate(_sample(x, y), 1, 0.8)
-        assert tau == pytest.approx(0.1, abs=1e-10)
-
-    def test_mirrored_sample_has_zero_effect(self):
-        x_half = np.array([0.05, 0.12, 0.3, 0.44])
-        y_half = np.array([1.0, 1.4, 0.7, 1.1])
-        x = np.concatenate([-x_half, x_half])
-        y = np.concatenate([y_half, y_half])
-        tau, _ = late_point_estimate(_sample(x, y), 1, 0.5)
-        assert tau == pytest.approx(0.0, abs=1e-12)
-
-    def test_eight_point_fixture_matches_oracle(self, eight_point_sample):
-        s = eight_point_sample
-        tau, (below, above) = late_point_estimate(s, 1, 0.5)
-        expected = wls_intercept_oracle(
-            s.x, s.y, 0.0, "above", 1, 0.5
-        ) - wls_intercept_oracle(s.x, s.y, 0.0, "below", 1, 0.5)
-        assert tau == pytest.approx(expected, rel=1e-10)
-        assert above.fitted_at_cutoff - below.fitted_at_cutoff == tau
-
-    def test_propagates_insufficient_side(self):
-        sample = _sample([-0.1, 0.1, 0.2, 0.3], [1, 2, 3, 4.0])
-        with pytest.raises(InsufficientDataError):
-            late_point_estimate(sample, 1, 1.0)
 
 
 class TestNNVariance:
