@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -20,7 +22,7 @@ from rdsmall.errors import (
     InsufficientDataError,
     ZeroCurvatureBoundError,
 )
-from rdsmall.local_poly import local_poly_fit, nn_variance
+from rdsmall.local_poly import Kernel, local_poly_fit, nn_variance
 from rdsmall.simulation import generate_dataset
 
 
@@ -59,9 +61,24 @@ class TestKernelConstant:
     def test_triangular_value(self):
         assert _IK_KERNEL_CONSTANT == pytest.approx(3.4375, abs=1e-3)
 
-    def test_matches_quadrature_oracle(self):
+    def test_deterministic(self):
+        # exact-rational moments nu_j = 1 / ((j + 1) (j + 2)) of the triangular
+        # kernel give v / b^2 = 480, and the constant is its fifth root in float
+        nu = [Fraction(1, (j + 1) * (j + 2)) for j in range(4)]
+        det = nu[0] * nu[2] - nu[1] ** 2
+        bias_const = (nu[2] ** 2 - nu[1] * nu[3]) / det
+        # (nu2 - nu1 u)(1 - u) in ascending powers of u, squared and integrated
+        equiv = (nu[2], -(nu[1] + nu[2]), nu[1])
+        var_const = sum(
+            a * b / (i + k + 1) for i, a in enumerate(equiv) for k, b in enumerate(equiv)
+        ) / det**2
+        assert var_const / bias_const**2 == 480
+        assert _IK_KERNEL_CONSTANT == float(var_const / bias_const**2) ** 0.2
+
+    @pytest.mark.parametrize("kernel", [Kernel.TRIANGULAR])
+    def test_matches_quadrature_oracle(self, kernel):
         def k(u):
-            return 1 - u  # the triangular kernel on [0, 1]
+            return float(kernel.weight(np.array(u)))  # the fit's own kernel on [0, 1)
 
         nu = [integrate.quad(lambda u, j=j: u**j * k(u), 0, 1)[0] for j in range(4)]
         det = nu[0] * nu[2] - nu[1] ** 2

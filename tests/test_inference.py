@@ -3,13 +3,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from conftest import (
-    fits_at,
-    make_noisy_sample,
-    nn_variance_oracle,
-    wls_intercept_oracle,
-    wls_weights_oracle,
-)
+from conftest import fits_at, make_noisy_sample, nn_variance_oracle, wls_weights_oracle
 from rdsmall.bandwidth import CurvatureBound
 from rdsmall.core import RDSample
 from rdsmall.errors import InsufficientDataError, ZeroSEError
@@ -214,42 +208,6 @@ class TestFLCIInterval:
             base, moved = build(sample), build(shifted)
             assert moved.tau_hat == pytest.approx(base.tau_hat, abs=1e-9)
             assert moved.width == pytest.approx(base.width, rel=1e-9)
-
-
-class TestBoundaryFitsTau:
-    """tau of ``BoundaryFits.build``: the above fit minus the below fit."""
-
-    @staticmethod
-    def _build(x, y, h):
-        # tau and the fits do not read sigma2
-        return BoundaryFits.build(RDSample(x=np.asarray(x, float), y=np.asarray(y, float),
-                                           cutoff=0.0), h, np.ones(len(x)))
-
-    def test_linear_dgp_recovers_jump(self):
-        rng = np.random.default_rng(5)
-        x = rng.uniform(-1, 1, 60)
-        y = 1 + x + 0.1 * (x >= 0)
-        assert self._build(x, y, 0.8).tau == pytest.approx(0.1, abs=1e-10)
-
-    def test_mirrored_sample_has_zero_effect(self):
-        x_half = np.array([0.05, 0.12, 0.3, 0.44])
-        y_half = np.array([1.0, 1.4, 0.7, 1.1])
-        x = np.concatenate([-x_half, x_half])
-        y = np.concatenate([y_half, y_half])
-        assert self._build(x, y, 0.5).tau == pytest.approx(0.0, abs=1e-12)
-
-    def test_eight_point_fixture_matches_oracle(self, eight_point_sample):
-        s = eight_point_sample
-        fits = BoundaryFits.build(s, 0.5, np.ones(s.n))
-        expected = wls_intercept_oracle(
-            s.x, s.y, 0.0, "above", 1, 0.5
-        ) - wls_intercept_oracle(s.x, s.y, 0.0, "below", 1, 0.5)
-        assert fits.tau == pytest.approx(expected, rel=1e-10)
-        assert fits.above.fitted_at_cutoff - fits.below.fitted_at_cutoff == fits.tau
-
-    def test_propagates_insufficient_side(self):
-        with pytest.raises(InsufficientDataError):
-            self._build([-0.1, 0.1, 0.2, 0.3], [1, 2, 3, 4.0], 1.0)
 
 
 class TestBoundaryFits:

@@ -11,6 +11,7 @@ from rdsmall.errors import (
     InsufficientDataError,
     LengthMismatchError,
 )
+from rdsmall.inference import BoundaryFits
 from rdsmall.local_poly import (
     _RANK_RTOL,
     Kernel,
@@ -269,6 +270,73 @@ def test_fit_is_bit_identical_to_the_reference(sample, side, degree, kernel, dat
         assert got.second_deriv_weights is None and want.second_deriv_weights is None
     else:
         assert _same_bits(got.second_deriv_weights, want.second_deriv_weights)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_open_window_edges(kernel):
+    # points at c - h and c + h get no weight; one float inside, they get
+    # a positive kernel weight and count in the fit (with c = -2h, x - c is
+    # exact, so these offsets are strictly inside the window)
+    c, h = -1.0, 0.5
+    inner = np.nextafter([c - h, c + h], c)
+    assert np.all(np.abs(inner - c) < h)
+    x = np.array([c - h, inner[0], c - 0.1, c - 0.2, c + 0.1, c + 0.2, inner[1], c + h])
+    sample = _sample(x, np.arange(8.0), c)
+    for side, edge, near in (("below", 0, 1), ("above", 7, 6)):
+        fit = local_poly_fit(sample, side, 1, h, kernel)
+        assert fit.n_effective == 3
+        assert fit.weights[edge] == 0.0
+        assert fit.weights[near] != 0.0
+    assert np.all(kernel.weight(inner - c) > 0)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_curvature_weights_recover_a_quadratic(kernel):
+    # ik's pilot reads mu'' as second_deriv_weights @ y
+    x = np.linspace(-0.9, 0.9, 19) + 0.01
+    y = 1.5 - 0.4 * x + 0.35 * x**2
+    sample = _sample(x, y)
+    for side in ("below", "above"):
+        fit = local_poly_fit(sample, side, 2, 1.0, kernel)
+        assert fit.second_deriv_weights @ y == pytest.approx(0.7, rel=1e-9)
+    assert local_poly_fit(sample, "below", 1, 1.0, kernel).second_deriv_weights is None
+
+
+class TestLatePointEstimate:
+    """The effect at the cutoff, ``BoundaryFits.build(...).tau``: the above
+    fit minus the below fit, both triangular."""
+
+    @staticmethod
+    def _build(sample, h):
+        # tau and the fits do not read sigma2
+        return BoundaryFits.build(sample, h, np.ones(sample.n))
+
+    def test_linear_dgp_recovers_jump(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1, 1, 60)
+        y = 1 + x + 0.1 * (x >= 0)
+        assert self._build(_sample(x, y), 0.8).tau == pytest.approx(0.1, abs=1e-10)
+
+    def test_mirrored_sample_has_zero_effect(self):
+        x_half = np.array([0.05, 0.12, 0.3, 0.44])
+        y_half = np.array([1.0, 1.4, 0.7, 1.1])
+        x = np.concatenate([-x_half, x_half])
+        y = np.concatenate([y_half, y_half])
+        assert self._build(_sample(x, y), 0.5).tau == pytest.approx(0.0, abs=1e-12)
+
+    def test_eight_point_fixture_matches_oracle(self, eight_point_sample):
+        s = eight_point_sample
+        fits = self._build(s, 0.5)
+        expected = wls_intercept_oracle(
+            s.x, s.y, 0.0, "above", 1, 0.5
+        ) - wls_intercept_oracle(s.x, s.y, 0.0, "below", 1, 0.5)
+        assert fits.tau == pytest.approx(expected, rel=1e-10)
+        assert fits.above.fitted_at_cutoff - fits.below.fitted_at_cutoff == fits.tau
+
+    def test_propagates_insufficient_side(self):
+        sample = _sample([-0.1, 0.1, 0.2, 0.3], [1, 2, 3, 4.0])
+        with pytest.raises(InsufficientDataError):
+            self._build(sample, 1.0)
 
 
 class TestNNVariance:
