@@ -2,8 +2,8 @@
 
 The package covers the full small-study RD workflow:
 
-* ``core`` — samples, checked and split at the cutoff once; affine score
-  handling
+* ``core`` — samples, checked and split at the cutoff once; effect
+  estimates
 * ``local_poly`` — boundary local-polynomial fits as linear-in-y weights,
   with the triangular kernel (the uniform one for ik's curvature pilot)
 * ``bandwidth`` — rule-of-thumb, plug-in (ik) and bounded-curvature (ak)
@@ -29,7 +29,7 @@ from .bandwidth import (
     silverman_rot,
     silverman_rot_population,
 )
-from .core import EffectEstimate, RDSample, affine_transform
+from .core import EffectEstimate, RDSample
 from .diss import (
     BetaSpec,
     beta_cdf,
@@ -86,7 +86,6 @@ __all__ = [
     "PermutationResult",
     "RDSample",
     "SimCellResult",
-    "affine_transform",
     "ak_bandwidth",
     "beta_cdf",
     "beta_quantile",

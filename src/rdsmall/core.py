@@ -16,11 +16,12 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatchError, NonFiniteError, ZeroScaleError
+from .errors import LengthMismatchError, NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,9 @@ class EffectEstimate:
     conventional and fixed-length intervals, the bias-corrected point for
     robust bias-corrected intervals, the window difference-in-means for
     local randomization.  ``se`` is None for methods without a standard
-    error concept (local randomization).
+    error concept (local randomization).  A NaN or inf field raises
+    NonFiniteError, so an estimate that overflows counts as its method's
+    failure.
     """
 
     tau_hat: float
@@ -113,29 +116,21 @@ class EffectEstimate:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        values = (self.tau_hat, self.ci_lower, self.ci_upper, 0.0 if self.se is None else self.se)
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteError(
+                f"estimate {self.tau_hat}, interval [{self.ci_lower}, {self.ci_upper}] "
+                f"or se {self.se} is not finite"
+            )
         if not (self.ci_lower <= self.tau_hat <= self.ci_upper):
             raise ValueError(
                 f"interval [{self.ci_lower}, {self.ci_upper}] does not "
                 f"contain its center {self.tau_hat}"
             )
-        if self.se is not None and not (np.isfinite(self.se) and self.se >= 0):
-            raise ValueError(f"se must be finite and nonnegative, got {self.se}")
+        if self.se is not None and self.se < 0:
+            raise ValueError(f"se must be nonnegative, got {self.se}")
 
     @property
     def width(self) -> float:
         return self.ci_upper - self.ci_lower
 
-
-def affine_transform(sample: RDSample, a: float, b: float) -> RDSample:
-    """Rescale the running variable: x' = a*x + b, cutoff' = a*c + b.
-
-    The response is untouched.  Sides follow the sharp rule x' >= cutoff':
-    with a > 0 every observation keeps its side; with a < 0 (for mirroring a
-    design) the strict sides swap but a point at the cutoff stays treated,
-    so x = [-1, 0, 1] about 0 maps under a = -1 to below [2], above [0, 1].
-    """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise NonFiniteError("affine coefficients must be finite")
-    if a == 0:
-        raise ZeroScaleError("affine transform requires a != 0")
-    return RDSample(x=a * sample.x + b, y=sample.y, cutoff=a * sample.cutoff + b)

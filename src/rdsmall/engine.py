@@ -2,18 +2,18 @@
 
 ``estimate`` runs the continuity methods (an ik, ak or akm bandwidth with a
 cv, rbc or flci interval) and local randomization (``lr<lr_min>``) on one
-sample.  The shared pieces (nearest-neighbor variances, m_hat, one
-bandwidth per algorithm, and one set of boundary fits per bandwidth, which
-cv, rbc and flci all read) are computed once, only when a requested method
-needs them, and a piece that fails fails every method that needs it, with
-the piece's reason.  Failures are returned, never raised.  Estimators are
-looked up by name at call time, so a wrapper around those names (such as a
-tracer) sees every call.
+sample.  Each method is a straight line of stages.  The shared ones (the
+nearest-neighbor variances, m_hat, one bandwidth per algorithm, and one set
+of boundary fits per bandwidth, which cv, rbc and flci all read) are built
+once per sample, the first time a method needs them.  A stage that fails
+keeps its reason and error and fails every method that needs it, with that
+reason.  Failures are returned, never raised.  Estimators are looked up by
+name at call time, so a wrapper around those names (such as a tracer) sees
+every call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,90 +125,25 @@ class Outcome:
     def ok(self) -> bool:
         return not self.reason
 
-    @property
-    def bw_ok(self) -> bool:
-        return not math.isnan(self.bw)
+
+class _Failed(Exception):
+    """A failed stage or method, as its ``Outcome`` will carry it: the reason
+    tag and the error (None for a bandwidth selector's own reason)."""
+
+    def __init__(self, reason: str, error: RDError | None = None):
+        super().__init__(reason)
+        self.reason = reason
+        self.error = error
 
 
-def _caught(err: RDError, reason: str | None = None, bw: float = _NAN) -> Outcome:
-    # the traceback would keep the failing call's frames, sample included, alive
-    err = err.with_traceback(None)
-    return Outcome(bw=bw, reason=reason or _REASONS.get(type(err), type(err).__name__),
-                   error=err)
-
-
-def _m_hat(sample: RDSample) -> CurvatureBound | Outcome:
-    try:
-        bound = estimate_m_hat(sample)
-    except RDError as err:
-        return _caught(err, "m_hat")
+def _positive(bound: CurvatureBound) -> CurvatureBound:
     if bound.value <= 0:
         # estimate_m_hat snaps the curvature of a response that is linear on
         # each side to exactly 0, for the bounded-curvature methods to reject
-        return _caught(ZeroCurvatureBoundError(
+        raise _Failed("zero_curvature", ZeroCurvatureBoundError(
             "estimated curvature bound m_hat is 0 (the response is linear on each side)"
         ))
     return bound
-
-
-def _bandwidth(alg: str, sample: RDSample, sigma2, bound) -> float | Outcome:
-    """The bandwidth of one algorithm, or the failure that prevents it."""
-    if alg != "ik":
-        if bound is None:
-            return _caught(SpecValidationError(
-                "akm needs a curvature bound (--m-bound / m_bound not given)"
-            ), "no_bound")
-        # m_hat's failure comes first: it is estimated before sigma2 is used
-        for piece in (bound, sigma2):
-            if isinstance(piece, Outcome):
-                return piece
-    try:
-        result = (ik_bandwidth(sample) if alg == "ik"
-                  else ak_bandwidth(sample, bound, sigma2=sigma2))
-    except RDError as err:
-        return _caught(err)
-    return result.h if result.ok else Outcome(reason=result.failure_reason)
-
-
-def _continuity(method: str, sample: RDSample, plan: Plan, sigma2, m_hat,
-                bandwidths: dict, fits: dict) -> Outcome:
-    alg, inf = method.split("/")
-    h = bandwidths[alg]
-    if isinstance(h, Outcome):
-        return h
-    bound = plan.akm_bound if alg == "akm" else m_hat
-    for piece in (sigma2, bound if inf == "flci" else None):
-        if isinstance(piece, Outcome):
-            return Outcome(bw=h, reason=piece.reason, error=piece.error)
-    shared = fits.get(alg)
-    if isinstance(shared, Outcome):
-        return shared
-    try:
-        if shared is None:
-            shared = fits[alg] = BoundaryFits.build(sample, h, sigma2)
-        if inf == "flci":
-            est = flci_interval(shared, bound, plan.alpha)
-        else:
-            est = (cv_interval if inf == "cv" else rbc_interval)(shared, plan.alpha)
-    except RDError as err:
-        failed = _caught(err, bw=h)
-        fits.setdefault(alg, failed)  # a failed degree-1 fit fails every method at h
-        return failed
-    return Outcome(h, est.tau_hat, est.se, est.ci_lower, est.ci_upper)
-
-
-def _local_randomization(sample: RDSample, plan: Plan, rng) -> Outcome:
-    try:
-        window = select_window(sample, plan.lr_min, plan.window)
-    except RDError as err:
-        return _caught(err)
-    try:
-        est = lr_interval(sample, window, alpha=plan.alpha, grid_points=plan.grid_points,
-                          max_exact=plan.max_exact, n_mc=plan.n_mc, rng=rng)
-    except RDError as err:
-        return _caught(err, bw=window.half_width)
-    return Outcome(window.half_width, est.tau_hat, _NAN, est.ci_lower, est.ci_upper,
-                   est.diagnostics["grid_step"])
 
 
 def estimate(sample: RDSample, plan: Plan,
@@ -218,23 +153,71 @@ def estimate(sample: RDSample, plan: Plan,
     ``rng`` drives local randomization's Monte Carlo assignments, used when
     a window is too large to enumerate.
     """
-    algorithms = dict.fromkeys(m.split("/")[0] for m in plan.methods if m in CONTINUITY_METHODS)
-    sigma2 = None
-    if algorithms:
+    built = {}
+
+    def stage(key, build, reason=None):
+        """The piece ``key``, built by ``build()`` on its first need.  A
+        failure is kept as its reason and error, and raised again for every
+        later need."""
+        if key not in built:
+            try:
+                built[key] = build()
+            except _Failed as failed:
+                built[key] = failed.with_traceback(None)
+            except RDError as err:
+                # the traceback would keep the failing call's frames, sample included, alive
+                built[key] = _Failed(reason or _REASONS.get(type(err), type(err).__name__),
+                                     err.with_traceback(None))
+        piece = built[key]
+        if isinstance(piece, _Failed):
+            raise _Failed(piece.reason, piece.error)  # a new one, so none keeps a traceback
+        return piece
+
+    def sigma2():
+        return stage("nn_variance", lambda: nn_variance(sample), "nn_variance")
+
+    def bound(alg):
+        """akm's bound, else ``plan.m_bound``, else m_hat."""
+        if alg == "akm":
+            if plan.akm_bound is None:
+                raise _Failed("no_bound", SpecValidationError(
+                    "akm needs a curvature bound (--m-bound / m_bound not given)"
+                ))
+            return plan.akm_bound
+        if plan.m_bound is not None:
+            return plan.m_bound
+        return stage("m_hat", lambda: _positive(estimate_m_hat(sample)), "m_hat")
+
+    def bandwidth(alg):
+        # ak and akm read their bound before sigma2
+        result = (ik_bandwidth(sample) if alg == "ik"
+                  else ak_bandwidth(sample, bound(alg), sigma2=sigma2()))
+        if not result.ok:
+            raise _Failed(result.failure_reason)
+        return result.h
+
+    outcomes = {}
+    for method in plan.methods:
+        bw = _NAN
         try:
-            sigma2 = nn_variance(sample)
-        except RDError as err:
-            sigma2 = _caught(err, "nn_variance")
-    m_hat = plan.m_bound
-    if m_hat is None and ("ak" in algorithms or "ik/flci" in plan.methods):
-        m_hat = _m_hat(sample)
-    bandwidths = {
-        alg: _bandwidth(alg, sample, sigma2, plan.akm_bound if alg == "akm" else m_hat)
-        for alg in algorithms
-    }
-    fits = {}
-    return {
-        method: _continuity(method, sample, plan, sigma2, m_hat, bandwidths, fits)
-        if method in CONTINUITY_METHODS else _local_randomization(sample, plan, rng)
-        for method in plan.methods
-    }
+            if method in CONTINUITY_METHODS:
+                alg, inf = method.split("/")
+                bw = stage(("bandwidth", alg), lambda: bandwidth(alg))
+                variances = sigma2()
+                m = bound(alg) if inf == "flci" else None
+                fits = stage(("fits", alg), lambda: BoundaryFits.build(sample, bw, variances))
+                est = stage(method, lambda: flci_interval(fits, m, plan.alpha) if inf == "flci"
+                            else (cv_interval if inf == "cv" else rbc_interval)(fits, plan.alpha))
+            else:
+                window = stage("window", lambda: select_window(sample, plan.lr_min, plan.window))
+                bw = window.half_width
+                est = stage(method, lambda: lr_interval(
+                    sample, window, alpha=plan.alpha, grid_points=plan.grid_points,
+                    max_exact=plan.max_exact, n_mc=plan.n_mc, rng=rng))
+        except _Failed as failed:
+            outcomes[method] = Outcome(bw=bw, reason=failed.reason, error=failed.error)
+        else:
+            outcomes[method] = Outcome(bw, est.tau_hat, _NAN if est.se is None else est.se,
+                                       est.ci_lower, est.ci_upper,
+                                       est.diagnostics.get("grid_step", _NAN))
+    return outcomes

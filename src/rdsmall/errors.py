@@ -20,10 +20,6 @@ class LengthMismatchError(RDError):
     """Paired vectors have different lengths (or the sample is empty)."""
 
 
-class ZeroScaleError(RDError):
-    """Affine transform with scale factor a = 0."""
-
-
 class InsufficientDataError(RDError):
     """Too few (or rank-deficient) observations for the requested fit.
 

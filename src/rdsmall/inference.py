@@ -2,7 +2,7 @@
 
 Three procedures, all read off one ``BoundaryFits``: a sample's degree-1
 fits at one bandwidth and its nearest-neighbor variances (rbc adds degree-2
-bias fits, computed on its first use):
+bias fits):
 
 * conventional (cv): center +- z_{alpha/2} * SE
 * robust bias-corrected (rbc): center shifted by an estimated bias, SE
@@ -17,7 +17,7 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -70,9 +70,9 @@ class BoundaryFits:
     """The degree-1 fits of one sample at one bandwidth, shared by cv, rbc and flci.
 
     Holds both sides' fits, tau_hat, the combined weights (above minus
-    below), the conventional SE and the sigma2 it used.  The degree-2 bias
-    fits of rbc are computed on the first call of ``bias_fits`` and kept,
-    a failure included, so that a caller without rbc never fits quadratics.
+    below), the conventional SE and the sigma2 it used.  rbc makes its
+    degree-2 bias fits with ``bias_fits``, which keeps nothing, so a caller
+    without rbc never fits quadratics.
     """
 
     sample: RDSample
@@ -83,7 +83,6 @@ class BoundaryFits:
     combined_weights: np.ndarray
     se: float
     sigma2: np.ndarray
-    _bias: list = field(default_factory=list, init=False, repr=False)
 
     @classmethod
     def build(cls, sample: RDSample, h: float, sigma2: np.ndarray) -> BoundaryFits:
@@ -107,24 +106,18 @@ class BoundaryFits:
         infeasible there, grows geometrically until both sides fit (so b = h
         in the common case).  Raises InsufficientDataError once the window
         has absorbed the whole sample without becoming feasible, i.e. a side
-        genuinely lacks three usable points.  Returns (below, above, b), or
-        raises, the same on every call.
+        genuinely lacks three usable points.  Returns (below, above, b).
         """
-        if not self._bias:
-            reach = 1.01 * float(np.abs(self.sample.x - self.sample.cutoff).max())
-            b = self.h
-            while not self._bias:
-                try:
-                    quad_below = local_poly_fit(self.sample, "below", 2, b)
-                    quad_above = local_poly_fit(self.sample, "above", 2, b)
-                    self._bias.append((quad_below, quad_above, b))
-                except InsufficientDataError as err:
-                    if b > reach:
-                        self._bias.append(err)
-                    b *= 1.25
-        if isinstance(self._bias[0], InsufficientDataError):
-            raise self._bias[0]
-        return self._bias[0]
+        reach = 1.01 * float(np.abs(self.sample.x - self.sample.cutoff).max())
+        b = self.h
+        while True:
+            try:
+                return (local_poly_fit(self.sample, "below", 2, b),
+                        local_poly_fit(self.sample, "above", 2, b), b)
+            except InsufficientDataError:
+                if b > reach:
+                    raise
+            b *= 1.25
 
 
 def cv_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:

@@ -11,6 +11,7 @@ of those mutually consistent by construction.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     BadBandwidthError,
     InsufficientDataError,
     LengthMismatchError,
+    NonFiniteError,
 )
 
 # Relative tolerance on the R factor's diagonal when deciding rank: a fit on
@@ -221,6 +223,8 @@ def se_of_linear_functional(weights: np.ndarray, sigma2: np.ndarray) -> float:
     Applied to combined weights (above minus below) this is the conventional
     SE of the LATE estimate; applied to bias-corrected weights it is the
     robust SE, which is how the variance-correction term is realized.
+    Raises NonFiniteError when the SE overflows (responses near 1e154 and
+    up square past the float range).
     """
     weights = np.asarray(weights, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
@@ -228,4 +232,7 @@ def se_of_linear_functional(weights: np.ndarray, sigma2: np.ndarray) -> float:
         raise LengthMismatchError(
             f"weights ({weights.shape}) and variances ({sigma2.shape}) differ"
         )
-    return float(np.sqrt(np.sum(weights**2 * sigma2)))
+    se = float(np.sqrt(np.sum(weights**2 * sigma2)))
+    if not math.isfinite(se):
+        raise NonFiniteError(f"standard error is not finite ({se})")
+    return se

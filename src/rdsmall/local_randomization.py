@@ -50,14 +50,6 @@ class LRWindow:
     indices_below: np.ndarray
     indices_above: np.ndarray
 
-    @property
-    def n_below(self) -> int:
-        return self.indices_below.size
-
-    @property
-    def n_above(self) -> int:
-        return self.indices_above.size
-
 
 @dataclass(frozen=True)
 class PermutationResult:
@@ -325,6 +317,8 @@ def lr_interval(
         The window holds one observation per side, so the pooled sd that
         scales the grid has no degrees of freedom; or y is constant within
         each side and the test rejects no effect at level alpha.
+    NonFiniteError
+        The pooled variance overflows (responses near 1e154 and up).
     """
     if grid_points < 3 or grid_points % 2 == 0:
         # an even grid has no point at the estimate, so it may accept none
@@ -348,6 +342,8 @@ def lr_interval(
         ((y_control - y_control.mean()) ** 2).sum()
         + ((y_treated - y_treated.mean()) ** 2).sum()
     ) / dof
+    if not math.isfinite(pooled_var):
+        raise NonFiniteError(f"pooled variance of the window's y is not finite ({pooled_var})")
     pooled_sd = math.sqrt(pooled_var)
 
     y_window = np.concatenate([y_control, y_treated])

@@ -408,8 +408,8 @@ def _aggregate(cell: CellSpec, n: int, true_m: float,
 
     per_method = {}
     for m in methods:
-        bw_ok = np.array([row[m].bw_ok for row in rows])
         bw = np.array([row[m].bw for row in rows])
+        bw_ok = ~np.isnan(bw)
         tau = np.array([row[m].tau for row in rows])
         lo = np.array([row[m].lo for row in rows])
         hi = np.array([row[m].hi for row in rows])

@@ -6,7 +6,8 @@ force double loops for neighbor variances, direct summation for standard
 errors.  Library routines are tested against these, never against
 themselves.  ``sigma2_of`` and ``fits_at`` are not oracles: they build the
 shared inputs that the interval and bandwidth routines take, as the
-estimation engine does.
+estimation engine does.  ``affine_transform`` moves a sample's scores for
+the invariance tests.
 """
 
 import numpy as np
@@ -16,6 +17,19 @@ from hypothesis import strategies as st
 from rdsmall.core import RDSample
 from rdsmall.inference import BoundaryFits
 from rdsmall.local_poly import nn_variance
+
+
+def affine_transform(sample, a, b):
+    """Rescale the running variable: x' = a*x + b, cutoff' = a*c + b.
+
+    The response is untouched.  Sides follow the sharp rule x' >= cutoff':
+    with a > 0 every observation keeps its side; with a < 0 (for mirroring a
+    design) the strict sides swap but a point at the cutoff stays treated,
+    so x = [-1, 0, 1] about 0 maps under a = -1 to below [2], above [0, 1].
+    """
+    if a == 0:
+        raise ValueError("affine transform requires a != 0")
+    return RDSample(x=a * sample.x + b, y=sample.y, cutoff=a * sample.cutoff + b)
 
 
 def kernel_weight_plain(name, u):

@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fits_at, make_noisy_sample, wls_intercept_oracle
+from conftest import affine_transform, fits_at, make_noisy_sample, wls_intercept_oracle
 from rdsmall.bandwidth import CurvatureBound, silverman_rot_population
-from rdsmall.core import RDSample, affine_transform
+from rdsmall.core import RDSample
 from rdsmall.diss import (
     BetaSpec,
     beta_sigma_star,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import make_noisy_sample, sigma2_of
+from conftest import affine_transform, make_noisy_sample, sigma2_of
 from rdsmall.bandwidth import (
     _IK_KERNEL_CONSTANT,
     CurvatureBound,
@@ -16,7 +16,7 @@ from rdsmall.bandwidth import (
     silverman_rot,
     silverman_rot_population,
 )
-from rdsmall.core import RDSample, affine_transform
+from rdsmall.core import RDSample
 from rdsmall.errors import (
     DegenerateSampleError,
     InsufficientDataError,

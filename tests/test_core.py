@@ -3,12 +3,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rdsmall.core import RDSample, affine_transform
-from rdsmall.errors import (
-    LengthMismatchError,
-    NonFiniteError,
-    ZeroScaleError,
-)
+from conftest import affine_transform
+from rdsmall.core import EffectEstimate, RDSample
+from rdsmall.errors import LengthMismatchError, NonFiniteError
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -85,6 +82,16 @@ def test_length_mismatch_or_empty_is_rejected(nx, ny, value):
         RDSample(x=np.full(nx, value), y=np.full(ny, value), cutoff=value)
 
 
+@pytest.mark.parametrize("field", ["tau_hat", "se", "ci_lower", "ci_upper"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nonfinite_estimate_is_a_nonfinite_error(field, bad):
+    # an overflowed estimate is a counted failure of the data, not a crash
+    values = {"tau_hat": 1.0, "se": 0.5, "ci_lower": 0.0, "ci_upper": 2.0, field: bad}
+    with pytest.raises(NonFiniteError):
+        EffectEstimate(alpha=0.05, bandwidth_or_window=1.0, **values)
+    EffectEstimate(alpha=0.05, bandwidth_or_window=1.0, **{**values, field: 1.0, "se": None})
+
+
 def test_affine_transform_beta_to_unit_interval():
     sample = RDSample(x=[0.0, 0.5, 1.0], y=[1, 2, 3], cutoff=0.5)
     out = affine_transform(sample, 2.0, -1.0)
@@ -98,7 +105,7 @@ def test_affine_transform_identity_and_zero_scale():
     out = affine_transform(sample, 1.0, 0.0)
     np.testing.assert_array_equal(out.x, sample.x)
     assert out.cutoff == sample.cutoff
-    with pytest.raises(ZeroScaleError):
+    with pytest.raises(ValueError, match="a != 0"):
         affine_transform(sample, 0.0, 1.0)
 
 

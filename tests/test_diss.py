@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import affine_transform
 from rdsmall.bandwidth import silverman_rot
-from rdsmall.core import RDSample, affine_transform
+from rdsmall.core import RDSample
 from rdsmall.diss import (
     REFERENCE_STUDY_SIZES,
     BetaSpec,

@@ -206,6 +206,11 @@ ALL_METHODS = CONTINUITY_METHODS + ("lr",)
                             -5.33502188e-204, -3.20499698e-210, -1.95661187e-217],
                          y=[1.0] * 13, cutoff=0),
          window="strict", m_bound=None, akm_bound=None, lr_min=1, alpha=0.05)
+# responses near 1e200 (the 10-row CSV of the CLI test): the squares in the
+# SEs and in lr's pooled variance overflowed and escaped as a ValueError
+@example(sample=RDSample(x=[-5, -4, -3, -2, -1, 1, 2, 3, 4, 5],
+                         y=np.array([3, -1, 2, -3, 1, 2, -2, 4, -1, 3]) * 1e200, cutoff=0),
+         window="strict", m_bound=2.0, akm_bound=2.0, lr_min=5, alpha=0.05)
 def test_one_outcome_per_method_and_nothing_escapes(sample, window, m_bound, akm_bound,
                                                     lr_min, alpha):
     def bound(value):
@@ -223,6 +228,8 @@ def test_one_outcome_per_method_and_nothing_escapes(sample, window, m_bound, akm
             assert all(math.isfinite(v) for v in (out.tau, out.lo, out.hi)), method
         else:
             assert out.reason and math.isnan(out.tau), method
+            # a kept traceback would keep the failing call's frames alive
+            assert out.error is None or out.error.__traceback__ is None, method
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +312,20 @@ def test_each_fit_is_made_once_per_bandwidth(monkeypatch):
     variances.clear()
     out = _estimate(sample, CONTINUITY_METHODS, akm_bound=2.0)
     assert all(o.ok for o in out.values())
+    assert variances == {id(sample): 1}
+
+
+def test_a_failed_stage_builds_nothing_it_does_not_need(monkeypatch):
+    # y constant: ik fails on its pilot variance and m_hat snaps to 0, and
+    # neither reads the nearest-neighbor variances
+    x = np.linspace(-1.0, 1.0, 40)
+    sample = RDSample(x=x, y=np.ones(40), cutoff=0.0)
+    variances = _count_calls(monkeypatch, nn_variance, lambda sample: id(sample))
+    assert _estimate(sample, ("ik/cv",))["ik/cv"].reason == "pilot_variance_zero"
+    assert _estimate(sample, ("ak/cv",))["ak/cv"].reason == "zero_curvature"
+    assert not variances
+    # a method that gets to its fits reads them
+    assert _estimate(sample, ("ak/cv",), m_bound=2.0)["ak/cv"].bw > 0
     assert variances == {id(sample): 1}
 
 

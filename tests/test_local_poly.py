@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from conftest import nn_variance_oracle, small_samples, wls_intercept_oracle
-from rdsmall.core import RDSample, affine_transform
+from conftest import affine_transform, nn_variance_oracle, small_samples, wls_intercept_oracle
+from rdsmall.core import RDSample
 from rdsmall.errors import (
     BadBandwidthError,
     InsufficientDataError,

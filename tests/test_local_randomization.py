@@ -151,7 +151,7 @@ class TestSelectWindow:
                                min_per_side=2)
         # below's 2nd order stat is 0.2, above's is 0.5; the max binds
         assert window.half_width == 0.5
-        assert window.n_below == 2 and window.n_above == 2
+        assert window.indices_below.size == 2 and window.indices_above.size == 2
 
     def test_insufficient_side(self):
         with pytest.raises(InsufficientDataError):
@@ -165,7 +165,7 @@ class TestSelectWindow:
         # above side's third order statistic sets the half-width
         window = select_window(sample, min_per_side=3, policy="capped")
         assert window.half_width == 0.6
-        assert window.n_below == 2 and window.n_above == 3
+        assert window.indices_below.size == 2 and window.indices_above.size == 3
 
     @pytest.mark.parametrize("policy", ["strict", "capped"])
     def test_empty_side(self, policy):
@@ -301,7 +301,7 @@ class TestLRInterval:
         # rather than a zero-width one
         sample = _sample([-0.5, -0.1, 0.1, 0.5], [0.0, 1.0, 2.0, 3.0])
         window = select_window(sample, min_per_side=1)
-        assert window.n_below == window.n_above == 1
+        assert window.indices_below.size == window.indices_above.size == 1
         with pytest.raises(InsufficientDataError, match="degrees of freedom"):
             lr_interval(sample, window)
 
