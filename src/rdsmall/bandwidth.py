@@ -13,7 +13,8 @@ Three selectors:
 
 Selectors return a ``BandwidthResult`` rather than raising on data-dependent
 failure: a pilot stage that cannot run is an outcome the Monte Carlo harness
-counts, not an exception.
+counts, not an exception.  Responses whose squares overflow raise
+``NonFiniteError``, which the engine counts the same way.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ def _pilot_stage(sample: RDSample):
     """First pilot stage: density and per-side response variances at the cutoff.
 
     Returns (f_hat, s2_below, s2_above) or a failure reason string in place
-    of the tuple.  Both sides must be nonempty, so n >= 2.
+    of the tuple, and raises NonFiniteError when a variance overflows.  Both
+    sides must be nonempty, so n >= 2.
     """
     x, y, c = sample.x, sample.y, sample.cutoff
     s_star = _sample_spread(x)
@@ -144,7 +146,10 @@ def _pilot_stage(sample: RDSample):
     if n1m < 2 or n1p < 2:
         return "pilot_variance"
     f_hat = (n1m + n1p) / (2.0 * x.size * h1)
-    s2m, s2p = _variance(y[below]), _variance(y[above])
+    with np.errstate(over="ignore"):  # raised as NonFiniteError below
+        s2m, s2p = _variance(y[below]), _variance(y[above])
+    if not np.isfinite(s2m + s2p):
+        raise NonFiniteError("pilot variance of y is not finite (y near 1e154 and up)")
     if s2m + s2p <= 0:
         return "pilot_variance_zero"
     return f_hat, s2m, s2p
@@ -164,7 +169,8 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
 
     which has the n^(-1/5) rate and is exactly scale equivariant while the
     curvature-window floor is not binding.  Any infeasible stage returns a
-    ``BandwidthResult`` failure with a stage-specific reason.
+    ``BandwidthResult`` failure with a stage-specific reason; pilot variances
+    that overflow (y near 1e154 and up) raise ``NonFiniteError``.
     """
     if sample.empty_side is not None:
         return BandwidthResult(None, "empty_side")
@@ -347,6 +353,8 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
     ------
     InsufficientDataError
         A side has fewer than 5 points or fewer than 5 distinct scores.
+    NonFiniteError
+        A side's response standard deviation overflows (y near 1e154 and up).
     """
     worst = 0.0
     for name, idx in (("below", sample.below), ("above", sample.above)):
@@ -375,10 +383,14 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
             abs(2 * a2 + 6 * a3 * tc + 12 * a4 * tc**2) / scale**2
             for tc in candidates
         )
+        with np.errstate(over="ignore"):  # raised as NonFiniteError below
+            y_sd = float(np.std(ys))
+        if not np.isfinite(y_sd):
+            raise NonFiniteError(f"standard deviation of y on side {name} is not finite")
         # exactly polynomial-of-degree-<=1 responses leave only least-squares
         # roundoff in the curvature coefficients; snap that to a true zero so
         # downstream rejects it explicitly instead of fitting to noise
-        y_scale = max(float(np.std(ys)), np.finfo(float).tiny)
+        y_scale = max(y_sd, np.finfo(float).tiny)
         if side_worst < 1e-8 * y_scale / scale**2 or not np.ptp(ys):
             side_worst = 0.0
         worst = max(worst, side_worst)

@@ -28,13 +28,7 @@ from .errors import (
 )
 from .inference import BoundaryFits, cv_interval, flci_interval, rbc_interval
 from .local_poly import nn_variance
-from .local_randomization import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_MAX_EXACT,
-    DEFAULT_N_MC,
-    lr_interval,
-    select_window,
-)
+from .local_randomization import lr_interval, select_window
 
 CONTINUITY_METHODS = tuple(
     f"{alg}/{inf}" for alg in ("ik", "ak", "akm") for inf in ("cv", "rbc", "flci")
@@ -80,7 +74,7 @@ class Plan:
     policy (analyze ``"strict"``, the harness ``"capped"``); ``m_bound``
     replaces m_hat for ik/flci and ak/* (analyze's ``--m-bound``; None
     estimates m_hat); ``akm_bound`` is the bound of akm/* (``--m-bound``, or
-    the design's bound; None fails them).
+    the design's bound; None fails them).  lr uses ``lr_interval``'s defaults.
     """
 
     methods: tuple[str, ...]
@@ -89,15 +83,10 @@ class Plan:
     window: str
     m_bound: CurvatureBound | None = None
     akm_bound: CurvatureBound | None = None
-    max_exact: int = DEFAULT_MAX_EXACT
-    n_mc: int = DEFAULT_N_MC
-    grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise SpecValidationError(f"alpha: in (0, 1) required, got {self.alpha!r}")
-        if self.grid_points < 3 or self.grid_points % 2 == 0:
-            raise SpecValidationError(f"grid_points: odd >= 3 required, got {self.grid_points!r}")
         object.__setattr__(self, "methods", parse_methods(self.methods, self.lr_min))
 
 
@@ -211,9 +200,7 @@ def estimate(sample: RDSample, plan: Plan,
             else:
                 window = stage("window", lambda: select_window(sample, plan.lr_min, plan.window))
                 bw = window.half_width
-                est = stage(method, lambda: lr_interval(
-                    sample, window, alpha=plan.alpha, grid_points=plan.grid_points,
-                    max_exact=plan.max_exact, n_mc=plan.n_mc, rng=rng))
+                est = stage(method, lambda: lr_interval(sample, window, plan.alpha, rng=rng))
         except _Failed as failed:
             outcomes[method] = Outcome(bw=bw, reason=failed.reason, error=failed.error)
         else:

@@ -184,10 +184,12 @@ def nn_variance(sample: RDSample, j: int = 3) -> np.ndarray:
     ------
     InsufficientDataError
         A side has fewer than j+1 observations.
+    NonFiniteError
+        A variance overflows (responses near 1e154 and up).
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    sigma2 = np.zeros(sample.n)
+    resid = np.zeros(sample.n)
     for name, idx in (("below", sample.below), ("above", sample.above)):
         s = idx.size
         if s <= j:
@@ -209,11 +211,15 @@ def nn_variance(sample: RDSample, j: int = 3) -> np.ndarray:
         tie_rank = np.where(valid, io[pos_c], np.iinfo(np.int64).max)
         take = np.lexsort((tie_rank, dist), axis=1)[:, :j]
         nb = yo[pos_c[np.arange(s)[:, None], take]]
-        resid = yo - nb.mean(axis=1)
+        side_resid = yo - nb.mean(axis=1)
         # the mean of equal values can round away from them: a point whose
         # neighbors all share its response has no residual
-        resid[(nb == yo[:, None]).all(axis=1)] = 0.0
-        sigma2[io] = (j / (j + 1.0)) * resid**2
+        side_resid[(nb == yo[:, None]).all(axis=1)] = 0.0
+        resid[io] = side_resid
+    with np.errstate(over="ignore"):  # raised as NonFiniteError below
+        sigma2 = (j / (j + 1.0)) * resid**2
+    if not np.isfinite(sigma2).all():
+        raise NonFiniteError("nearest-neighbor variance is not finite (y near 1e154 and up)")
     return sigma2
 
 

@@ -33,6 +33,7 @@ from .errors import EmptyWindowSideError, InsufficientDataError, NonFiniteError
 
 DEFAULT_MAX_EXACT = 20_000
 DEFAULT_N_MC = 999
+# odd, so that the middle grid point sits at the estimate
 DEFAULT_GRID_POINTS = 401
 DEFAULT_GRID_SPAN_SDS = 6.0
 WINDOW_POLICIES = ("strict", "capped")
@@ -293,7 +294,6 @@ def lr_interval(
     window: LRWindow,
     alpha: float = 0.05,
     *,
-    grid_points: int = DEFAULT_GRID_POINTS,
     max_exact: int = DEFAULT_MAX_EXACT,
     n_mc: int = DEFAULT_N_MC,
     rng: np.random.Generator | int | None = None,
@@ -301,15 +301,16 @@ def lr_interval(
     """Constant-effect point estimate and interval by test inversion.
 
     The point estimate is the window difference in means.  The interval is
-    the hull of grid values tau0 with p(tau0) > alpha, on a grid centered at
-    the point estimate spanning +- DEFAULT_GRID_SPAN_SDS pooled within-group
-    standard deviations.  When the pooled sd is zero (to within roundoff of
-    the responses' scale) the test rejects every effect other than the
-    point or none of them, so the interval is the point or the call raises.
-    A disconnected acceptance region gives its hull.  ``diagnostics`` holds
-    the assignment ``mode`` and ``n_assignments``, the ``grid_step``, and
-    ``grid_clipped``: the accepted set reaches the first or last grid point,
-    so the interval is cut off by the grid, not by the test.
+    the hull of grid values tau0 with p(tau0) > alpha, on a grid of
+    DEFAULT_GRID_POINTS values centered at the point estimate spanning +-
+    DEFAULT_GRID_SPAN_SDS pooled within-group standard deviations.  When the
+    pooled sd is zero (to within roundoff of the responses' scale) the test
+    rejects every effect other than the point or none of them, so the
+    interval is the point or the call raises.  A disconnected acceptance
+    region gives its hull.  ``diagnostics`` holds the assignment ``mode``
+    and ``n_assignments``, the ``grid_step``, and ``grid_clipped``: the
+    accepted set reaches the first or last grid point, so the interval is
+    cut off by the grid, not by the test.
 
     Raises
     ------
@@ -320,9 +321,6 @@ def lr_interval(
     NonFiniteError
         The pooled variance overflows (responses near 1e154 and up).
     """
-    if grid_points < 3 or grid_points % 2 == 0:
-        # an even grid has no point at the estimate, so it may accept none
-        raise ValueError(f"grid_points: odd >= 3 required, got {grid_points!r}")
     y_control = sample.y[window.indices_below]
     y_treated = sample.y[window.indices_above]
     if y_control.size == 0 or y_treated.size == 0:
@@ -338,10 +336,11 @@ def lr_interval(
             "window holds one observation per side: the pooled standard "
             "deviation that scales the inversion grid has 0 degrees of freedom"
         )
-    pooled_var = (
-        ((y_control - y_control.mean()) ** 2).sum()
-        + ((y_treated - y_treated.mean()) ** 2).sum()
-    ) / dof
+    with np.errstate(over="ignore"):  # raised as NonFiniteError below
+        pooled_var = (
+            ((y_control - y_control.mean()) ** 2).sum()
+            + ((y_treated - y_treated.mean()) ** 2).sum()
+        ) / dof
     if not math.isfinite(pooled_var):
         raise NonFiniteError(f"pooled variance of the window's y is not finite ({pooled_var})")
     pooled_sd = math.sqrt(pooled_var)
@@ -363,11 +362,11 @@ def lr_interval(
         grid, accepted = np.array([point]), np.array([0])
     else:
         span = DEFAULT_GRID_SPAN_SDS * pooled_sd
-        grid = np.linspace(point - span, point + span, grid_points)
+        grid = np.linspace(point - span, point + span, DEFAULT_GRID_POINTS)
         # The center always survives: at tau0 = point the observed statistic
         # is zero, the least extreme value, so p = 1.  linspace can miss the
         # point by roundoff, and a coarse grid may accept the center alone.
-        grid[grid_points // 2] = point
+        grid[DEFAULT_GRID_POINTS // 2] = point
         accepted = np.flatnonzero(_p_values(u, bounds, v, grid) > alpha)
     lo = float(grid[accepted[0]])
     hi = float(grid[accepted[-1]])

@@ -34,11 +34,6 @@ from .core import RDSample
 from .diss import BetaSpec, beta_quantile, beta_sigma_star, n_for_target_diss
 from .engine import Outcome, Plan, estimate, parse_methods
 from .errors import OutOfSupportError, SpecValidationError
-from .local_randomization import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_MAX_EXACT,
-    DEFAULT_N_MC,
-)
 
 NOISE_SD = 0.1295
 TRUE_TAU = 0.1
@@ -235,9 +230,6 @@ _FIELD_RULES = {
     "lr_min": (int, lambda v: v >= 1, ">= 1 required"),
     "m_bound": (float, lambda v: v > 0, "> 0 required"),
     "workers": (int, lambda v: v >= 1, ">= 1 required"),
-    "max_exact": (int, lambda v: v >= 1, ">= 1 required"),
-    "n_mc": (int, lambda v: v >= 1, ">= 1 required"),
-    "grid_points": (int, lambda v: v >= 3 and v % 2, "odd >= 3 required"),
 }
 _OPTIONAL_FIELDS = ("m_bar", "n", "m_bound")
 
@@ -258,6 +250,7 @@ class CellSpec:
     SpecValidationError that names the field, and parses ``methods`` with
     ``engine.parse_methods``, so it holds canonical ids.  ``m_bound``
     replaces the design's curvature bound as the bound of the akm/* methods.
+    Local randomization always runs with ``lr_interval``'s defaults.
     """
 
     rv: str
@@ -271,9 +264,6 @@ class CellSpec:
     lr_min: int = 5
     m_bound: float | None = None
     workers: int = 1
-    max_exact: int = DEFAULT_MAX_EXACT
-    n_mc: int = DEFAULT_N_MC
-    grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
         for key, (type_, check, desc) in _FIELD_RULES.items():
@@ -485,8 +475,7 @@ def run_cell(cell: CellSpec) -> CellResult:
     )
     plan = Plan(
         methods=cell.methods, alpha=cell.alpha, lr_min=cell.lr_min, window="capped",
-        akm_bound=CurvatureBound(true_m), max_exact=cell.max_exact,
-        n_mc=cell.n_mc, grid_points=cell.grid_points,
+        akm_bound=CurvatureBound(true_m),
     )
     r = cell.replications
     if cell.workers <= 1 or r < 2 * cell.workers:

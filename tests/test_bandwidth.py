@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import affine_transform, make_noisy_sample, sigma2_of
+from conftest import affine_transform, make_noisy_sample, overflowing_sample, sigma2_of
 from rdsmall.bandwidth import (
     _IK_KERNEL_CONSTANT,
     CurvatureBound,
@@ -20,6 +20,7 @@ from rdsmall.core import RDSample
 from rdsmall.errors import (
     DegenerateSampleError,
     InsufficientDataError,
+    NonFiniteError,
     ZeroCurvatureBoundError,
 )
 from rdsmall.local_poly import Kernel, local_poly_fit, nn_variance
@@ -129,6 +130,14 @@ class TestIKBandwidth:
         res = ik_bandwidth(tiny)
         assert not res.ok  # no points inside the pilot window
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_overflowing_pilot_variance_is_a_nonfinite_error(self, side):
+        # an inf variance used to size an inf curvature window, which then
+        # failed as pilot_curvature_<side>
+        with pytest.raises(NonFiniteError, match="pilot variance"):
+            ik_bandwidth(overflowing_sample([side]))
+
 
 class TestAKBandwidth:
     def test_zero_bound_rejected(self):
@@ -200,6 +209,14 @@ class TestEstimateMHat:
                           y=np.zeros(9), cutoff=0.0)
         with pytest.raises(InsufficientDataError):
             estimate_m_hat(sample)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_overflowing_response_is_a_nonfinite_error(self, side):
+        # np.std(y) overflowed to inf, which made the snap-to-zero threshold
+        # inf: that side's curvature read 0, as if y were linear there
+        with pytest.raises(NonFiniteError, match=f"on side {side} is not finite"):
+            estimate_m_hat(overflowing_sample([side]))
 
     def test_median_matches_benchmark_order_of_magnitude(self):
         # quintic design at n=194: benchmark median data-driven bound is 210

@@ -305,25 +305,28 @@ class TestAnalyzeCommand:
         assert not row["success"]
         assert "InsufficientData" in row["reason"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_responses_are_failure_rows(self, tmp_path, capsys):
         # finite responses whose squares overflow: the SEs and lr's pooled
-        # variance are inf or NaN, which used to escape as a ValueError
+        # variance are inf or NaN, which used to escape as a ValueError; each
+        # overflow is a NonFiniteError row, and none prints a numpy warning
         y = [3, -1, 2, -3, 1, 2, -2, 4, -1, 3]
         x = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
         path = tmp_path / "huge.csv"
         _write_csv(path, [f"{xi},{yi}e200" for xi, yi in zip(x, y)])
         methods = "ik/cv,ik/rbc,ik/flci,ak/cv,ak/rbc,ak/flci,akm/cv,akm/rbc,akm/flci,lr"
         for bound in ([], ["--m-bound", "2.0"]):
-            code, out, _ = _run(capsys, [
+            code, out, err = _run(capsys, [
                 "analyze", "--input", str(path), "--x-col", "x", "--y-col", "y",
                 "--cutoff", "0", "--methods", methods, *bound,
             ])
-            assert code == 0
+            assert code == 0 and err == ""
             rows = {row["method"]: row for row in json.loads(out)["results"]}
             assert all(not row["success"] and row["reason"] for row in rows.values())
-            assert rows["lr5"]["reason"].startswith("NonFiniteError: ")
-        assert rows["akm/flci"]["reason"].startswith("NonFiniteError: ")
+            # akm/* without a bound fail for the missing bound
+            overflowed = [m for m in rows if bound or not m.startswith("akm/")]
+            assert all(rows[m]["reason"].startswith("NonFiniteError: ") for m in overflowed)
+        assert all(rows[m]["bandwidth_or_window"] is None for m in rows if m != "lr5")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("methods", [[], ["--methods", "ik/flci,ak/rbc,akm/cv,lr",

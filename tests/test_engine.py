@@ -8,13 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_samples
+from conftest import overflowing_sample, small_samples
 import rdsmall.simulation
 from rdsmall.bandwidth import CurvatureBound, _grid_objective, estimate_m_hat
 from rdsmall.cli import main
 from rdsmall.core import RDSample
 from rdsmall.engine import CONTINUITY_METHODS, Outcome, Plan, estimate
-from rdsmall.errors import SpecValidationError
+from rdsmall.errors import NonFiniteError, SpecValidationError
 from rdsmall.local_poly import Kernel, local_poly_fit, nn_variance
 from rdsmall.simulation import (
     MU_FUNCTIONS,
@@ -107,27 +107,6 @@ def test_analyze_rejects_out_of_range_settings(argv, tmp_path, capsys):
     assert code == 2 and "required" in err
 
 
-@pytest.mark.parametrize("grid_points", [1, 2, 4, 6])
-def test_grid_without_a_center_rejected_by_every_entry_point(grid_points, tmp_path, capsys):
-    # an even grid has no point at the estimate, and a 1-point grid no step;
-    # the m_bar 57 spec with 4 or 6 points used to die in lr_interval with
-    # an IndexError
-    message = rf"grid_points: odd >= 3 required, got {grid_points}$"
-    with pytest.raises(SpecValidationError, match=message):
-        Plan(methods=("lr",), alpha=0.05, lr_min=5, window="capped", grid_points=grid_points)
-    with pytest.raises(SpecValidationError, match=message):
-        run_cell(CellSpec(rv="rv2", mu="mu2", n=40, replications=1, methods=("lr",),
-                          grid_points=grid_points))
-    spec = {"rv": "rv2", "mu": "mu2", "m_bar": 57, "grid_points": grid_points,
-            "methods": ["lr"], "lr_min": 20}
-    with pytest.raises(SpecValidationError, match=message):
-        validate_cell_spec(spec)
-    path = tmp_path / "cell.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"error: grid_points: odd >= 3 required, got {grid_points}\n"
-
-
 def test_negative_seed_rejected_by_both_front_ends(tmp_path, capsys):
     code, _, err = _analyze(capsys, _noisy_csv(tmp_path), "--seed", "-1")
     assert (code, err) == (2, "error: seed: >= 0 required, got -1\n")
@@ -217,7 +196,7 @@ def test_one_outcome_per_method_and_nothing_escapes(sample, window, m_bound, akm
         return None if value is None else CurvatureBound(value)
 
     plan = Plan(methods=ALL_METHODS, alpha=alpha, lr_min=lr_min, window=window,
-                m_bound=bound(m_bound), akm_bound=bound(akm_bound), n_mc=99)
+                m_bound=bound(m_bound), akm_bound=bound(akm_bound))
     outcomes = estimate(sample, plan, np.random.default_rng(0))
     assert list(outcomes) == list(plan.methods)
     for method, out in outcomes.items():
@@ -230,6 +209,28 @@ def test_one_outcome_per_method_and_nothing_escapes(sample, window, m_bound, akm
             assert out.reason and math.isnan(out.tau), method
             # a kept traceback would keep the failing call's frames alive
             assert out.error is None or out.error.__traceback__ is None, method
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m_bound", [None, 2.0])
+def test_overflowing_responses_fail_where_they_overflow(m_bound):
+    # m_hat used to snap to 0 (ak/*: zero_curvature, "linear on each side"),
+    # and the variances came back inf, so ak_bandwidth picked h = 2.0328 from
+    # an objective that was inf or NaN everywhere
+    bound = None if m_bound is None else CurvatureBound(m_bound)
+    plan = Plan(methods=ALL_METHODS, alpha=0.05, lr_min=5, window="strict",
+                m_bound=bound, akm_bound=bound)
+    outcomes = estimate(overflowing_sample(), plan, np.random.default_rng(0))
+    if m_bound is None:
+        want = {"ik": "NonFiniteError", "ak": "m_hat", "akm": "no_bound", "lr5": "NonFiniteError"}
+    else:
+        want = {"ik": "NonFiniteError", "ak": "nn_variance", "akm": "nn_variance",
+                "lr5": "NonFiniteError"}
+    for method, out in outcomes.items():
+        assert out.reason == want[method.split("/")[0]], method
+        if out.reason != "no_bound":
+            assert isinstance(out.error, NonFiniteError), method
+        assert math.isnan(out.bw) == (method != "lr5"), method
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,12 @@ CELLS = {
         CellSpec(rv="rv2", mu="mu2", n=12, replications=60, seed=1,
                  methods=ALL_CONTINUITY + ("lr",)),
         "e79bc7aa47a51d27e7887ab70a6564ece22c45b40e4203e809937c7ef6e2db15",
-        "a24d62c02dbcdbe2e31efad346600b68b013485cb74200448cffed95e69925f0",
+        "cdf27cc938d6dda7e65dab48b848b92e97fb50460807dfc8cd175fa8e90783f9",
     ),
     "rv2_mu2_mbar10_defaults": (
         CellSpec(rv="rv2", mu="mu2", m_bar=10, replications=30, seed=11),
         "295fe735cdd687399ae78281e3473e43ae86e4a0ffcc3dd9de988a46835679b6",
-        "9ff342e734c4e53cdec9472509c46151bc23e66e9a5c036386801e8b93af4c02",
+        "96b0b741e693535213d9654c87bb443fce55909a83c8c4243d7fbede182fd11d",
     ),
 }
 

@@ -4,12 +4,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from conftest import affine_transform, nn_variance_oracle, small_samples, wls_intercept_oracle
+from conftest import (
+    affine_transform,
+    nn_variance_oracle,
+    overflowing_sample,
+    small_samples,
+    wls_intercept_oracle,
+)
 from rdsmall.core import RDSample
 from rdsmall.errors import (
     BadBandwidthError,
     InsufficientDataError,
     LengthMismatchError,
+    NonFiniteError,
 )
 from rdsmall.inference import BoundaryFits
 from rdsmall.local_poly import (
@@ -370,6 +377,14 @@ class TestNNVariance:
         sample = _sample([-1, -2, -3, 1, 2, 3], np.zeros(6))
         with pytest.raises(InsufficientDataError):
             nn_variance(sample, j=3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_overflowing_response_is_a_nonfinite_error(self, side):
+        # that side's variances used to come back inf, and ak_bandwidth then
+        # picked a bandwidth from an objective that was inf or NaN everywhere
+        with pytest.raises(NonFiniteError, match="nearest-neighbor variance"):
+            nn_variance(overflowing_sample([side]))
 
 
 class TestSEOfLinearFunctional:

@@ -1,11 +1,13 @@
 import concurrent.futures
 import dataclasses
+import json
 import multiprocessing
 
 import numpy as np
 import pytest
 
 from rdsmall import simulation
+from rdsmall.cli import main
 from rdsmall.diss import beta_cdf
 from rdsmall.errors import OutOfSupportError, SpecValidationError
 from rdsmall.simulation import (
@@ -123,8 +125,8 @@ class TestCellSpecValidation:
         ("replications", True, None),
         ("seed", False, None),
         ("workers", "2", None),
-        ("n_mc", float("nan"), None),
-        ("max_exact", float("inf"), None),
+        ("workers", float("nan"), None),
+        ("lr_min", float("inf"), None),
         ("m_bar", True, None),
         ("m_bar", float("inf"), None),
         ("m_bar", 0.5, None),
@@ -137,13 +139,9 @@ class TestCellSpecValidation:
         ("lr_min", 0, None),
         ("m_bound", -1.0, None),
         ("workers", 0, None),
-        ("max_exact", 0, None),
-        ("n_mc", 0, None),
-        ("grid_points", 4, None),
         ("replications", 3.0, 3),
         ("n", 30, 30),
         ("seed", 0, 0),
-        ("grid_points", 5.0, 5),
         ("m_bar", 10.5, 10.5),
         ("m_bar", 10, 10.0),
     ])
@@ -162,6 +160,19 @@ class TestCellSpecValidation:
             for cell in (validate_cell_spec(spec), CellSpec(**{**spec, field: parsed})):
                 got = getattr(cell, field)
                 assert got == parsed and type(got) is type(parsed)
+
+    @pytest.mark.parametrize("field", ["max_exact", "n_mc", "grid_points"])
+    def test_local_randomization_settings_are_unknown_fields(self, field, tmp_path, capsys):
+        # lr's assignment budget and grid are fixed; a spec that sets one is
+        # refused rather than run with a value it does not use
+        spec = {"rv": "rv2", "mu": "mu2", "n": 40, "replications": 2, field: 99}
+        with pytest.raises(SpecValidationError, match=rf"^{field}: unknown field$"):
+            validate_cell_spec(spec)
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: unknown field\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_python_cellspec_requires_a_size(self):
         with pytest.raises(SpecValidationError, match="^m_bar: either m_bar or n is required$"):
