@@ -11,10 +11,10 @@ Three selectors:
   second-derivative bound M (user supplied, or estimated by
   ``estimate_m_hat``).
 
-Selectors return a ``BandwidthResult`` rather than raising on data-dependent
-failure: a pilot stage that cannot run is an outcome the Monte Carlo harness
-counts, not an exception.  Responses whose squares overflow raise
-``NonFiniteError``, which the engine counts the same way.
+A selector that cannot choose a bandwidth raises an ``RDError`` whose
+``reason`` tags the stage that could not run (``pilot_cubic``, ...) and whose
+message names it in words; the Monte Carlo harness counts that tag.
+Responses whose squares overflow raise ``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .core import RDSample
 from .errors import (
     BadBandwidthError,
     DegenerateSampleError,
+    EmptyWindowSideError,
     InsufficientDataError,
     NonFiniteError,
     ZeroCurvatureBoundError,
@@ -72,15 +73,11 @@ class CurvatureBound:
 
 @dataclass(frozen=True)
 class BandwidthResult:
-    """Outcome of a bandwidth algorithm: a value or a failure reason."""
+    """A selected bandwidth; a selector that cannot choose raises, so ``ok`` is true."""
 
-    h: float | None
-    failure_reason: str | None = None
+    h: float
     diagnostics: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.h is not None
+    ok = True
 
 
 def _sample_spread(x: np.ndarray) -> float:
@@ -131,27 +128,30 @@ def _variance(v: np.ndarray) -> float:
 def _pilot_stage(sample: RDSample):
     """First pilot stage: density and per-side response variances at the cutoff.
 
-    Returns (f_hat, s2_below, s2_above) or a failure reason string in place
-    of the tuple, and raises NonFiniteError when a variance overflows.  Both
+    Returns (f_hat, s2_below, s2_above).  Raises a tagged ``RDError`` when a
+    stage cannot run, and NonFiniteError when a variance overflows.  Both
     sides must be nonempty, so n >= 2.
     """
     x, y, c = sample.x, sample.y, sample.cutoff
     s_star = _sample_spread(x)
     if s_star <= 0:
-        return "degenerate_running_variable"
+        raise DegenerateSampleError("ik density pilot: x has zero spread",
+                                    reason="degenerate_running_variable")
     h1 = _PILOT_H1_FACTOR * s_star * x.size ** (-0.2)
     below = sample.below[x[sample.below] >= c - h1]
     above = sample.above[x[sample.above] <= c + h1]
     n1m, n1p = below.size, above.size
     if n1m < 2 or n1p < 2:
-        return "pilot_variance"
+        raise InsufficientDataError(f"ik variance pilot: {n1m} below, {n1p} above the "
+                                    "cutoff, 2 a side needed", reason="pilot_variance")
     f_hat = (n1m + n1p) / (2.0 * x.size * h1)
     with np.errstate(over="ignore"):  # raised as NonFiniteError below
         s2m, s2p = _variance(y[below]), _variance(y[above])
     if not np.isfinite(s2m + s2p):
         raise NonFiniteError("pilot variance of y is not finite (y near 1e154 and up)")
     if s2m + s2p <= 0:
-        return "pilot_variance_zero"
+        raise DegenerateSampleError("ik variance pilot: y is constant on each side",
+                                    reason="pilot_variance_zero")
     return f_hat, s2m, s2p
 
 
@@ -168,17 +168,15 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
         C_K * [ (s2+ + s2-) / (n * f_hat * ((mu''+ - mu''-)^2 + r)) ]^(1/5)
 
     which has the n^(-1/5) rate and is exactly scale equivariant while the
-    curvature-window floor is not binding.  Any infeasible stage returns a
-    ``BandwidthResult`` failure with a stage-specific reason; pilot variances
-    that overflow (y near 1e154 and up) raise ``NonFiniteError``.
+    curvature-window floor is not binding.  A stage that cannot run raises an
+    ``RDError`` tagged with its name (``pilot_cubic``, ...); a response whose
+    spread or pilot variances overflow (y near 1e154 and up) raises
+    ``NonFiniteError``.
     """
     if sample.empty_side is not None:
-        return BandwidthResult(None, "empty_side")
+        raise EmptyWindowSideError(f"ik: no observations {sample.empty_side} the cutoff")
 
-    stage = _pilot_stage(sample)
-    if isinstance(stage, str):
-        return BandwidthResult(None, stage)
-    f_hat, s2m, s2p = stage
+    f_hat, s2m, s2p = _pilot_stage(sample)
 
     x, y, c = sample.x, sample.y, sample.cutoff
     n = sample.n
@@ -193,11 +191,16 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     design = np.column_stack([np.ones(n), jump, t, t**2, t**3])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 5:
-        return BandwidthResult(None, "pilot_cubic")
+        raise InsufficientDataError(f"ik cubic pilot: design of rank {rank}, 5 needed",
+                                    reason="pilot_cubic")
+    with np.errstate(over="ignore"):  # raised as NonFiniteError below
+        y_sd = float(np.std(y))
+    if not np.isfinite(y_sd):
+        raise NonFiniteError("ik cubic pilot: the standard deviation of y is not finite")
     # a response linear on each side with one slope leaves only roundoff in
     # the cubic coefficient; snap it to zero, as estimate_m_hat does the
     # curvature, so that roundoff does not size the curvature windows
-    m3 = 6.0 * coef[4] / scale**3 if abs(coef[4]) >= 1e-8 * np.std(y) else 0.0
+    m3 = 6.0 * coef[4] / scale**3 if abs(coef[4]) >= 1e-8 * y_sd else 0.0
 
     m3sq = max(m3**2, _M3_FLOOR)
     h2m = _PILOT_H2_FACTOR * (s2m / (f_hat * m3sq)) ** _PILOT_H2_RATE * sample.n_below ** (-_PILOT_H2_RATE)
@@ -208,8 +211,9 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     for side, h2 in (("below", h2m), ("above", h2p)):
         try:
             fit = local_poly_fit(sample, side, degree=2, h=h2, kernel=Kernel.UNIFORM)
-        except (InsufficientDataError, BadBandwidthError):
-            return BandwidthResult(None, f"pilot_curvature_{side}")
+        except (InsufficientDataError, BadBandwidthError) as err:
+            raise InsufficientDataError(f"ik curvature pilot {side} the cutoff: {err}",
+                                        reason=f"pilot_curvature_{side}") from None
         curvature[side] = float(fit.second_deriv_weights @ y)
         windows[side] = fit.n_effective
 
@@ -221,7 +225,8 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     denom = n * f_hat * (curv_gap**2 + regularization)
     h = _IK_KERNEL_CONSTANT * ((s2m + s2p) / denom) ** 0.2
     if not np.isfinite(h) or h <= 0:
-        return BandwidthResult(None, "nonfinite_result")
+        raise NonFiniteError(f"ik bandwidth is {h}, not a positive finite number",
+                             reason="nonfinite_result")
     return BandwidthResult(float(h))
 
 
@@ -303,16 +308,19 @@ def ak_bandwidth(
     bandwidth.
 
     Raises ``ZeroCurvatureBoundError`` for a zero bound (the objective would
-    degenerate to pure variance minimization).  ``diagnostics`` holds the
-    grid's ends, ``grid_lo`` and ``grid_hi``.
+    degenerate to pure variance minimization), and an ``RDError`` tagged
+    ``empty_side``, ``insufficient_side`` or ``no_feasible_h`` when no
+    candidate fits both sides.  ``diagnostics`` holds the grid's ends,
+    ``grid_lo`` and ``grid_hi``.
     """
     if bound.value <= 0:
         raise ZeroCurvatureBoundError("bounded-curvature bandwidth requires M > 0")
 
     if sample.empty_side is not None:
-        return BandwidthResult(None, "empty_side")
+        raise EmptyWindowSideError(f"ak: no observations {sample.empty_side} the cutoff")
     if sample.n_below < 2 or sample.n_above < 2:
-        return BandwidthResult(None, "insufficient_side")
+        raise InsufficientDataError(f"ak: {sample.n_below} below, {sample.n_above} above, "
+                                    "2 a side needed", reason="insufficient_side")
 
     u = sample.x - sample.cutoff
     dist_below = np.sort(np.abs(u[sample.below]))
@@ -329,7 +337,8 @@ def ak_bandwidth(
     ok_a, bias_a, var_a = _grid_objective(u[sample.above], sigma2[sample.above], grid)
     feasible = ok_b & ok_a
     if not feasible.any():
-        return BandwidthResult(None, "no_feasible_h")
+        raise InsufficientDataError("ak: no candidate bandwidth fits both sides",
+                                    reason="no_feasible_h")
 
     half_m = 0.5 * bound.value
     bias_bound = half_m * (bias_b + bias_a)

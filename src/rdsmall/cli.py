@@ -149,10 +149,6 @@ def _result_row(method: str, out: Outcome) -> dict:
     def number(value):
         return None if math.isnan(value) else value
 
-    if out.error is not None:
-        reason = f"{type(out.error).__name__}: {out.error}"
-    else:
-        reason = out.reason or None
     return {
         "method": method,
         "success": out.ok,
@@ -161,7 +157,7 @@ def _result_row(method: str, out: Outcome) -> dict:
         "se": number(out.se),
         "ci_lower": number(out.lo),
         "ci_upper": number(out.hi),
-        "reason": reason,
+        "reason": None if out.ok else f"{type(out.error).__name__}: {out.error}",
     }
 
 

@@ -5,11 +5,11 @@ cv, rbc or flci interval) and local randomization (``lr<lr_min>``) on one
 sample.  Each method is a straight line of stages.  The shared ones (the
 nearest-neighbor variances, m_hat, one bandwidth per algorithm, and one set
 of boundary fits per bandwidth, which cv, rbc and flci all read) are built
-once per sample, the first time a method needs them.  A stage that fails
-keeps its reason and error and fails every method that needs it, with that
-reason.  Failures are returned, never raised.  Estimators are looked up by
-name at call time, so a wrapper around those names (such as a tracer) sees
-every call.
+once per sample, the first time a method needs them.  A stage fails only by
+raising an ``RDError``, whose ``reason`` is the failure's tag; the engine
+keeps it, fails every method that needs the stage with it, and never raises
+it to the caller.  Estimators are looked up by name at call time, so a
+wrapper around those names (such as a tracer) sees every call.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ import numpy as np
 
 from .bandwidth import CurvatureBound, ak_bandwidth, estimate_m_hat, ik_bandwidth
 from .core import RDSample
-from .errors import (
-    EmptyWindowSideError,
-    RDError,
-    SpecValidationError,
-    ZeroCurvatureBoundError,
-)
+from .errors import RDError, SpecValidationError, ZeroCurvatureBoundError
 from .inference import BoundaryFits, cv_interval, flci_interval, rbc_interval
 from .local_poly import nn_variance
 from .local_randomization import lr_interval, select_window
@@ -35,9 +30,6 @@ CONTINUITY_METHODS = tuple(
 )
 
 _NAN = float("nan")
-
-# Failure reasons that name a condition rather than the error's type.
-_REASONS = {ZeroCurvatureBoundError: "zero_curvature", EmptyWindowSideError: "empty_side"}
 
 
 def parse_methods(ids, lr_min: int) -> tuple[str, ...]:
@@ -95,10 +87,10 @@ class Outcome:
     """One method's result on one sample, as scalars (NaN where none).
 
     ``bw`` is the bandwidth or window half-width; ``grid_step`` is lr's
-    inversion-grid resolution.  ``reason`` is empty on success, else a tag:
-    a stage (``nn_variance``, ``m_hat``), a condition (``zero_curvature``,
-    ``empty_side``), a bandwidth selector's reason, or an error's type name.
-    ``error`` is the caught error, if any.
+    inversion-grid resolution.  ``error`` is the ``RDError`` that failed the
+    method, without its traceback, and ``reason`` its tag: a stage
+    (``nn_variance``, ``m_hat``, a bandwidth selector's pilot), a condition
+    (``zero_curvature``, ``empty_side``, ``no_bound``) or the type's name.
     """
 
     bw: float = _NAN
@@ -107,32 +99,15 @@ class Outcome:
     lo: float = _NAN
     hi: float = _NAN
     grid_step: float = _NAN
-    reason: str = ""
     error: RDError | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.reason
+        return self.error is None
 
-
-class _Failed(Exception):
-    """A failed stage or method, as its ``Outcome`` will carry it: the reason
-    tag and the error (None for a bandwidth selector's own reason)."""
-
-    def __init__(self, reason: str, error: RDError | None = None):
-        super().__init__(reason)
-        self.reason = reason
-        self.error = error
-
-
-def _positive(bound: CurvatureBound) -> CurvatureBound:
-    if bound.value <= 0:
-        # estimate_m_hat snaps the curvature of a response that is linear on
-        # each side to exactly 0, for the bounded-curvature methods to reject
-        raise _Failed("zero_curvature", ZeroCurvatureBoundError(
-            "estimated curvature bound m_hat is 0 (the response is linear on each side)"
-        ))
-    return bound
+    @property
+    def reason(self) -> str:
+        return "" if self.error is None else self.error.reason
 
 
 def estimate(sample: RDSample, plan: Plan,
@@ -146,20 +121,17 @@ def estimate(sample: RDSample, plan: Plan,
 
     def stage(key, build, reason=None):
         """The piece ``key``, built by ``build()`` on its first need.  A
-        failure is kept as its reason and error, and raised again for every
-        later need."""
+        failure is kept as its error, retagged ``reason`` if one is given,
+        and raised again for every later need."""
         if key not in built:
             try:
                 built[key] = build()
-            except _Failed as failed:
-                built[key] = failed.with_traceback(None)
             except RDError as err:
-                # the traceback would keep the failing call's frames, sample included, alive
-                built[key] = _Failed(reason or _REASONS.get(type(err), type(err).__name__),
-                                     err.with_traceback(None))
+                err.reason = reason or err.reason
+                built[key] = err
         piece = built[key]
-        if isinstance(piece, _Failed):
-            raise _Failed(piece.reason, piece.error)  # a new one, so none keeps a traceback
+        if isinstance(piece, RDError):
+            raise piece
         return piece
 
     def sigma2():
@@ -169,21 +141,23 @@ def estimate(sample: RDSample, plan: Plan,
         """akm's bound, else ``plan.m_bound``, else m_hat."""
         if alg == "akm":
             if plan.akm_bound is None:
-                raise _Failed("no_bound", SpecValidationError(
-                    "akm needs a curvature bound (--m-bound / m_bound not given)"
-                ))
+                raise SpecValidationError("akm needs a curvature bound (--m-bound / "
+                                          "m_bound not given)", reason="no_bound")
             return plan.akm_bound
         if plan.m_bound is not None:
             return plan.m_bound
-        return stage("m_hat", lambda: _positive(estimate_m_hat(sample)), "m_hat")
+        m_hat = stage("m_hat", lambda: estimate_m_hat(sample), "m_hat")
+        if m_hat.value <= 0:  # outside the stage, so that it keeps its own tag
+            # estimate_m_hat snaps the curvature of a response that is linear on
+            # each side to exactly 0, for the bounded-curvature methods to reject
+            raise ZeroCurvatureBoundError(
+                "estimated curvature bound m_hat is 0 (the response is linear on each side)")
+        return m_hat
 
     def bandwidth(alg):
         # ak and akm read their bound before sigma2
-        result = (ik_bandwidth(sample) if alg == "ik"
-                  else ak_bandwidth(sample, bound(alg), sigma2=sigma2()))
-        if not result.ok:
-            raise _Failed(result.failure_reason)
-        return result.h
+        return (ik_bandwidth(sample) if alg == "ik"
+                else ak_bandwidth(sample, bound(alg), sigma2=sigma2())).h
 
     outcomes = {}
     for method in plan.methods:
@@ -201,8 +175,11 @@ def estimate(sample: RDSample, plan: Plan,
                 window = stage("window", lambda: select_window(sample, plan.lr_min, plan.window))
                 bw = window.half_width
                 est = stage(method, lambda: lr_interval(sample, window, plan.alpha, rng=rng))
-        except _Failed as failed:
-            outcomes[method] = Outcome(bw=bw, reason=failed.reason, error=failed.error)
+        except RDError as err:
+            # its traceback, or its context's, would keep the failing call's
+            # frames, sample included, alive
+            err.__context__ = None
+            outcomes[method] = Outcome(bw=bw, error=err.with_traceback(None))
         else:
             outcomes[method] = Outcome(bw, est.tau_hat, _NAN if est.se is None else est.se,
                                        est.ci_lower, est.ci_upper,

@@ -9,7 +9,15 @@ them as observations, not crashes.
 
 
 class RDError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  ``reason`` tags the failure for
+    outcomes and failure counts: the tag given at the raise, else the type's
+    ``tag``, else its name; as an instance attribute it survives pickling."""
+
+    tag: str | None = None
+
+    def __init__(self, *args, reason: str | None = None):
+        super().__init__(*args)
+        self.reason = reason or self.tag or type(self).__name__
 
 
 class NonFiniteError(RDError):
@@ -39,13 +47,17 @@ class DegenerateSampleError(RDError):
 class ZeroCurvatureBoundError(RDError):
     """Curvature bound M = 0 where a strictly positive bound is required."""
 
+    tag = "zero_curvature"
+
 
 class ZeroSEError(RDError):
     """Standard error is exactly zero where a positive SE is required."""
 
 
 class EmptyWindowSideError(RDError):
-    """A local-randomization window has no observations on one side."""
+    """A sample or a local-randomization window has no observations on a side."""
+
+    tag = "empty_side"
 
 
 class OutOfSupportError(RDError):

@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import zlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -404,10 +405,7 @@ def _aggregate(cell: CellSpec, n: int, true_m: float,
         lo = np.array([row[m].lo for row in rows])
         hi = np.array([row[m].hi for row in rows])
 
-        reasons: dict[str, int] = {}
-        for row in rows:
-            if not row[m].ok:
-                reasons[row[m].reason] = reasons.get(row[m].reason, 0) + 1
+        reasons = Counter(row[m].reason for row in rows if not row[m].ok)
 
         steps = np.array([row[m].grid_step for row in rows])[common]
         steps = steps[np.isfinite(steps)]

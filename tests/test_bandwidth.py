@@ -19,8 +19,10 @@ from rdsmall.bandwidth import (
 from rdsmall.core import RDSample
 from rdsmall.errors import (
     DegenerateSampleError,
+    EmptyWindowSideError,
     InsufficientDataError,
     NonFiniteError,
+    RDError,
     ZeroCurvatureBoundError,
 )
 from rdsmall.local_poly import Kernel, local_poly_fit, nn_variance
@@ -101,7 +103,6 @@ class TestIKBandwidth:
         rng = np.random.default_rng(1729)
         sample = generate_dataset("rv2", "mu2", 200, rng)
         res = ik_bandwidth(sample)
-        assert res.ok
         assert res.h == pytest.approx(0.2021230391112115, rel=1e-7)
 
     def test_scale_equivariance(self):
@@ -110,7 +111,6 @@ class TestIKBandwidth:
         # every tested scale, so equivariance is exact
         sample = RDSample(sample.x, sample.y + 20.0 * sample.x**3, 0.0)
         base = ik_bandwidth(sample)
-        assert base.ok
         for a in (0.5, 2.0, 7.3):
             moved = ik_bandwidth(affine_transform(sample, a, 3.0))
             assert moved.h == pytest.approx(a * base.h, rel=1e-9)
@@ -121,14 +121,19 @@ class TestIKBandwidth:
         x = rng.uniform(-1, 1, 300)
         y = -(x**2) + 0.1 * (x >= 0) + 0.1 * rng.standard_normal(300)
         res = ik_bandwidth(RDSample(x=x, y=y, cutoff=0.0))
-        assert res.ok and np.isfinite(res.h) and res.h > 0
+        assert np.isfinite(res.h) and res.h > 0
 
-    def test_failure_reasons_are_data(self):
-        res = ik_bandwidth(RDSample(x=[1.0, 2.0, 3.0], y=[1, 2, 3], cutoff=0.0))
-        assert not res.ok and res.failure_reason == "empty_side"
-        tiny = RDSample(x=[-2.0, -1.9, 1.9, 2.0], y=[0.1, 0.2, 0.4, 0.3], cutoff=0.0)
-        res = ik_bandwidth(tiny)
-        assert not res.ok  # no points inside the pilot window
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spread_is_a_nonfinite_error(self):
+        # np.std(y) overflowed to inf while the pilot variances stayed
+        # finite, so the cubic coefficient snapped to 0 and the curvature
+        # windows came from _M3_FLOOR: pilot_curvature_below, and a warning
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 60)
+        y = 0.4 + 0.8 * x + 0.9 * x**2 + 0.1 * (x >= 0) + 0.13 * rng.standard_normal(60)
+        assert ik_bandwidth(RDSample(x=x, y=y, cutoff=0.0)).h == pytest.approx(0.8535, abs=1e-4)
+        with pytest.raises(NonFiniteError, match="standard deviation of y"):
+            ik_bandwidth(RDSample(x=x, y=y * 10**153.5, cutoff=0.0))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("side", ["below", "above"])
@@ -152,7 +157,6 @@ class TestAKBandwidth:
             sample = generate_dataset("rv2", "mu3", int(rng.integers(60, 250)), rng)
             sigma2 = nn_variance(sample)
             res = ak_bandwidth(sample, bound=CurvatureBound(5.0), sigma2=sigma2)
-            assert res.ok
             u = sample.x - sample.cutoff
             grid = np.array([res.h])
             for name, idx in (("below", sample.below), ("above", sample.above)):
@@ -180,11 +184,8 @@ class TestAKBandwidth:
         ik_h, ak_h = [], []
         for _ in range(60):
             sample = generate_dataset("rv2", "mu2", 490, rng)
-            ik = ik_bandwidth(sample)
-            ak = ak_bandwidth(sample, estimate_m_hat(sample), sigma2=sigma2_of(sample))
-            if ik.ok and ak.ok:
-                ik_h.append(ik.h)
-                ak_h.append(ak.h)
+            ik_h.append(ik_bandwidth(sample).h)
+            ak_h.append(ak_bandwidth(sample, estimate_m_hat(sample), sigma2=sigma2_of(sample)).h)
         assert np.median(ik_h) > np.median(ak_h)
 
 
@@ -248,11 +249,47 @@ def test_bandwidth_shrinks_at_root_n_fifth_rate(alg):
                 res = ik_bandwidth(sample)
             else:
                 res = ak_bandwidth(sample, CurvatureBound(3.0), sigma2=sigma2_of(sample))
-            if res.ok:
-                hs.append(res.h)
+            hs.append(res.h)
         medians.append(np.median(hs))
     slope = np.polyfit(np.log([200, 2000, 20000]), np.log(medians), 1)[0]
     assert slope == pytest.approx(-0.2, abs=0.03)
+
+
+# One sample per stop of the two selectors: (selector, x, y, error, reason).
+# Each stop raises an error whose message names the selector and whose
+# reason is the tag a cell's failure counts show.
+SELECTOR_STOPS = [
+    ("ik", [1, 2, 3], [1, 2, 3], EmptyWindowSideError, "empty_side"),
+    ("ak", [1, 2, 3], [1, 2, 3], EmptyWindowSideError, "empty_side"),
+    ("ik", [-1, 1, 1, 1, 1], [0, 1, 2, 3, 4], DegenerateSampleError,
+     "degenerate_running_variable"),
+    # no point below the cutoff inside the pilot window
+    ("ik", [-10, -9, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [1, 2, 3, 4, 5, 6, 7, 8],
+     InsufficientDataError, "pilot_variance"),
+    ("ik", np.linspace(-1, 1, 40), np.ones(40), DegenerateSampleError, "pilot_variance_zero"),
+    # four points cannot hold a cubic with a jump
+    ("ik", [-2, -1.9, 1.9, 2], [0.1, 0.2, 0.4, 0.3], InsufficientDataError, "pilot_cubic"),
+    # two points a side cannot hold a quadratic
+    ("ik", [-3, -2, 1, 2, 3], [0, 1, 3, 4, 5], InsufficientDataError, "pilot_curvature_below"),
+    ("ik", [-3, -2, -1, 2, 3], [5, 4, 3, 1, 0], InsufficientDataError, "pilot_curvature_above"),
+    ("ak", [-1, 1, 2, 3], [0, 1, 2, 3], InsufficientDataError, "insufficient_side"),
+    # the two scores below the cutoff are tied, so no window fits a line there
+    ("ak", [-1, -1, 1, 2, 3], [0, 1, 2, 3, 4], InsufficientDataError, "no_feasible_h"),
+]
+
+
+@pytest.mark.parametrize("alg, x, y, error, reason", SELECTOR_STOPS,
+                         ids=[f"{alg}-{reason}" for alg, *_, reason in SELECTOR_STOPS])
+def test_each_selector_stop_raises_its_tag(alg, x, y, error, reason):
+    sample = RDSample(x=x, y=y, cutoff=0.0)
+    with pytest.raises(RDError) as info:
+        if alg == "ik":
+            ik_bandwidth(sample)
+        else:
+            ak_bandwidth(sample, CurvatureBound(1.0), sigma2=np.ones(sample.n))
+    assert type(info.value) is error
+    assert info.value.reason == reason
+    assert str(info.value).startswith(alg)
 
 
 def test_silverman_exact_rate():

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import sys
 from collections import Counter
 
@@ -14,7 +15,13 @@ from rdsmall.bandwidth import CurvatureBound, _grid_objective, estimate_m_hat
 from rdsmall.cli import main
 from rdsmall.core import RDSample
 from rdsmall.engine import CONTINUITY_METHODS, Outcome, Plan, estimate
-from rdsmall.errors import NonFiniteError, SpecValidationError
+from rdsmall.errors import (
+    InsufficientDataError,
+    NonFiniteError,
+    RDError,
+    SpecValidationError,
+    ZeroCurvatureBoundError,
+)
 from rdsmall.local_poly import Kernel, local_poly_fit, nn_variance
 from rdsmall.simulation import (
     MU_FUNCTIONS,
@@ -207,8 +214,9 @@ def test_one_outcome_per_method_and_nothing_escapes(sample, window, m_bound, akm
             assert all(math.isfinite(v) for v in (out.tau, out.lo, out.hi)), method
         else:
             assert out.reason and math.isnan(out.tau), method
+            assert isinstance(out.error, RDError) and out.reason == out.error.reason, method
             # a kept traceback would keep the failing call's frames alive
-            assert out.error is None or out.error.__traceback__ is None, method
+            assert out.error.__traceback__ is None and out.error.__context__ is None, method
 
 
 @pytest.mark.filterwarnings("error")
@@ -231,6 +239,25 @@ def test_overflowing_responses_fail_where_they_overflow(m_bound):
         if out.reason != "no_bound":
             assert isinstance(out.error, NonFiniteError), method
         assert math.isnan(out.bw) == (method != "lr5"), method
+
+
+def _retagged(error, reason):
+    error.reason = reason
+    return error
+
+
+@pytest.mark.parametrize("error, reason", [
+    (InsufficientDataError("ik cubic pilot", reason="pilot_cubic"), "pilot_cubic"),
+    (ZeroCurvatureBoundError("m_hat is 0"), "zero_curvature"),
+    (NonFiniteError("inf"), "NonFiniteError"),
+    (_retagged(NonFiniteError("inf"), "nn_variance"), "nn_variance"),
+], ids=["given", "type_tag", "type_name", "retagged"])
+def test_a_failure_keeps_its_reason_through_pickle(error, reason):
+    # a pooled cell's outcomes cross the process pool pickled
+    out = pickle.loads(pickle.dumps(Outcome(bw=0.5, error=error)))
+    assert type(out.error) is type(error) and out.error.args == error.args
+    assert out.reason == out.error.reason == reason
+    assert not out.ok and out.bw == 0.5
 
 
 # ---------------------------------------------------------------------------

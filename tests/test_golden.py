@@ -7,6 +7,7 @@ change that alters one of these outputs on purpose re-records only that
 hash and says why.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -53,6 +54,16 @@ CELLS = {
 def test_cell_outputs(name, tmp_path):
     cell, csv_sha, json_sha = CELLS[name]
     json_path, csv_path = write_cell_outputs(run_cell(cell), tmp_path)
+    assert _sha256(csv_path.read_text(encoding="utf-8")) == csv_sha
+    assert _sha256(_without_version(json_path.read_text(encoding="utf-8"))) == json_sha
+
+
+def test_pooled_cell_writes_the_serial_bytes(tmp_path):
+    # the cell's failure reasons (empty_side, pilot_variance,
+    # pilot_curvature_*, ...) cross the process pool on the errors' reason
+    cell, csv_sha, json_sha = CELLS["n12_every_method"]
+    json_path, csv_path = write_cell_outputs(
+        run_cell(dataclasses.replace(cell, workers=2)), tmp_path)
     assert _sha256(csv_path.read_text(encoding="utf-8")) == csv_sha
     assert _sha256(_without_version(json_path.read_text(encoding="utf-8"))) == json_sha
 

@@ -4,8 +4,11 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import rdsmall as rs
 from rdsmall.cli import read_xy_csv
+from rdsmall.errors import InsufficientDataError
 from rdsmall.simulation import CellSpec, validate_cell_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +31,17 @@ def test_library_example_runs_on_the_fixture():
         est = names[interval]
         assert isinstance(est, rs.EffectEstimate)
         assert est.ci_lower <= est.tau_hat <= est.ci_upper, interval
+
+
+def test_library_example_stops_at_ik_with_a_tagged_error():
+    # no score below the cutoff lies in ik's variance pilot window: ik_bandwidth
+    # used to return h=None, which BoundaryFits.build met with a TypeError
+    names = {"scores_2017": [40, 41, 42, 43, 44, 60.1, 60.2, 60.3, 60.4, 60.5],
+             "scores_2018": [1, 2, 1, 3, 2, 4, 5, 4, 6, 5]}
+    with pytest.raises(InsufficientDataError) as info:
+        exec(_block("## Library", "python"), names)
+    assert info.value.reason == "pilot_variance"
+    assert "sigma2" in names and "ik" not in names  # the ik line raised
 
 
 def test_cell_spec_example_is_a_valid_spec():
