@@ -193,33 +193,30 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     if rank < 5:
         raise InsufficientDataError(f"ik cubic pilot: design of rank {rank}, 5 needed",
                                     reason="pilot_cubic")
-    with np.errstate(over="ignore"):  # raised as NonFiniteError below
+    # a spread that overflows raises NonFiniteError below; scores so close
+    # together that the cubic term overflows give zero curvature windows,
+    # which fail their fits
+    with np.errstate(over="ignore", divide="ignore"):
         y_sd = float(np.std(y))
+        # a response linear on each side with one slope leaves only roundoff
+        # in the cubic coefficient; snap it to zero, as estimate_m_hat does
+        # the curvature, so that roundoff does not size the curvature windows
+        m3 = 6.0 * coef[4] / scale**3 if abs(coef[4]) >= 1e-8 * y_sd else 0.0
+        f_m3sq = f_hat * max(m3**2, _M3_FLOOR)
     if not np.isfinite(y_sd):
         raise NonFiniteError("ik cubic pilot: the standard deviation of y is not finite")
-    # a response linear on each side with one slope leaves only roundoff in
-    # the cubic coefficient; snap it to zero, as estimate_m_hat does the
-    # curvature, so that roundoff does not size the curvature windows
-    m3 = 6.0 * coef[4] / scale**3 if abs(coef[4]) >= 1e-8 * y_sd else 0.0
-
-    m3sq = max(m3**2, _M3_FLOOR)
-    h2m = _PILOT_H2_FACTOR * (s2m / (f_hat * m3sq)) ** _PILOT_H2_RATE * sample.n_below ** (-_PILOT_H2_RATE)
-    h2p = _PILOT_H2_FACTOR * (s2p / (f_hat * m3sq)) ** _PILOT_H2_RATE * sample.n_above ** (-_PILOT_H2_RATE)
 
     curvature = {}
-    windows = {}
-    for side, h2 in (("below", h2m), ("above", h2p)):
+    regularization = 0.0
+    for side, s2, n_side in (("below", s2m, sample.n_below), ("above", s2p, sample.n_above)):
+        h2 = _PILOT_H2_FACTOR * (s2 / f_m3sq) ** _PILOT_H2_RATE * n_side ** (-_PILOT_H2_RATE)
         try:
             fit = local_poly_fit(sample, side, degree=2, h=h2, kernel=Kernel.UNIFORM)
         except (InsufficientDataError, BadBandwidthError) as err:
             raise InsufficientDataError(f"ik curvature pilot {side} the cutoff: {err}",
                                         reason=f"pilot_curvature_{side}") from None
         curvature[side] = float(fit.second_deriv_weights @ y)
-        windows[side] = fit.n_effective
-
-    r_below = _REGULARIZATION_CONST * s2m / (windows["below"] * h2m**4)
-    r_above = _REGULARIZATION_CONST * s2p / (windows["above"] * h2p**4)
-    regularization = r_below + r_above
+        regularization += _REGULARIZATION_CONST * s2 / (fit.n_effective * h2**4)
 
     curv_gap = curvature["above"] - curvature["below"]
     denom = n * f_hat * (curv_gap**2 + regularization)
@@ -267,7 +264,7 @@ def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray):
         if m_max < 2:
             continue
         t = u[None, :m_max] / h
-        w = np.maximum(1.0 - np.abs(t), 0.0)  # triangular, +0.0 at |t| >= 1
+        w = np.maximum(Kernel.TRIANGULAR.weight(t), 0.0)  # +0.0 at |t| >= 1
         s0 = w.sum(axis=1)
         wt = w * t
         s1 = wt.sum(axis=1)
@@ -308,10 +305,12 @@ def ak_bandwidth(
     bandwidth.
 
     Raises ``ZeroCurvatureBoundError`` for a zero bound (the objective would
-    degenerate to pure variance minimization), and an ``RDError`` tagged
+    degenerate to pure variance minimization), an ``RDError`` tagged
     ``empty_side``, ``insufficient_side`` or ``no_feasible_h`` when no
-    candidate fits both sides.  ``diagnostics`` holds the grid's ends,
-    ``grid_lo`` and ``grid_hi``.
+    candidate fits both sides, and ``NonFiniteError`` when the score
+    overflows at every candidate that does (the squared bias bound passes
+    the float range once M * (x - c)^2 nears 1e154).  ``diagnostics`` holds
+    the grid's ends, ``grid_lo`` and ``grid_hi``.
     """
     if bound.value <= 0:
         raise ZeroCurvatureBoundError("bounded-curvature bandwidth requires M > 0")
@@ -333,18 +332,22 @@ def ak_bandwidth(
         h_hi = 2.0 * h_lo
     grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
 
-    ok_b, bias_b, var_b = _grid_objective(u[sample.below], sigma2[sample.below], grid)
-    ok_a, bias_a, var_a = _grid_objective(u[sample.above], sigma2[sample.above], grid)
-    feasible = ok_b & ok_a
-    if not feasible.any():
-        raise InsufficientDataError("ak: no candidate bandwidth fits both sides",
-                                    reason="no_feasible_h")
+    with np.errstate(over="ignore"):  # an objective inf everywhere raises below
+        ok_b, bias_b, var_b = _grid_objective(u[sample.below], sigma2[sample.below], grid)
+        ok_a, bias_a, var_a = _grid_objective(u[sample.above], sigma2[sample.above], grid)
+        feasible = ok_b & ok_a
+        if not feasible.any():
+            raise InsufficientDataError("ak: no candidate bandwidth fits both sides",
+                                        reason="no_feasible_h")
 
-    half_m = 0.5 * bound.value
-    bias_bound = half_m * (bias_b + bias_a)
-    variance = var_b + var_a
-    mse = np.where(feasible, bias_bound**2 + variance, np.inf)
+        half_m = 0.5 * bound.value
+        bias_bound = half_m * (bias_b + bias_a)
+        variance = var_b + var_a
+        mse = np.where(feasible, bias_bound**2 + variance, np.inf)
     pick = int(np.argmin(mse))  # first minimum: ties break toward smaller h
+    if not np.isfinite(mse[pick]):
+        raise NonFiniteError("ak: the objective (worst-case bias^2 + variance) overflows "
+                             "at every feasible candidate")
     return BandwidthResult(float(grid[pick]),
                            diagnostics={"grid_lo": float(grid[0]), "grid_hi": float(grid[-1])})
 
@@ -363,7 +366,9 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
     InsufficientDataError
         A side has fewer than 5 points or fewer than 5 distinct scores.
     NonFiniteError
-        A side's response standard deviation overflows (y near 1e154 and up).
+        A side's response standard deviation overflows (y near 1e154 and
+        up), checked before the quartic's curvature is evaluated; or the
+        bound does (scores so close together that scale**2 underflows).
     """
     worst = 0.0
     for name, idx in (("below", sample.below), ("above", sample.above)):
@@ -381,26 +386,28 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
         coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
         if rank < 5:
             raise InsufficientDataError(f"rank-deficient quartic design on side {name}")
-        # q''(t) = 2 a2 + 6 a3 t + 12 a4 t^2, in score units divide by scale^2.
-        a2, a3, a4 = coef[2], coef[3], coef[4]
-        candidates = [t.min(), t.max()]
-        if a4 != 0:
-            vertex = -a3 / (4.0 * a4)
-            if t.min() <= vertex <= t.max():
-                candidates.append(vertex)
-        side_worst = max(
-            abs(2 * a2 + 6 * a3 * tc + 12 * a4 * tc**2) / scale**2
-            for tc in candidates
-        )
-        with np.errstate(over="ignore"):  # raised as NonFiniteError below
+        # a spread that overflows raises here; scores so close together that
+        # scale**2 underflows give an infinite bound, which CurvatureBound raises
+        with np.errstate(over="ignore", divide="ignore"):
             y_sd = float(np.std(ys))
-        if not np.isfinite(y_sd):
-            raise NonFiniteError(f"standard deviation of y on side {name} is not finite")
-        # exactly polynomial-of-degree-<=1 responses leave only least-squares
-        # roundoff in the curvature coefficients; snap that to a true zero so
-        # downstream rejects it explicitly instead of fitting to noise
-        y_scale = max(y_sd, np.finfo(float).tiny)
-        if side_worst < 1e-8 * y_scale / scale**2 or not np.ptp(ys):
-            side_worst = 0.0
+            if not np.isfinite(y_sd):
+                raise NonFiniteError(f"standard deviation of y on side {name} is not finite")
+            # q''(t) = 2 a2 + 6 a3 t + 12 a4 t^2, in score units divide by scale^2.
+            a2, a3, a4 = coef[2], coef[3], coef[4]
+            candidates = [t.min(), t.max()]
+            if a4 != 0:
+                vertex = -a3 / (4.0 * a4)
+                if t.min() <= vertex <= t.max():
+                    candidates.append(vertex)
+            side_worst = max(
+                abs(2 * a2 + 6 * a3 * tc + 12 * a4 * tc**2) / scale**2
+                for tc in candidates
+            )
+            # exactly polynomial-of-degree-<=1 responses leave only least-squares
+            # roundoff in the curvature coefficients; snap that to a true zero so
+            # downstream rejects it explicitly instead of fitting to noise
+            y_scale = max(y_sd, np.finfo(float).tiny)
+            if side_worst < 1e-8 * y_scale / scale**2 or not np.ptp(ys):
+                side_worst = 0.0
         worst = max(worst, side_worst)
     return CurvatureBound(float(worst))

@@ -120,6 +120,8 @@ def cmd_diss(args) -> dict:
 def cmd_analyze(args) -> dict:
     if args.seed < 0:
         raise SpecValidationError(f"seed: >= 0 required, got {args.seed!r}")
+    if args.m_bound is not None and not args.m_bound > 0:
+        raise SpecValidationError(f"m_bound: > 0 required, got {args.m_bound!r}")
     x, y, dropped = read_xy_csv(args.input, args.x_col, args.y_col, args.strict)
     sample = RDSample(x=x, y=y, cutoff=args.cutoff)
     bound = None if args.m_bound is None else CurvatureBound(args.m_bound)
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--lr-min", type=int, default=5,
                       help="minimum observations per side for the randomization window")
     p_an.add_argument("--m-bound", type=float, default=None,
-                      help="curvature bound: replaces the estimated m_hat for "
+                      help="curvature bound > 0: replaces the estimated m_hat for "
                       "ik/flci and ak/*, and is the bound of akm/*")
     p_an.add_argument("--seed", type=int, default=0)
 

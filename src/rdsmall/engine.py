@@ -169,12 +169,12 @@ def estimate(sample: RDSample, plan: Plan,
                 variances = sigma2()
                 m = bound(alg) if inf == "flci" else None
                 fits = stage(("fits", alg), lambda: BoundaryFits.build(sample, bw, variances))
-                est = stage(method, lambda: flci_interval(fits, m, plan.alpha) if inf == "flci"
-                            else (cv_interval if inf == "cv" else rbc_interval)(fits, plan.alpha))
+                est = (flci_interval(fits, m, plan.alpha) if inf == "flci"
+                       else (cv_interval if inf == "cv" else rbc_interval)(fits, plan.alpha))
             else:
                 window = stage("window", lambda: select_window(sample, plan.lr_min, plan.window))
                 bw = window.half_width
-                est = stage(method, lambda: lr_interval(sample, window, plan.alpha, rng=rng))
+                est = lr_interval(sample, window, plan.alpha, rng=rng)
         except RDError as err:
             # its traceback, or its context's, would keep the failing call's
             # frames, sample included, alive

@@ -120,18 +120,23 @@ class BoundaryFits:
             b *= 1.25
 
 
-def cv_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
-    """Conventional Wald interval: tau_hat +- z_{alpha/2} SE."""
-    tau, se = fits.tau, fits.se
-    z = float(ndtri(1.0 - alpha / 2.0))
+def _interval(fits: BoundaryFits, center: float, se: float, crit: float, alpha: float,
+              diagnostics: dict) -> EffectEstimate:
+    """The interval center -+ crit * se at the fits' bandwidth."""
     return EffectEstimate(
-        tau_hat=tau,
+        tau_hat=center,
         se=se,
-        ci_lower=tau - z * se,
-        ci_upper=tau + z * se,
+        ci_lower=center - crit * se,
+        ci_upper=center + crit * se,
         alpha=alpha,
         bandwidth_or_window=fits.h,
+        diagnostics=diagnostics,
     )
+
+
+def cv_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
+    """Conventional Wald interval: tau_hat +- z_{alpha/2} SE."""
+    return _interval(fits, fits.tau, fits.se, float(ndtri(1.0 - alpha / 2.0)), alpha, {})
 
 
 def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
@@ -159,16 +164,8 @@ def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
     )
     center = fits.tau - float(corr_weights @ fits.sample.y)
     se_rbc = se_of_linear_functional(fits.combined_weights - corr_weights, fits.sigma2)
-    z = float(ndtri(1.0 - alpha / 2.0))
-    return EffectEstimate(
-        tau_hat=center,
-        se=se_rbc,
-        ci_lower=center - z * se_rbc,
-        ci_upper=center + z * se_rbc,
-        alpha=alpha,
-        bandwidth_or_window=fits.h,
-        diagnostics={"bias_bandwidth": bias_bw},
-    )
+    return _interval(fits, center, se_rbc, float(ndtri(1.0 - alpha / 2.0)), alpha,
+                     {"bias_bandwidth": bias_bw})
 
 
 def flci_interval(fits: BoundaryFits, bound: CurvatureBound,
@@ -185,17 +182,8 @@ def flci_interval(fits: BoundaryFits, bound: CurvatureBound,
         raise ZeroSEError("zero standard error: folded-normal shape t is undefined")
     t = worst_case_bias((below, above), bound.value) / se
     cv = folded_normal_cv(t, alpha)
-    half = cv * se
-    return EffectEstimate(
-        tau_hat=tau,
-        se=se,
-        ci_lower=tau - half,
-        ci_upper=tau + half,
-        alpha=alpha,
-        bandwidth_or_window=fits.h,
-        diagnostics={
-            "t": t,
-            "critical_value": cv,
-            "bound_exact": below.sign_constant and above.sign_constant,
-        },
-    )
+    return _interval(fits, tau, se, cv, alpha, {
+        "t": t,
+        "critical_value": cv,
+        "bound_exact": below.sign_constant and above.sign_constant,
+    })

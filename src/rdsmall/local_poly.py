@@ -190,33 +190,34 @@ def nn_variance(sample: RDSample, j: int = 3) -> np.ndarray:
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     resid = np.zeros(sample.n)
-    for name, idx in (("below", sample.below), ("above", sample.above)):
-        s = idx.size
-        if s <= j:
-            raise InsufficientDataError(
-                f"side {name} has {s} observation(s); j={j} neighbors need {j + 1}"
-            )
-        xs = sample.x[idx]
-        ys = sample.y[idx]
-        order = np.argsort(xs, kind="stable")
-        xo, yo, io = xs[order], ys[order], idx[order]
+    # a neighbor mean or a square that overflows is raised as NonFiniteError below
+    with np.errstate(over="ignore"):
+        for name, idx in (("below", sample.below), ("above", sample.above)):
+            s = idx.size
+            if s <= j:
+                raise InsufficientDataError(
+                    f"side {name} has {s} observation(s); j={j} neighbors need {j + 1}"
+                )
+            xs = sample.x[idx]
+            ys = sample.y[idx]
+            order = np.argsort(xs, kind="stable")
+            xo, yo, io = xs[order], ys[order], idx[order]
 
-        # In sorted order the j nearest neighbors of a point lie among its j
-        # predecessors and j successors; pad the edges with +inf distance.
-        offsets = np.concatenate([np.arange(-j, 0), np.arange(1, j + 1)])
-        pos = np.arange(s)[:, None] + offsets[None, :]
-        valid = (pos >= 0) & (pos < s)
-        pos_c = np.clip(pos, 0, s - 1)
-        dist = np.where(valid, np.abs(xo[pos_c] - xo[:, None]), np.inf)
-        tie_rank = np.where(valid, io[pos_c], np.iinfo(np.int64).max)
-        take = np.lexsort((tie_rank, dist), axis=1)[:, :j]
-        nb = yo[pos_c[np.arange(s)[:, None], take]]
-        side_resid = yo - nb.mean(axis=1)
-        # the mean of equal values can round away from them: a point whose
-        # neighbors all share its response has no residual
-        side_resid[(nb == yo[:, None]).all(axis=1)] = 0.0
-        resid[io] = side_resid
-    with np.errstate(over="ignore"):  # raised as NonFiniteError below
+            # In sorted order the j nearest neighbors of a point lie among its j
+            # predecessors and j successors; pad the edges with +inf distance.
+            offsets = np.concatenate([np.arange(-j, 0), np.arange(1, j + 1)])
+            pos = np.arange(s)[:, None] + offsets[None, :]
+            valid = (pos >= 0) & (pos < s)
+            pos_c = np.clip(pos, 0, s - 1)
+            dist = np.where(valid, np.abs(xo[pos_c] - xo[:, None]), np.inf)
+            tie_rank = np.where(valid, io[pos_c], np.iinfo(np.int64).max)
+            take = np.lexsort((tie_rank, dist), axis=1)[:, :j]
+            nb = yo[pos_c[np.arange(s)[:, None], take]]
+            side_resid = yo - nb.mean(axis=1)
+            # the mean of equal values can round away from them: a point whose
+            # neighbors all share its response has no residual
+            side_resid[(nb == yo[:, None]).all(axis=1)] = 0.0
+            resid[io] = side_resid
         sigma2 = (j / (j + 1.0)) * resid**2
     if not np.isfinite(sigma2).all():
         raise NonFiniteError("nearest-neighbor variance is not finite (y near 1e154 and up)")
@@ -238,7 +239,8 @@ def se_of_linear_functional(weights: np.ndarray, sigma2: np.ndarray) -> float:
         raise LengthMismatchError(
             f"weights ({weights.shape}) and variances ({sigma2.shape}) differ"
         )
-    se = float(np.sqrt(np.sum(weights**2 * sigma2)))
+    with np.errstate(over="ignore"):  # raised as NonFiniteError below
+        se = float(np.sqrt(np.sum(weights**2 * sigma2)))
     if not math.isfinite(se):
         raise NonFiniteError(f"standard error is not finite ({se})")
     return se

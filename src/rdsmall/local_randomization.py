@@ -144,10 +144,12 @@ def _group_rows(idx: np.ndarray, n_control: int):
 
 
 def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
-                      n_mc: int, rng: np.random.Generator | None):
+                      n_mc: int, rng: np.random.Generator | int | None):
     """Difference-in-means decomposition over an assignment set.
 
-    ``y_window`` is ordered controls-then-treated.  Returns
+    ``y_window`` is ordered controls-then-treated.  Beyond ``max_exact``
+    assignments, ``n_mc`` are drawn with ``rng``: a Generator, used as is; an
+    int, its seed; or None, for fresh entropy.  Returns
     (u, bounds, v, mode): the statistic under hypothesized effect tau0 for
     assignment A is u_A - tau0 * v_A, where v_A depends only on the treated
     count k_A.  Rows are grouped by k_A; group g is rows bounds[g]:bounds[g+1]
@@ -161,9 +163,7 @@ def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
         idx, bounds, k_groups = _exact_layout(n, k)
         mode = "exact"
     else:
-        if rng is None:
-            rng = np.random.default_rng()
-        draws = rng.random((n_mc, n)).argsort(axis=1)[:, :k]
+        draws = np.random.default_rng(rng).random((n_mc, n)).argsort(axis=1)[:, :k]
         observed = np.arange(n_control, n, dtype=np.intp)[None, :]
         idx = np.concatenate([observed, np.sort(draws, axis=1)], axis=0)
         idx, bounds, k_groups = _group_rows(idx, n_control)
@@ -275,8 +275,6 @@ def permutation_test(
         raise NonFiniteError("response contains NaN or inf")
     if not np.isfinite(tau0):
         raise NonFiniteError(f"tau0 must be finite, got {tau0}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     y_window = np.concatenate([y_control, y_treated])
     u, bounds, v, mode = _assignment_stats(
         y_window, y_treated.size, max_exact, n_mc, rng
@@ -319,16 +317,14 @@ def lr_interval(
         scales the grid has no degrees of freedom; or y is constant within
         each side and the test rejects no effect at level alpha.
     NonFiniteError
-        The pooled variance overflows (responses near 1e154 and up).
+        The pooled variance overflows (responses near 1e154 and up), or the
+        difference in means does.
     """
     y_control = sample.y[window.indices_below]
     y_treated = sample.y[window.indices_above]
     if y_control.size == 0 or y_treated.size == 0:
         raise EmptyWindowSideError("both window sides must be nonempty")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
 
-    point = float(y_treated.mean() - y_control.mean())
     n_c, n_t = y_control.size, y_treated.size
     dof = n_c + n_t - 2
     if dof == 0:
@@ -337,12 +333,15 @@ def lr_interval(
             "deviation that scales the inversion grid has 0 degrees of freedom"
         )
     with np.errstate(over="ignore"):  # raised as NonFiniteError below
+        point = float(y_treated.mean() - y_control.mean())
         pooled_var = (
             ((y_control - y_control.mean()) ** 2).sum()
             + ((y_treated - y_treated.mean()) ** 2).sum()
         ) / dof
     if not math.isfinite(pooled_var):
         raise NonFiniteError(f"pooled variance of the window's y is not finite ({pooled_var})")
+    if not math.isfinite(point):
+        raise NonFiniteError(f"difference in means of the window's y is not finite ({point})")
     pooled_sd = math.sqrt(pooled_var)
 
     y_window = np.concatenate([y_control, y_treated])

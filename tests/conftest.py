@@ -92,14 +92,14 @@ def make_noisy_sample(n=120, seed=0, jump=0.1, noise=0.13):
     return RDSample(x=x, y=y, cutoff=0.0)
 
 
-def overflowing_sample(sides=("below", "above")):
-    """Five scores a side with responses of order 1e200 on ``sides`` (1 to 4
-    elsewhere): finite, but their squares overflow.  Scaled on both sides it
-    is the sample of the CLI's 10-row overflow CSV."""
+def overflowing_sample(sides=("below", "above"), factor=1e200):
+    """Five scores a side with responses of order ``factor`` on ``sides`` (1
+    to 4 elsewhere): at 1e200, finite, but their squares overflow.  Scaled on
+    both sides it is the sample of the CLI's 10-row overflow CSV."""
     x = np.array([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5], dtype=float)
     y = np.array([3, -1, 2, -3, 1, 2, -2, 4, -1, 3], dtype=float)
     for side in sides:
-        y[x < 0 if side == "below" else x >= 0] *= 1e200
+        y[x < 0 if side == "below" else x >= 0] *= factor
     return RDSample(x=x, y=y, cutoff=0.0)
 
 

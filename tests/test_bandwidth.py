@@ -177,6 +177,17 @@ class TestAKBandwidth:
         second = ak_bandwidth(reshuffled, bound=bound, sigma2=sigma2)
         assert first.h == second.h
 
+    @pytest.mark.filterwarnings("error")
+    def test_objective_overflowing_everywhere_is_a_nonfinite_error(self):
+        # with m_hat = 6.86e154 the squared bias bound is inf at every
+        # feasible candidate; argmin of the all-inf objective returned the
+        # first, infeasible one (h = 2.0), where the boundary fits then failed
+        sample = overflowing_sample(factor=1e153)
+        bound = estimate_m_hat(sample)
+        assert bound.value == pytest.approx(6.86e154, rel=1e-3)
+        with pytest.raises(NonFiniteError, match="^ak: the objective"):
+            ak_bandwidth(sample, bound, sigma2=nn_variance(sample))
+
     def test_smaller_than_ik_on_curved_design(self):
         # the bounded-curvature minimizer chooses much narrower windows than
         # the plug-in selector when the data-driven bound is large
@@ -258,6 +269,7 @@ def test_bandwidth_shrinks_at_root_n_fifth_rate(alg):
 # One sample per stop of the two selectors: (selector, x, y, error, reason).
 # Each stop raises an error whose message names the selector and whose
 # reason is the tag a cell's failure counts show.
+_E153 = overflowing_sample(factor=1e153)
 SELECTOR_STOPS = [
     ("ik", [1, 2, 3], [1, 2, 3], EmptyWindowSideError, "empty_side"),
     ("ak", [1, 2, 3], [1, 2, 3], EmptyWindowSideError, "empty_side"),
@@ -275,6 +287,8 @@ SELECTOR_STOPS = [
     ("ak", [-1, 1, 2, 3], [0, 1, 2, 3], InsufficientDataError, "insufficient_side"),
     # the two scores below the cutoff are tied, so no window fits a line there
     ("ak", [-1, -1, 1, 2, 3], [0, 1, 2, 3, 4], InsufficientDataError, "no_feasible_h"),
+    # responses of order 1e153 overflow the regularization term, so h is 0
+    ("ik", _E153.x, _E153.y, NonFiniteError, "nonfinite_result"),
 ]
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import overflowing_sample, small_samples
+from conftest import make_noisy_sample, overflowing_sample, small_samples
 import rdsmall.simulation
 from rdsmall.bandwidth import CurvatureBound, _grid_objective, estimate_m_hat
 from rdsmall.cli import main
@@ -108,7 +108,8 @@ def test_repeated_method_rejected_by_both_front_ends(ids, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--alpha", "0"], ["--alpha", "1.5"],
-                                  ["--lr-min", "0", "--methods", "lr"]])
+                                  ["--lr-min", "0", "--methods", "lr"],
+                                  ["--m-bound", "0"], ["--m-bound", "-1"]])
 def test_analyze_rejects_out_of_range_settings(argv, tmp_path, capsys):
     code, _, err = _analyze(capsys, _noisy_csv(tmp_path), *argv)
     assert code == 2 and "required" in err
@@ -239,6 +240,40 @@ def test_overflowing_responses_fail_where_they_overflow(m_bound):
         if out.reason != "no_bound":
             assert isinstance(out.error, NonFiniteError), method
         assert math.isnan(out.bw) == (method != "lr5"), method
+
+
+# (sample, y factor, x factor): each scale makes some stage's arithmetic
+# overflow, or divide by a power of the scores' scale that underflows to 0
+_OVERFLOW_PROBE = [
+    ("ten_row", 1e153, 1.0),  # ak's squared bias bound, at every candidate
+    ("noisy60", 10**154.25, 1.0),  # ak's variance, at some candidates
+    ("ten_row", 10**307.5, 1.0),  # m_hat's candidates, nn_variance's and lr's means
+    ("noisy60", 1.0, 1e-45),  # ik's curvature-window denominator
+    ("noisy60", 1.0, 1e-60),  # ik's squared third derivative
+    ("noisy60", 1.0, 1e-110),  # ik's third derivative: scale**3 is 0
+    ("noisy60", 1.0, 1e-160),  # m_hat: scale**2 is 0
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m_bound", [None, 2.0])
+@pytest.mark.parametrize("name, y_factor, x_factor", _OVERFLOW_PROBE,
+                         ids=[f"{name}-y{fy:.3g}-x{fx:g}" for name, fy, fx in _OVERFLOW_PROBE])
+def test_no_stage_prints_a_numpy_warning(name, y_factor, x_factor, m_bound):
+    base = overflowing_sample(factor=1.0) if name == "ten_row" else make_noisy_sample(60, seed=3)
+    sample = RDSample(x=base.x * x_factor, y=base.y * y_factor, cutoff=0.0)
+    bound = None if m_bound is None else CurvatureBound(m_bound)
+    for window in ("strict", "capped"):
+        plan = Plan(methods=ALL_METHODS, alpha=0.05, lr_min=5, window=window,
+                    m_bound=bound, akm_bound=bound)
+        for method, out in estimate(sample, plan, np.random.default_rng(0)).items():
+            assert out.ok or isinstance(out.error, RDError), method
+            if y_factor == 1e153:
+                if method.startswith("ik/"):
+                    assert out.reason == "nonfinite_result", method
+                elif method.startswith("ak/") and m_bound is None:
+                    assert type(out.error) is NonFiniteError, method
+                    assert str(out.error).startswith("ak: the objective"), method
 
 
 def _retagged(error, reason):

@@ -410,3 +410,9 @@ class TestSEOfLinearFunctional:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             se_of_linear_functional(np.ones(3), np.ones(4))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_is_a_nonfinite_error(self):
+        # each term is finite, their sum is not
+        with pytest.raises(NonFiniteError, match="standard error"):
+            se_of_linear_functional(np.ones(3), np.full(3, 1e308))

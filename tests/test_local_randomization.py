@@ -233,6 +233,16 @@ class TestPermutationTest:
 
 
 class TestLRInterval:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_difference_in_means_is_a_nonfinite_error(self):
+        # each side's mean is finite and the pooled variance is 0, but their
+        # difference overflows; it used to warn and then reach the
+        # constant-response branch with u = inf
+        sample = _sample([-1.0, 1.0, 2.0], [-1.7e308, 1e307, 1e307])
+        window = select_window(sample, min_per_side=2, policy="capped")
+        with pytest.raises(NonFiniteError, match="difference in means"):
+            lr_interval(sample, window, alpha=0.05)
+
     def test_zero_noise_constant_effect(self):
         # y constant within each side: every effect but the point has
         # p = P(|v_A| >= 1) = 2/20 = 0.1 on a 3+3 window, so at alpha = 0.05
