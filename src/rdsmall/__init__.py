@@ -11,8 +11,8 @@ The package covers the full small-study RD workflow:
 * ``diss`` — the density-inclusive study size metric, sample and population
 * ``inference`` — conventional, robust bias-corrected and fixed-length
   intervals
-* ``local_randomization`` — window selection, sharp-null permutation tests,
-  interval inversion
+* ``local_randomization`` — window selection and interval inversion of the
+  sharp-null permutation test
 * ``engine`` — the method-id parser and the one estimation path that runs
   every method on a sample, for the CLI and the harness alike
 * ``simulation`` — the seeded Monte Carlo evaluation harness
@@ -56,9 +56,7 @@ from .local_poly import (
 )
 from .local_randomization import (
     LRWindow,
-    PermutationResult,
     lr_interval,
-    permutation_test,
     select_window,
 )
 from .simulation import (
@@ -66,7 +64,6 @@ from .simulation import (
     SimCellResult,
     eval_mu,
     generate_dataset,
-    max_abs_second_derivative,
     run_cell,
     validate_cell_spec,
     write_cell_outputs,
@@ -83,7 +80,6 @@ __all__ = [
     "Kernel",
     "LinearFit",
     "LRWindow",
-    "PermutationResult",
     "RDSample",
     "SimCellResult",
     "ak_bandwidth",
@@ -100,10 +96,8 @@ __all__ = [
     "ik_bandwidth",
     "local_poly_fit",
     "lr_interval",
-    "max_abs_second_derivative",
     "n_for_target_diss",
     "nn_variance",
-    "permutation_test",
     "population_diss",
     "rbc_interval",
     "run_cell",

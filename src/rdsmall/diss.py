@@ -50,10 +50,6 @@ class BetaSpec:
         if not np.isfinite(self.shift):
             raise NonFiniteError(f"shift must be finite, got {self.shift}")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.shift, self.scale + self.shift
-
     def untransformed(self) -> "BetaSpec":
         return BetaSpec(self.alpha, self.beta)
 

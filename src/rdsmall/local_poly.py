@@ -99,7 +99,8 @@ def local_poly_fit(
     ------
     BadBandwidthError
         h is not a positive finite number, or so small that h**2 is not a
-        normal float (the curvature weights divide by it).
+        normal float or, at degree 2, that the curvature weights, which
+        divide by it, overflow.
     InsufficientDataError
         Fewer than degree+1 usable points in the window, or the weighted
         design is rank deficient (coincident x values).
@@ -155,7 +156,11 @@ def local_poly_fit(
 
     second = None
     if degree >= 2:
-        v_local = (2.0 / h**2) * extraction_weights(2)
+        scale, curvature = 2.0 / h**2, extraction_weights(2)
+        # a float product that overflows is inf, without a numpy warning
+        if not math.isfinite(float(np.abs(curvature).max()) * scale):
+            raise BadBandwidthError(f"bandwidth {h} is too small: the curvature weights overflow")
+        v_local = scale * curvature
         second = np.zeros(sample.n)
         second[idx] = v_local
 

@@ -52,14 +52,6 @@ class LRWindow:
     indices_above: np.ndarray
 
 
-@dataclass(frozen=True)
-class PermutationResult:
-    observed_stat: float
-    p_value: float
-    n_assignments_evaluated: int
-    mode: str  # "exact" or "monte_carlo"
-
-
 def select_window(sample: RDSample, min_per_side: int = 5,
                   policy: str = "strict") -> LRWindow:
     """Smallest symmetric window holding min_per_side points per side.
@@ -241,65 +233,19 @@ def _p_values(u: np.ndarray, bounds: np.ndarray, v: np.ndarray,
     return counts / n_rows
 
 
-def permutation_test(
-    y_control,
-    y_treated,
-    tau0: float = 0.0,
-    *,
-    max_exact: int = DEFAULT_MAX_EXACT,
-    n_mc: int = DEFAULT_N_MC,
-    rng: np.random.Generator | int | None = None,
-) -> PermutationResult:
-    """Sharp-null permutation test of a constant effect tau0.
-
-    The hypothesized effect is removed from the treated responses, then the
-    difference-in-means statistic is referred to its fixed-margins
-    permutation distribution: exact enumeration when the assignment count
-    fits in ``max_exact``, otherwise ``n_mc`` uniform draws plus the
-    observed assignment.  Two-sided p-value; ties count as extreme, and in
-    exact mode p >= 1/n_assignments because the observed assignment counts
-    itself.
-
-    Raises
-    ------
-    EmptyWindowSideError
-        A window side has no responses.
-    NonFiniteError
-        A response or tau0 is NaN or inf.
-    """
-    y_control = np.asarray(y_control, dtype=float)
-    y_treated = np.asarray(y_treated, dtype=float)
-    if y_control.size == 0 or y_treated.size == 0:
-        raise EmptyWindowSideError("both window sides must be nonempty")
-    if not (np.isfinite(y_control).all() and np.isfinite(y_treated).all()):
-        raise NonFiniteError("response contains NaN or inf")
-    if not np.isfinite(tau0):
-        raise NonFiniteError(f"tau0 must be finite, got {tau0}")
-    y_window = np.concatenate([y_control, y_treated])
-    u, bounds, v, mode = _assignment_stats(
-        y_window, y_treated.size, max_exact, n_mc, rng
-    )
-    return PermutationResult(
-        observed_stat=float(u[0] - tau0),
-        p_value=float(_p_values(u, bounds, v, np.array([tau0], dtype=float))[0]),
-        n_assignments_evaluated=u.size,
-        mode=mode,
-    )
-
-
 def lr_interval(
     sample: RDSample,
     window: LRWindow,
     alpha: float = 0.05,
     *,
-    max_exact: int = DEFAULT_MAX_EXACT,
-    n_mc: int = DEFAULT_N_MC,
     rng: np.random.Generator | int | None = None,
 ) -> EffectEstimate:
     """Constant-effect point estimate and interval by test inversion.
 
-    The point estimate is the window difference in means.  The interval is
-    the hull of grid values tau0 with p(tau0) > alpha, on a grid of
+    The point estimate is the window difference in means.  p(tau0) enumerates
+    every assignment when there are at most DEFAULT_MAX_EXACT of them, and
+    otherwise draws DEFAULT_N_MC with ``rng`` besides the observed one.  The
+    interval is the hull of grid values tau0 with p(tau0) > alpha, on a grid of
     DEFAULT_GRID_POINTS values centered at the point estimate spanning +-
     DEFAULT_GRID_SPAN_SDS pooled within-group standard deviations.  When the
     pooled sd is zero (to within roundoff of the responses' scale) the test
@@ -345,7 +291,8 @@ def lr_interval(
     pooled_sd = math.sqrt(pooled_var)
 
     y_window = np.concatenate([y_control, y_treated])
-    u, bounds, v, mode = _assignment_stats(y_window, n_t, max_exact, n_mc, rng)
+    u, bounds, v, mode = _assignment_stats(y_window, n_t, DEFAULT_MAX_EXACT,
+                                           DEFAULT_N_MC, rng)
     if pooled_sd <= _TIE_RTOL * np.abs(y_window).max():
         # y is constant within each side (up to roundoff, which would
         # otherwise steer a grid this narrow), so u_A = point * v_A and the

@@ -65,15 +65,14 @@ class MeanFunction:
     """One of the three simulated mean functions (jump 0.1 at x = 0)."""
 
     name: str
-    knots: tuple[float, ...]
     nominal_curvature_bound: float
     true_tau: float = TRUE_TAU
 
 
 MU_FUNCTIONS: dict[str, MeanFunction] = {
-    "mu1": MeanFunction("mu1", knots=(-0.2, 0.2, 0.4, 0.7), nominal_curvature_bound=2.0),
-    "mu2": MeanFunction("mu2", knots=(), nominal_curvature_bound=233.26),
-    "mu3": MeanFunction("mu3", knots=(), nominal_curvature_bound=16.2),
+    "mu1": MeanFunction("mu1", nominal_curvature_bound=2.0),
+    "mu2": MeanFunction("mu2", nominal_curvature_bound=233.26),
+    "mu3": MeanFunction("mu3", nominal_curvature_bound=16.2),
 }
 
 
@@ -108,20 +107,6 @@ def _mu3(x):
 
 _MU_EVAL = {"mu1": _mu1, "mu2": _mu2, "mu3": _mu3}
 
-# Second derivatives as (lo, hi, ascending poly coefficients) pieces; the
-# discontinuity points (knots, cutoff) separate pieces.
-_MU_D2_PIECES = {
-    "mu1": (
-        (-1.0, -0.2, (2.0,)),
-        (-0.2, 0.2, (-2.0,)),
-        (0.2, 0.4, (2.0,)),
-        (0.4, 0.7, (-2.0,)),
-        (0.7, 1.0, (2.0,)),
-    ),
-    "mu2": ((-1.0, 1.0, (-6.0, 47.94, -108.12, 71.2)),),
-    "mu3": ((-1.0, 0.0, (6.4, 16.2)), (0.0, 1.0, (5.0, -9.0))),
-}
-
 
 def eval_mu(name: str, x):
     """Evaluate a mean function; support is [-1, 1]."""
@@ -130,41 +115,6 @@ def eval_mu(name: str, x):
         raise OutOfSupportError(f"{name} is defined on [-1, 1]")
     out = _MU_EVAL[name](x)
     return float(out) if out.ndim == 0 else out
-
-
-def mu_second_derivative(name: str, x):
-    """Analytic second derivative (undefined exactly at knots/cutoff)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    out.fill(np.nan)
-    for lo, hi, coeffs in _MU_D2_PIECES[name]:
-        mask = (x >= lo) & (x <= hi)
-        out[mask] = np.polynomial.Polynomial(coeffs)(x[mask])
-    return float(out) if out.ndim == 0 else out
-
-
-def max_abs_second_derivative(name: str) -> float:
-    """Analytic max of |mu''| over [-1, 1] away from the knot/cutoff points.
-
-    For mu1 this is 2 and for mu2 it is 233.26 (attained at x = -1), both
-    matching the designs' nominal bounds.  For mu3 the analytic value is 9.8 (also
-    at x = -1), which does NOT match the nominal 16.2; 16.2 is the slope
-    coefficient of mu3'' below the cutoff, suggesting a transcription slip.
-    The nominal value stays available as
-    ``MU_FUNCTIONS['mu3'].nominal_curvature_bound``; neither number is
-    silently substituted for the other.
-    """
-    worst = 0.0
-    for lo, hi, coeffs in _MU_D2_PIECES[name]:
-        poly = np.polynomial.Polynomial(coeffs)
-        candidates = [lo, hi]
-        deriv = poly.deriv()
-        if deriv.degree() >= 1:
-            for root in deriv.roots():
-                if abs(root.imag) < 1e-12 and lo < root.real < hi:
-                    candidates.append(float(root.real))
-        worst = max(worst, max(abs(float(poly(c))) for c in candidates))
-    return worst
 
 
 # ---------------------------------------------------------------------------

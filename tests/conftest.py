@@ -3,12 +3,16 @@
 The oracles here intentionally avoid the library's computation paths: dense
 normal equations built from raw (uncentered-basis) design matrices, brute
 force double loops for neighbor variances, direct summation for standard
-errors.  Library routines are tested against these, never against
-themselves.  ``sigma2_of`` and ``fits_at`` are not oracles: they build the
-shared inputs that the interval and bandwidth routines take, as the
-estimation engine does.  ``affine_transform`` moves a sample's scores for
-the invariance tests.
+errors, the simulated mean functions' second derivatives piece by piece.
+Library routines are tested against these, never against themselves.
+``sigma2_of``, ``fits_at`` and ``permutation_test`` are not oracles: the
+first two build the shared inputs that the interval and bandwidth routines
+take, as the estimation engine does, and the third runs the window test at
+one effect as ``lr_interval`` runs it at each point of its grid.
+``affine_transform`` moves a sample's scores for the invariance tests.
 """
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -17,6 +21,12 @@ from hypothesis import strategies as st
 from rdsmall.core import RDSample
 from rdsmall.inference import BoundaryFits
 from rdsmall.local_poly import nn_variance
+from rdsmall.local_randomization import (
+    DEFAULT_MAX_EXACT,
+    DEFAULT_N_MC,
+    _assignment_stats,
+    _p_values,
+)
 
 
 def affine_transform(sample, a, b):
@@ -101,6 +111,72 @@ def overflowing_sample(sides=("below", "above"), factor=1e200):
     for side in sides:
         y[x < 0 if side == "below" else x >= 0] *= factor
     return RDSample(x=x, y=y, cutoff=0.0)
+
+
+# The simulated mean functions' interior knots, and their second derivatives
+# as (lo, hi, ascending poly coefficients) pieces; the knots and the cutoff
+# separate pieces.
+MU_KNOTS = {"mu1": (-0.2, 0.2, 0.4, 0.7), "mu2": (), "mu3": ()}
+_MU_D2_PIECES = {
+    "mu1": (
+        (-1.0, -0.2, (2.0,)),
+        (-0.2, 0.2, (-2.0,)),
+        (0.2, 0.4, (2.0,)),
+        (0.4, 0.7, (-2.0,)),
+        (0.7, 1.0, (2.0,)),
+    ),
+    "mu2": ((-1.0, 1.0, (-6.0, 47.94, -108.12, 71.2)),),
+    "mu3": ((-1.0, 0.0, (6.4, 16.2)), (0.0, 1.0, (5.0, -9.0))),
+}
+
+
+def mu_second_derivative(name, x):
+    """Analytic second derivative (undefined exactly at knots/cutoff)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    out.fill(np.nan)
+    for lo, hi, coeffs in _MU_D2_PIECES[name]:
+        mask = (x >= lo) & (x <= hi)
+        out[mask] = np.polynomial.Polynomial(coeffs)(x[mask])
+    return float(out) if out.ndim == 0 else out
+
+
+def max_abs_second_derivative(name):
+    """Analytic max of |mu''| over [-1, 1] away from the knot/cutoff points.
+
+    For mu1 this is 2 and for mu2 it is 233.26 (attained at x = -1), both
+    matching the designs' nominal bounds.  For mu3 the analytic value is 9.8
+    (also at x = -1), which does NOT match the nominal 16.2; 16.2 is the
+    slope coefficient of mu3'' below the cutoff, suggesting a transcription
+    slip.  The nominal value stays in the library as
+    ``MU_FUNCTIONS['mu3'].nominal_curvature_bound``.
+    """
+    worst = 0.0
+    for lo, hi, coeffs in _MU_D2_PIECES[name]:
+        poly = np.polynomial.Polynomial(coeffs)
+        candidates = [lo, hi]
+        deriv = poly.deriv()
+        if deriv.degree() >= 1:
+            for root in deriv.roots():
+                if abs(root.imag) < 1e-12 and lo < root.real < hi:
+                    candidates.append(float(root.real))
+        worst = max(worst, max(abs(float(poly(c))) for c in candidates))
+    return worst
+
+
+PermutationTest = namedtuple("PermutationTest",
+                             "observed_stat p_value n_assignments_evaluated mode")
+
+
+def permutation_test(y_control, y_treated, tau0=0.0, *, max_exact=DEFAULT_MAX_EXACT,
+                     n_mc=DEFAULT_N_MC, rng=None):
+    """The window test of a constant effect tau0, as ``lr_interval`` runs it:
+    a two-sided p over every assignment when at most ``max_exact`` exist,
+    else over ``n_mc`` draws with ``rng`` and the observed one."""
+    y_window = np.concatenate([y_control, y_treated]).astype(float)
+    u, bounds, v, mode = _assignment_stats(y_window, len(y_treated), max_exact, n_mc, rng)
+    p = _p_values(u, bounds, v, np.array([tau0], dtype=float))[0]
+    return PermutationTest(float(u[0] - tau0), float(p), u.size, mode)
 
 
 def sigma2_of(sample):

@@ -13,7 +13,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import affine_transform, fits_at, make_noisy_sample, wls_intercept_oracle
+from conftest import (
+    MU_KNOTS,
+    affine_transform,
+    fits_at,
+    make_noisy_sample,
+    max_abs_second_derivative,
+    mu_second_derivative,
+    permutation_test,
+    wls_intercept_oracle,
+)
 from rdsmall.bandwidth import CurvatureBound, silverman_rot_population
 from rdsmall.core import RDSample
 from rdsmall.diss import (
@@ -25,13 +34,10 @@ from rdsmall.diss import (
 )
 from rdsmall.inference import cv_interval, flci_interval, folded_normal_cv
 from rdsmall.local_poly import local_poly_fit, se_of_linear_functional
-from rdsmall.local_randomization import permutation_test
 from rdsmall.simulation import (
     MU_FUNCTIONS,
     CellSpec,
     eval_mu,
-    max_abs_second_derivative,
-    mu_second_derivative,
     run_cell,
     write_cell_outputs,
 )
@@ -119,7 +125,7 @@ def test_criterion_2_mean_functions():
     for name in ("mu1", "mu2", "mu3"):
         x = np.arange(-1 + step, 1 - step, step)
         keep = np.ones_like(x, dtype=bool)
-        for point in set(MU_FUNCTIONS[name].knots) | {0.0}:
+        for point in set(MU_KNOTS[name]) | {0.0}:
             keep &= np.abs(x - point) > 2.5 * step
         x = x[keep]
         fd = (eval_mu(name, x + step) - 2 * eval_mu(name, x)

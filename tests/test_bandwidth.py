@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rdsmall.bandwidth import (
     silverman_rot,
     silverman_rot_population,
 )
+from rdsmall.cli import read_xy_csv
 from rdsmall.core import RDSample
 from rdsmall.errors import (
     DegenerateSampleError,
@@ -114,6 +116,17 @@ class TestIKBandwidth:
         for a in (0.5, 2.0, 7.3):
             moved = ik_bandwidth(affine_transform(sample, a, 3.0))
             assert moved.h == pytest.approx(a * base.h, rel=1e-9)
+
+    def test_curvature_floor_breaks_scale_equivariance_on_the_fixture(self):
+        # the shipped fixture's m3^2 (~3e-11) is below _M3_FLOOR, which is in
+        # data units: halving the scores moves h/a by ~1.8x, and only y -> a^3 y,
+        # which leaves m3^2 and so the floor's effect unchanged, keeps h/a
+        x, y, _ = read_xy_csv(Path(__file__).parent / "data" / "indiana_synth.csv",
+                              "score_2017", "score_2018")
+        base = ik_bandwidth(RDSample(x, y, 60.0)).h
+        assert ik_bandwidth(RDSample(x / 2, y, 30.0)).h * 2 > 1.5 * base
+        moved = ik_bandwidth(RDSample(x / 2, y / 8, 30.0)).h * 2
+        assert moved == pytest.approx(base, rel=1e-12)
 
     def test_regularization_keeps_bandwidth_finite_on_equal_curvatures(self):
         # mu1-style design: identical second derivatives on both sides

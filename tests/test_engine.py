@@ -252,6 +252,9 @@ _OVERFLOW_PROBE = [
     ("noisy60", 1.0, 1e-60),  # ik's squared third derivative
     ("noisy60", 1.0, 1e-110),  # ik's third derivative: scale**3 is 0
     ("noisy60", 1.0, 1e-160),  # m_hat: scale**2 is 0
+    ("noisy60", 1.0, 1e-153),  # rbc's curvature weights, at ak's h
+    ("noisy60", 1.0, 1e-154),  # the same; m_hat overflows, so only under a bound
+    ("ten_row", 1.0, 10**-154.5),
 ]
 
 

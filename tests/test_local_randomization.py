@@ -1,11 +1,13 @@
 import math
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import permutation_test
 from rdsmall import local_randomization
 from rdsmall.core import RDSample
 from rdsmall.errors import EmptyWindowSideError, InsufficientDataError, NonFiniteError
@@ -19,7 +21,6 @@ from rdsmall.local_randomization import (
     _k_subsets,
     _p_values,
     lr_interval,
-    permutation_test,
     select_window,
 )
 
@@ -217,20 +218,6 @@ class TestPermutationTest:
         p2 = permutation_test(yb, ya, max_exact=1, rng=123).p_value
         assert p1 == p2
 
-    def test_empty_side_rejected(self):
-        with pytest.raises(EmptyWindowSideError):
-            permutation_test([], [1.0, 2.0])
-
-
-    @pytest.mark.parametrize("y_control, y_treated, tau0", [
-        ([np.nan, 1.0, 2.0], [2.0, 3.0, 5.0], 0.0),
-        ([0.0, 1.0, 2.0], [2.0, 3.0, 5.0], np.nan),
-        ([0.0, 1.0, 2.0], [2.0, 3.0, 5.0], np.inf),
-    ])
-    def test_nonfinite_input_rejected(self, y_control, y_treated, tau0):
-        with pytest.raises(NonFiniteError):
-            permutation_test(y_control, y_treated, tau0)
-
 
 class TestLRInterval:
     @pytest.mark.filterwarnings("error")
@@ -383,6 +370,13 @@ class TestSweepMatchesReference:
 
         sample = _sample(np.concatenate([-np.ones(n_c), np.ones(n_t)]), y_window)
         lr_window = LRWindow(1.0, np.arange(n_c), np.arange(n_c, n_c + n_t))
+
+        def lr():
+            # lr_interval reads its assignment budget from the module
+            with patch.object(local_randomization, "DEFAULT_MAX_EXACT", max_exact), \
+                    patch.object(local_randomization, "DEFAULT_N_MC", n_mc):
+                return lr_interval(sample, lr_window, alpha, rng=seed)
+
         if n_c + n_t == 2:
             with pytest.raises(InsufficientDataError):
                 lr_interval(sample, lr_window, alpha)
@@ -393,16 +387,13 @@ class TestSweepMatchesReference:
             off_point = grid[0] + 1.0 + np.abs(y_window).max()
             if _reference_p_value(u_ref, v_ref, off_point) > alpha:
                 with pytest.raises(InsufficientDataError, match="whole real line"):
-                    lr_interval(sample, lr_window, alpha, max_exact=max_exact,
-                                n_mc=n_mc, rng=seed)
+                    lr()
             else:
-                est = lr_interval(sample, lr_window, alpha, max_exact=max_exact,
-                                  n_mc=n_mc, rng=seed)
+                est = lr()
                 assert est.ci_lower == est.ci_upper == est.tau_hat == grid[0]
                 assert est.diagnostics["grid_clipped"] is False
             return
-        est = lr_interval(sample, lr_window, alpha, max_exact=max_exact,
-                          n_mc=n_mc, rng=seed)
+        est = lr()
         accepted = np.flatnonzero(reference[-grid.size:] > alpha)
         expected = np.array([grid[accepted[0]], grid[accepted[-1]]])
         assert np.array([est.ci_lower, est.ci_upper]).tobytes() == expected.tobytes()

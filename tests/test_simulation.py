@@ -6,6 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from conftest import MU_KNOTS, max_abs_second_derivative, mu_second_derivative
 from rdsmall import simulation
 from rdsmall.cli import main
 from rdsmall.diss import beta_cdf
@@ -16,8 +17,6 @@ from rdsmall.simulation import (
     CellSpec,
     eval_mu,
     generate_dataset,
-    max_abs_second_derivative,
-    mu_second_derivative,
     replications_csv,
     resolve_study_size,
     run_cell,
@@ -41,7 +40,7 @@ class TestMeanFunctions:
             assert abs(jump - 0.1) <= 10 * eps
 
     def test_continuity_at_interior_knots(self):
-        for knot in MU_FUNCTIONS["mu1"].knots:
+        for knot in MU_KNOTS["mu1"]:
             gap = eval_mu("mu1", knot + 1e-9) - eval_mu("mu1", knot - 1e-9)
             assert abs(gap) < 1e-7
 
@@ -63,7 +62,7 @@ class TestMeanFunctions:
     def test_finite_difference_matches_analytic_second_derivative(self, name):
         step = 1e-4
         x = np.arange(-1 + step, 1 - step, step)
-        exclusions = set(MU_FUNCTIONS[name].knots) | {0.0}
+        exclusions = set(MU_KNOTS[name]) | {0.0}
         keep = np.ones_like(x, dtype=bool)
         for point in exclusions:
             keep &= np.abs(x - point) > 2.5 * step
