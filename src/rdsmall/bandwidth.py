@@ -55,7 +55,8 @@ _M3_FLOOR = 0.01
 # nu1^2)^2, v / b^2 = 480 exactly (Imbens and Kalyanaraman, 2012).
 _IK_KERNEL_CONSTANT = 480.0 ** 0.2
 # Candidate bandwidths on the bounded-curvature selector's logarithmic grid,
-# and the candidates evaluated at once in one block of its sweep.
+# and the candidates in one block of its exact sweep.  A row sums over its
+# block's widest window: the block fixes the pick's rounding and so its bytes.
 _AK_GRID_SIZE = 100
 _AK_BLOCK = 32
 
@@ -232,24 +233,21 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
 # ---------------------------------------------------------------------------
 
 
-def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray):
-    """One side's worst-case-bias and variance loadings for every candidate h.
+def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray, keep: np.ndarray):
+    """One side's worst-case-bias and variance loadings at the kept candidates.
 
     Evaluates the triangular-kernel degree-1 intercept-extraction weights in
-    closed form (the 2x2 normal equations) for all candidates at once:
+    closed form (the 2x2 normal equations), u sorted by |u|:
 
         w_i = k(t_i) (S2 - S1 t_i) / (S0 S2 - S1^2),  t_i = u_i / h
 
     and returns (feasible, bias_load, variance) with
     bias_load = sum |w_i| u_i^2 and variance = sum w_i^2 sig2_i; candidates
-    with fewer than two in-window points or a numerically singular design
-    are marked infeasible.  Must agree with ``local_poly_fit`` weights (the
-    test suite checks this); it exists only to keep the candidate sweep
-    cheap.
+    not kept, with fewer than two in-window points or a numerically singular
+    design are marked infeasible.  A row sums over its _AK_BLOCK block's
+    widest window, so it rounds as when every row is kept: this arithmetic
+    decides ak's pick.  Must agree with ``local_poly_fit`` weights (tested).
     """
-    order = np.argsort(np.abs(u))
-    u = u[order]
-    sig2 = sig2[order]
     absu = np.abs(u)
     k_count = grid.size
     feasible = np.zeros(k_count, dtype=bool)
@@ -259,10 +257,11 @@ def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray):
 
     for start in range(0, k_count, _AK_BLOCK):
         stop = min(start + _AK_BLOCK, k_count)
-        h = grid[start:stop, None]
+        rows = start + np.flatnonzero(keep[start:stop])
         m_max = int(counts[start:stop].max())
-        if m_max < 2:
+        if m_max < 2 or rows.size == 0:
             continue
+        h = grid[rows, None]
         t = u[None, :m_max] / h
         w = np.maximum(Kernel.TRIANGULAR.weight(t), 0.0)  # +0.0 at |t| >= 1
         s0 = w.sum(axis=1)
@@ -270,17 +269,82 @@ def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray):
         s1 = wt.sum(axis=1)
         s2 = (wt * t).sum(axis=1)
         det = s0 * s2 - s1**2
-        ok = (counts[start:stop] >= 2) & (det > 1e-12 * np.maximum(s0 * s2, s1**2))
+        ok = (counts[rows] >= 2) & (det > 1e-12 * np.maximum(s0 * s2, s1**2))
         safe_det = np.where(ok, det, 1.0)
         w_int = w * (s2[:, None] - s1[:, None] * t) / safe_det[:, None]
-        bias_load[start:stop] = np.where(
+        bias_load[rows] = np.where(
             ok, (np.abs(w_int) * t**2).sum(axis=1) * h[:, 0] ** 2, np.inf
         )
-        variance[start:stop] = np.where(
+        variance[rows] = np.where(
             ok, (w_int**2 * sig2[None, :m_max]).sum(axis=1), np.inf
         )
-        feasible[start:stop] = ok
+        feasible[rows] = ok
     return feasible, bias_load, variance
+
+
+def _screen_loads(dist: list, sig2: list, grid: np.ndarray):
+    """(sure, bias, bias_err, var, var_err), each of shape (2, G): both sides'
+    bias loads and variances at every candidate from prefix sums, and bounds on
+    their distance from ``_grid_objective``'s.
+
+    ``dist`` holds each side's sorted |x - c|, ``sig2`` their variances.  With
+    a = |x - c| / grid[-1] in [0, 1] and r = grid[-1] / h, a window's m points
+    give T_j = r^j sum a^j, U_j = r^j sum sig2 a^j (j <= 4), the moments s_j =
+    T_j - T_(j+1) and det = s0 s2 - s1^2.  A weight is q(t) / det, q(t) = (1 -
+    t)(s2 - s1 t) = c0 + c1 t + c2 t^2, so the variance is sum c_j c_k U_(j+k)
+    / det^2 and the bias load h^2 sum t^2 |q(t)| / det; q changes sign at s2/s1.
+
+    Bound: |X| is X summed over absolute values, with one smallest normal per
+    prefix-sum term for underflow.  Rounding at depth d moves X by at most
+    d eps |X| to first order (Higham, 2002, sec. 3.1).  Here and in the sweep
+    det, the variance's numerator N and the bias load's B have depth < 2 (m +
+    8) and size <= |X| (a point put on the wrong side of the sign change costs
+    twice its rounding), so the two differ by E_X <= 4 (m + 8) eps |X|.  With
+    det > E_det, by convexity the variance is within (N + E_N) / (det -
+    E_det)^2 - N / det^2 of the screen's, the bias load likewise.  A side is
+    sure when it holds two points and det - E_det > 2e-12 (max(s0 s2, s1^2) +
+    E_det), so the sweep's 1e-12 test passes.
+    """
+    top, n_b = grid[-1], dist[0].size
+    a = np.concatenate([[0.0], dist[0] / top, [0.0], dist[1] / top])  # a 0 opens each side
+    sums = np.empty((9, a.size))  # rows a^j (j = 1..4), then sig2 a^j (j = 0..4)
+    sums[0], sums[1] = a, a * a
+    sums[2], sums[3] = sums[1] * a, sums[1] * sums[1]
+    sums[4] = np.concatenate([[0.0], sig2[0], [0.0], sig2[1]])
+    np.multiply(sums[:4], sums[4], out=sums[5:])
+    for side in (sums[:, :n_b + 1], sums[:, n_b + 1:]):
+        np.cumsum(side, axis=1, out=side)
+    start, m = np.array([[0], [n_b + 1]]), np.stack([np.searchsorted(d, grid) for d in dist])
+    a_sums, s_sums = np.split(np.concatenate([m[None], sums[:, start + m]]), 2)  # a^0 sums to m
+    r_pow = (top / grid) ** np.arange(5)[:, None, None]
+    fp = np.finfo(float)
+    t_sum, t_size = r_pow * a_sums, r_pow * (a_sums + fp.tiny)
+    u_sum, u_size = r_pow * s_sums, r_pow * (s_sums + fp.tiny * (1.0 + s_sums[0]))
+
+    mom, mom_size = t_sum[:3] - t_sum[1:4], t_size[:3] + t_size[1:4]
+    det = mom[0] * mom[2] - mom[1] ** 2
+    coef = np.stack([mom[2], -mom[1] - mom[2], mom[1]])
+    coef_size = np.stack([mom_size[2], mom_size[1] + mom_size[2], mom_size[1]])
+    hankel = np.add.outer(np.arange(3), np.arange(3))
+    num = np.einsum("i...,ij...,j...->...", coef, u_sum[hankel], coef)
+    num_size = np.einsum("i...,ij...,j...->...", coef_size, u_size[hankel], coef_size)
+    # points below the sign change, at a = s2 / (s1 r), count with a plus sign
+    split = mom[2] / (mom[1] * r_pow[1])
+    p = np.minimum(m, [np.searchsorted(d / top, at) for d, at in zip(dist, split)])
+    a_split = sums[1:4, start + p]
+    b_num = np.einsum("j...,j...->...", coef, 2.0 * r_pow[2:] * a_split - t_sum[2:])
+    b_size = np.einsum("j...,j...->...", coef_size,
+                       2.0 * r_pow[2:] * (a_split + fp.tiny) + t_size[2:])
+
+    gamma = 4.0 * (m + 8) * fp.eps
+    det_err = gamma * (mom_size[0] * mom_size[2] + mom_size[1] ** 2)
+    det_lo = det - det_err
+    bias, var = b_num / det * grid**2, num / det**2
+    # plus a subnormal rounding of the product with h^2, here and in the sweep
+    bias_err = (b_num + gamma * b_size) / det_lo * grid**2 - bias + 2.0 * fp.smallest_subnormal
+    var_err = (num + gamma * num_size) / det_lo**2 - var
+    sure = (m >= 2) & (det_lo > 2e-12 * (np.maximum(mom[0] * mom[2], mom[1] ** 2) + det_err))
+    return sure, bias, bias_err, var, var_err
 
 
 def ak_bandwidth(
@@ -301,8 +365,10 @@ def ak_bandwidth(
     with sigma2 the sample's nearest-neighbor residual variances
     (``nn_variance``).  The minimizer is returned; ties break toward
     smaller h.  The score depends on the response only through sigma2, so
-    re-running with frozen sigma2 and new noise gives an identical
-    bandwidth.
+    re-running with frozen sigma2 and new noise gives an identical bandwidth.
+    Cost: a sort per side, then ``_screen_loads`` bounds every score in O(n +
+    G log n); unless one candidate is surely best, ``_grid_objective`` scores
+    the candidates the bounds leave, as the O(G n) sweep of all of them does.
 
     Raises ``ZeroCurvatureBoundError`` for a zero bound (the objective would
     degenerate to pure variance minimization), an ``RDError`` tagged
@@ -322,34 +388,43 @@ def ak_bandwidth(
                                     "2 a side needed", reason="insufficient_side")
 
     u = sample.x - sample.cutoff
-    dist_below = np.sort(np.abs(u[sample.below]))
-    dist_above = np.sort(np.abs(u[sample.above]))
-    h_lo = max(dist_below[1], dist_above[1])
+    orders = [idx[np.argsort(np.abs(u[idx]))] for idx in (sample.below, sample.above)]
+    dist = [np.abs(u[order]) for order in orders]
+    h_lo = two_a_side = max(dist[0][1], dist[1][1])  # wider windows hold two a side
     h_hi = float(sample.x.max() - sample.x.min())
     if h_lo <= 0:
         h_lo = max(1e-8 * h_hi, np.finfo(float).tiny)
     if h_hi <= h_lo:
         h_hi = 2.0 * h_lo
     grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
+    diagnostics = {"grid_lo": float(grid[0]), "grid_hi": float(grid[-1])}
+
+    def score(bias, var):  # the objective, from both sides' loads in rows 0 and 1
+        return (0.5 * bound.value * bias.sum(axis=0)) ** 2 + var.sum(axis=0)
+
+    with np.errstate(all="ignore"):  # a score that is not finite is not sure
+        sure, bias, bias_err, var, var_err = _screen_loads(dist, [sigma2[o] for o in orders], grid)
+        lo = score(np.maximum(bias - bias_err, 0.0), np.maximum(var - var_err, 0.0))
+        hi = score(bias + bias_err, var + var_err)
+        sure = sure.all(axis=0) & np.isfinite(hi)
+        keep = (grid > two_a_side) & ~(sure & (lo > np.min(hi, where=sure, initial=np.inf)))
+    if keep.sum() == 1 and sure[keep].all():
+        return BandwidthResult(float(grid[keep][0]), diagnostics=diagnostics)
 
     with np.errstate(over="ignore"):  # an objective inf everywhere raises below
-        ok_b, bias_b, var_b = _grid_objective(u[sample.below], sigma2[sample.below], grid)
-        ok_a, bias_a, var_a = _grid_objective(u[sample.above], sigma2[sample.above], grid)
-        feasible = ok_b & ok_a
+        ok, bias, var = map(np.stack, zip(*(_grid_objective(u[order], sigma2[order], grid, keep)
+                                           for order in orders)))
+        feasible = ok.all(axis=0)
         if not feasible.any():
             raise InsufficientDataError("ak: no candidate bandwidth fits both sides",
                                         reason="no_feasible_h")
 
-        half_m = 0.5 * bound.value
-        bias_bound = half_m * (bias_b + bias_a)
-        variance = var_b + var_a
-        mse = np.where(feasible, bias_bound**2 + variance, np.inf)
+        mse = np.where(feasible, score(bias, var), np.inf)
     pick = int(np.argmin(mse))  # first minimum: ties break toward smaller h
     if not np.isfinite(mse[pick]):
         raise NonFiniteError("ak: the objective (worst-case bias^2 + variance) overflows "
                              "at every feasible candidate")
-    return BandwidthResult(float(grid[pick]),
-                           diagnostics={"grid_lo": float(grid[0]), "grid_hi": float(grid[-1])})
+    return BandwidthResult(float(grid[pick]), diagnostics=diagnostics)
 
 
 def estimate_m_hat(sample: RDSample) -> CurvatureBound:

@@ -10,6 +10,7 @@ first two build the shared inputs that the interval and bandwidth routines
 take, as the estimation engine does, and the third runs the window test at
 one effect as ``lr_interval`` runs it at each point of its grid.
 ``affine_transform`` moves a sample's scores for the invariance tests.
+``ak_pick_oracle`` is ak's candidate sweep without its screen.
 """
 
 from collections import namedtuple
@@ -18,7 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from rdsmall.bandwidth import _AK_GRID_SIZE, BandwidthResult, _grid_objective
 from rdsmall.core import RDSample
+from rdsmall.errors import InsufficientDataError, NonFiniteError
 from rdsmall.inference import BoundaryFits
 from rdsmall.local_poly import nn_variance
 from rdsmall.local_randomization import (
@@ -177,6 +180,37 @@ def permutation_test(y_control, y_treated, tau0=0.0, *, max_exact=DEFAULT_MAX_EX
     u, bounds, v, mode = _assignment_stats(y_window, len(y_treated), max_exact, n_mc, rng)
     p = _p_values(u, bounds, v, np.array([tau0], dtype=float))[0]
     return PermutationTest(float(u[0] - tau0), float(p), u.size, mode)
+
+
+def ak_pick_oracle(sample, bound, *, sigma2):
+    """``ak_bandwidth`` scoring every candidate with the exact sweep: the
+    same grid, first-minimum tie rule and raises, with no screen."""
+    u = sample.x - sample.cutoff
+    sides = []
+    for idx in (sample.below, sample.above):
+        order = np.argsort(np.abs(u[idx]))
+        sides.append((u[idx][order], sigma2[idx][order]))
+    h_lo = max(abs(sides[0][0][1]), abs(sides[1][0][1]))
+    h_hi = float(sample.x.max() - sample.x.min())
+    if h_lo <= 0:
+        h_lo = max(1e-8 * h_hi, np.finfo(float).tiny)
+    if h_hi <= h_lo:
+        h_hi = 2.0 * h_lo
+    grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
+    every = np.ones(grid.size, dtype=bool)
+    with np.errstate(over="ignore"):
+        (ok_b, bias_b, var_b), (ok_a, bias_a, var_a) = (
+            _grid_objective(*side, grid, every) for side in sides)
+        if not (ok_b & ok_a).any():
+            raise InsufficientDataError("ak: no candidate bandwidth fits both sides",
+                                        reason="no_feasible_h")
+        mse = np.where(ok_b & ok_a, (0.5 * bound.value * (bias_b + bias_a)) ** 2
+                       + (var_b + var_a), np.inf)
+    pick = int(np.argmin(mse))
+    if not np.isfinite(mse[pick]):
+        raise NonFiniteError("ak: the objective overflows at every feasible candidate")
+    return BandwidthResult(float(grid[pick]),
+                           diagnostics={"grid_lo": float(grid[0]), "grid_hi": float(grid[-1])})
 
 
 def sigma2_of(sample):

@@ -3,14 +3,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import affine_transform, make_noisy_sample, overflowing_sample, sigma2_of
+from conftest import (
+    affine_transform,
+    ak_pick_oracle,
+    make_noisy_sample,
+    overflowing_sample,
+    sigma2_of,
+)
+import rdsmall.bandwidth
 from rdsmall.bandwidth import (
+    _AK_GRID_SIZE,
     _IK_KERNEL_CONSTANT,
     CurvatureBound,
     _grid_objective,
     _sample_spread,
+    _screen_loads,
     ak_bandwidth,
     estimate_m_hat,
     ik_bandwidth,
@@ -157,6 +168,82 @@ class TestIKBandwidth:
             ik_bandwidth(overflowing_sample([side]))
 
 
+def _sorted_sides(sample):
+    """Each side's indices in order of |x - c|, as ak sorts them."""
+    u = np.abs(sample.x - sample.cutoff)
+    return [idx[np.argsort(u[idx])] for idx in (sample.below, sample.above)]
+
+
+def _ak_grid(result):
+    return np.geomspace(result.diagnostics["grid_lo"], result.diagnostics["grid_hi"],
+                        _AK_GRID_SIZE)
+
+
+@st.composite
+def _ak_side(draw):
+    """2 to 12 distances from the cutoff: spread, duplicated, clustered, or
+    two near it and the rest far, so that windows hold two points over a
+    range of h."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["spread", "duplicated", "clustered", "two_near"]))
+    if kind == "spread":
+        return np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    if kind == "duplicated":
+        return np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))) / 4.0
+    if kind == "clustered":
+        offsets = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        spacing = draw(st.sampled_from([1e-9, 1e-7, 1e-6, 1e-3]))
+        return draw(st.floats(0.1, 1.0)) + spacing * np.array(offsets, dtype=float)
+    near = draw(st.lists(st.floats(1e-4, 1e-2), min_size=2, max_size=2))
+    far = draw(st.lists(st.floats(0.5, 1.0), min_size=n - 2, max_size=n - 2))
+    return np.array(near + far)
+
+
+def _ak_or_error(select, sample, bound, sigma2):
+    try:
+        result = select(sample, bound, sigma2=sigma2)
+    except RDError as err:
+        return type(err), err.reason
+    return result.h, result.diagnostics
+
+
+_TIE = generate_dataset("rv2", "mu1", 95, np.random.default_rng(36))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(below=_ak_side(), above=_ak_side(), scale=st.sampled_from([-150, -80, -3, 0, 3, 80, 150]),
+       m=st.sampled_from([1e-3, 1.0, 2.0, 1e3]), seed=st.integers(0, 2**16),
+       unit_variances=st.booleans())
+def test_screen_never_changes_the_pick(below, above, scale, m, seed, unit_variances):
+    x = np.concatenate([-below, above]) * 10.0**scale
+    rng = np.random.default_rng(seed)
+    sigma2 = np.ones(x.size) if unit_variances else rng.uniform(0.1, 2.0, x.size)
+    _assert_pick_is_the_oracles(RDSample(x, rng.standard_normal(x.size), 0.0), sigma2, m)
+
+
+# each side's window holds two points on a stretch of candidates, so the
+# linear fits interpolate and the objective ties (exactly, up to rounding):
+# the screen leaves several candidates, which the exact sweep decides
+@pytest.mark.parametrize("a, c", [(1.0, 1.0), (40.0, 64000.0), (1e80, 1.0), (1e-80, 1.0),
+                                  (1e150, 1.0), (1e-150, 1.0)])
+@pytest.mark.parametrize("m", [None, 2.0])
+def test_screen_keeps_the_pick_on_the_tie_sample(a, c, m, monkeypatch):
+    sample = RDSample(a * _TIE.x, c * _TIE.y, a * _TIE.cutoff)
+    kept = []
+    sweep = rdsmall.bandwidth._grid_objective
+    monkeypatch.setattr(rdsmall.bandwidth, "_grid_objective",
+                        lambda *args: kept.append(np.sum(args[3])) or sweep(*args))
+    _assert_pick_is_the_oracles(sample, nn_variance(sample), m)
+    if m is None:  # under m_hat, the tie reaches the exact sweep
+        assert kept and min(kept) > 1
+
+
+def _assert_pick_is_the_oracles(sample, sigma2, m):
+    bound = estimate_m_hat(sample) if m is None else CurvatureBound(m)
+    assert (_ak_or_error(ak_bandwidth, sample, bound, sigma2)
+            == _ak_or_error(ak_pick_oracle, sample, bound, sigma2))
+
+
 class TestAKBandwidth:
     def test_zero_bound_rejected(self):
         sample = make_noisy_sample(seed=3)
@@ -164,7 +251,8 @@ class TestAKBandwidth:
             ak_bandwidth(sample, CurvatureBound(0.0), sigma2=sigma2_of(sample))
 
     def test_grid_matches_fit_based_objective(self):
-        # the vectorized candidate sweep must agree with explicit fits
+        # the vectorized candidate sweep must agree with explicit fits, and
+        # the prefix-sum screen with the sweep within its bounds
         rng = np.random.default_rng(31)
         for _ in range(6):
             sample = generate_dataset("rv2", "mu3", int(rng.integers(60, 250)), rng)
@@ -172,13 +260,42 @@ class TestAKBandwidth:
             res = ak_bandwidth(sample, bound=CurvatureBound(5.0), sigma2=sigma2)
             u = sample.x - sample.cutoff
             grid = np.array([res.h])
-            for name, idx in (("below", sample.below), ("above", sample.above)):
-                ok, bias_load, variance = _grid_objective(u[idx], sigma2[idx], grid)
+            sides = _sorted_sides(sample)
+            for name, idx in zip(("below", "above"), sides):
+                ok, bias_load, variance = _grid_objective(u[idx], sigma2[idx], grid,
+                                                          np.ones(1, bool))
                 fit = local_poly_fit(sample, name, 1, res.h)
                 assert ok[0]
                 assert bias_load[0] == pytest.approx(fit.abs_weighted_x2, rel=1e-9)
                 assert variance[0] == pytest.approx(
                     float(np.sum(fit.weights**2 * sigma2)), rel=1e-9)
+            grid = _ak_grid(res)
+            sure, bias, bias_err, var, var_err = _screen_loads(
+                [np.abs(u[idx]) for idx in sides], [sigma2[idx] for idx in sides], grid)
+            ok, exact_bias, exact_var = (np.array(v) for v in zip(*(
+                _grid_objective(u[idx], sigma2[idx], grid, np.ones(grid.size, bool))
+                for idx in sides)))
+            assert sure.sum() > 100 and ok[sure].all()
+            assert (np.abs(bias - exact_bias)[sure] <= bias_err[sure]).all()
+            assert (np.abs(var - exact_var)[sure] <= var_err[sure]).all()
+
+    def test_kept_rows_round_as_in_the_full_sweep(self):
+        # the exact sweep over a subset of candidates gives each of them the
+        # bytes of the sweep over all of them
+        rng = np.random.default_rng(17)
+        for rv, mu, n in (("rv2", "mu2", 40), ("rv1", "mu3", 300), ("rv3", "mu1", 1254)):
+            sample = generate_dataset(rv, mu, n, rng)
+            sigma2 = nn_variance(sample)
+            grid = _ak_grid(ak_bandwidth(sample, CurvatureBound(2.0), sigma2=sigma2))
+            u = sample.x - sample.cutoff
+            for idx in _sorted_sides(sample):
+                every = _grid_objective(u[idx], sigma2[idx], grid, np.ones(grid.size, bool))
+                for _ in range(4):
+                    keep = rng.random(grid.size) < rng.choice([0.02, 0.3, 0.9])
+                    some = _grid_objective(u[idx], sigma2[idx], grid, keep)
+                    assert not some[0][~keep].any()
+                    for full, part in zip(every, some):
+                        assert full[keep].tobytes() == part[keep].tobytes()
 
     def test_depends_on_y_only_through_sigma2(self):
         sample = make_noisy_sample(n=200, seed=4)

@@ -255,6 +255,8 @@ _OVERFLOW_PROBE = [
     ("noisy60", 1.0, 1e-153),  # rbc's curvature weights, at ak's h
     ("noisy60", 1.0, 1e-154),  # the same; m_hat overflows, so only under a bound
     ("ten_row", 1.0, 10**-154.5),
+    ("noisy60", 1.0, 1e80),  # ak's screen: its powers of scaled distances
+    ("noisy60", 1.0, 1e-80),
 ]
 
 
@@ -484,8 +486,10 @@ def _ak_objective(sample, m, hs):
     """ak's worst-case-bias^2 + variance at each bandwidth in hs."""
     u = sample.x - sample.cutoff
     sigma2 = nn_variance(sample)
-    sides = [_grid_objective(u[idx], sigma2[idx], np.asarray(hs, float))
-             for idx in (sample.below, sample.above)]
+    hs = np.asarray(hs, float)
+    orders = [idx[np.argsort(np.abs(u[idx]))] for idx in (sample.below, sample.above)]
+    sides = [_grid_objective(u[order], sigma2[order], hs, np.ones(hs.size, bool))
+             for order in orders]
     assert all(ok.all() for ok, _, _ in sides)
     (_, bias_b, var_b), (_, bias_a, var_a) = sides
     return (0.5 * m * (bias_b + bias_a)) ** 2 + (var_b + var_a)
