@@ -82,11 +82,20 @@ class BandwidthResult:
 
 
 def _sample_spread(x: np.ndarray) -> float:
-    """s* = min(IQR/1.34, sd), linear-interpolation quartiles, sd with ddof=1."""
-    q25, q75 = np.percentile(x, (25, 75))
-    iqr = float(q75 - q25)
-    sd = float(np.std(x, ddof=1))
-    return min(iqr / 1.34, sd)
+    """s* = min(IQR/1.34, sd), linear-interpolation quartiles, sd with ddof=1.
+
+    An sd that overflows (x near 1e154 and up) leaves the IQR to decide; a
+    spread that is not finite raises NonFiniteError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        q25, q75 = np.percentile(x, (25, 75))
+        iqr = float(q75 - q25)
+        sd = float(np.std(x, ddof=1))
+    s = min(iqr / 1.34, sd) if np.isfinite(sd) else iqr / 1.34
+    if not np.isfinite(s):
+        raise NonFiniteError("the spread of the running variable is not finite "
+                             "(x near 1e308)")
+    return s
 
 
 def silverman_rot(x) -> float:
@@ -172,7 +181,8 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     curvature-window floor is not binding.  A stage that cannot run raises an
     ``RDError`` tagged with its name (``pilot_cubic``, ...); a response whose
     spread or pilot variances overflow (y near 1e154 and up) raises
-    ``NonFiniteError``.
+    ``NonFiniteError``, and so do scores so far apart that f_hat * m3^2
+    underflows to 0 (near 1e307), tagged ``pilot_curvature_below``.
     """
     if sample.empty_side is not None:
         raise EmptyWindowSideError(f"ik: no observations {sample.empty_side} the cutoff")
@@ -194,22 +204,27 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
     if rank < 5:
         raise InsufficientDataError(f"ik cubic pilot: design of rank {rank}, 5 needed",
                                     reason="pilot_cubic")
-    # a spread that overflows raises NonFiniteError below; scores so close
-    # together that the cubic term overflows give zero curvature windows,
-    # which fail their fits
+    # a spread that overflows raises NonFiniteError below, and so does an
+    # f_hat * m3^2 that is not a positive number: the cubic term overflows at
+    # scores close together, f_hat underflows at scores near 1e307
     with np.errstate(over="ignore", divide="ignore"):
         y_sd = float(np.std(y))
         # a response linear on each side with one slope leaves only roundoff
         # in the cubic coefficient; snap it to zero, as estimate_m_hat does
         # the curvature, so that roundoff does not size the curvature windows
         m3 = 6.0 * coef[4] / scale**3 if abs(coef[4]) >= 1e-8 * y_sd else 0.0
-        f_m3sq = f_hat * max(m3**2, _M3_FLOOR)
+        # a float, so that s2 / f_m3sq overflows to inf without a warning
+        f_m3sq = float(f_hat * max(m3**2, _M3_FLOOR))
     if not np.isfinite(y_sd):
         raise NonFiniteError("ik cubic pilot: the standard deviation of y is not finite")
 
     curvature = {}
     regularization = 0.0
     for side, s2, n_side in (("below", s2m, sample.n_below), ("above", s2p, sample.n_above)):
+        if not 0.0 < f_m3sq < np.inf:
+            raise NonFiniteError(f"ik curvature pilot {side} the cutoff: f_hat * m3^2 is "
+                                 f"{f_m3sq}, not a positive finite number",
+                                 reason=f"pilot_curvature_{side}")
         h2 = _PILOT_H2_FACTOR * (s2 / f_m3sq) ** _PILOT_H2_RATE * n_side ** (-_PILOT_H2_RATE)
         try:
             fit = local_poly_fit(sample, side, degree=2, h=h2, kernel=Kernel.UNIFORM)
@@ -221,7 +236,7 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
 
     curv_gap = curvature["above"] - curvature["below"]
     denom = n * f_hat * (curv_gap**2 + regularization)
-    h = _IK_KERNEL_CONSTANT * ((s2m + s2p) / denom) ** 0.2
+    h = _IK_KERNEL_CONSTANT * ((s2m + s2p) / denom) ** 0.2 if denom > 0 else 0.0
     if not np.isfinite(h) or h <= 0:
         raise NonFiniteError(f"ik bandwidth is {h}, not a positive finite number",
                              reason="nonfinite_result")
@@ -375,7 +390,8 @@ def ak_bandwidth(
     ``empty_side``, ``insufficient_side`` or ``no_feasible_h`` when no
     candidate fits both sides, and ``NonFiniteError`` when the score
     overflows at every candidate that does (the squared bias bound passes
-    the float range once M * (x - c)^2 nears 1e154).  ``diagnostics`` holds
+    the float range once M * (x - c)^2 nears 1e154), or when the scores'
+    range does.  ``diagnostics`` holds
     the grid's ends, ``grid_lo`` and ``grid_hi``.
     """
     if bound.value <= 0:
@@ -391,7 +407,10 @@ def ak_bandwidth(
     orders = [idx[np.argsort(np.abs(u[idx]))] for idx in (sample.below, sample.above)]
     dist = [np.abs(u[order]) for order in orders]
     h_lo = two_a_side = max(dist[0][1], dist[1][1])  # wider windows hold two a side
-    h_hi = float(sample.x.max() - sample.x.min())
+    with np.errstate(over="ignore"):  # raised below
+        h_hi = float(sample.x.max() - sample.x.min())
+    if not np.isfinite(h_hi):
+        raise NonFiniteError("ak: the range of the scores is not finite (x near 1e308)")
     if h_lo <= 0:
         h_lo = max(1e-8 * h_hi, np.finfo(float).tiny)
     if h_hi <= h_lo:
@@ -411,7 +430,9 @@ def ak_bandwidth(
     if keep.sum() == 1 and sure[keep].all():
         return BandwidthResult(float(grid[keep][0]), diagnostics=diagnostics)
 
-    with np.errstate(over="ignore"):  # an objective inf everywhere raises below
+    # an objective inf everywhere raises below; a bound so small that M / 2 is
+    # 0 makes the infeasible candidates' scores NaN, which np.where drops
+    with np.errstate(over="ignore", invalid="ignore"):
         ok, bias, var = map(np.stack, zip(*(_grid_objective(u[order], sigma2[order], grid, keep)
                                            for order in orders)))
         feasible = ok.all(axis=0)
@@ -442,8 +463,10 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
         A side has fewer than 5 points or fewer than 5 distinct scores.
     NonFiniteError
         A side's response standard deviation overflows (y near 1e154 and
-        up), checked before the quartic's curvature is evaluated; or the
-        bound does (scores so close together that scale**2 underflows).
+        up), checked before the quartic's curvature is evaluated; or its
+        squared score range does (max|x - c| near 1.3e154 and up), which would
+        snap the bound to 0; or the bound does (scores so close together that
+        scale**2 underflows).
     """
     worst = 0.0
     for name, idx in (("below", sample.below), ("above", sample.above)):
@@ -461,12 +484,15 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
         coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
         if rank < 5:
             raise InsufficientDataError(f"rank-deficient quartic design on side {name}")
-        # a spread that overflows raises here; scores so close together that
-        # scale**2 underflows give an infinite bound, which CurvatureBound raises
+        # a spread or a squared score range that overflows raises here; scores
+        # so close together that scale**2 underflows give an infinite bound,
+        # which CurvatureBound raises
         with np.errstate(over="ignore", divide="ignore"):
             y_sd = float(np.std(ys))
             if not np.isfinite(y_sd):
                 raise NonFiniteError(f"standard deviation of y on side {name} is not finite")
+            if not np.isfinite(scale**2):
+                raise NonFiniteError(f"squared score range on side {name} is not finite")
             # q''(t) = 2 a2 + 6 a3 t + 12 a4 t^2, in score units divide by scale^2.
             a2, a3, a4 = coef[2], coef[3], coef[4]
             candidates = [t.min(), t.max()]

@@ -17,16 +17,59 @@ vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .bandwidth import CurvatureBound
 from .core import EffectEstimate, RDSample
-from .errors import InsufficientDataError, ZeroSEError
+from .errors import InsufficientDataError, NonFiniteError, ZeroSEError
 from .local_poly import LinearFit, local_poly_fit, se_of_linear_functional
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of f on [a, b] by Brent's method (Brent, 1973, ch. 4), step for
+    step as scipy's ``brentq.c``, so that on Python floats it returns the same
+    float as ``scipy.optimize.brentq`` (tested): a secant or inverse quadratic
+    step when it is short enough, else bisection, until half the bracket is
+    under delta = (xtol + rtol |x|) / 2.  Raises ValueError when f(a) and f(b)
+    share a sign and RuntimeError after 100 iterations.
+    """
+    xpre, xcur, xblk, spre, scur = a, b, 0.0, 0.0, 0.0
+    fpre, fcur, fblk = f(xpre), f(xcur), 0.0
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolated step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero divisor gives C an inf or nan: bisect
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
 def folded_normal_cv(t: float, alpha: float) -> float:
@@ -34,23 +77,25 @@ def folded_normal_cv(t: float, alpha: float) -> float:
 
     At t = 0 this is the usual two-sided normal critical value; for large t
     it approaches t + z_{1-alpha}.  Monotone increasing in t, decreasing in
-    alpha.  Root bracketed on [0, t + |z_{1-alpha}| + 1] and solved to 1e-12.
+    alpha.  Root bracketed on [0, t + |z_{1-alpha}| + 1] and solved to 1e-12
+    by ``_brent``.
     """
     if t < 0 or not np.isfinite(t):
         raise ValueError(f"shape parameter t must be >= 0, got {t}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    t = float(t)
 
     def gap(cv):
-        return ndtr(cv - t) + ndtr(cv + t) - 1.0 - (1.0 - alpha)
+        return float(ndtr(cv - t)) + float(ndtr(cv + t)) - 1.0 - (1.0 - alpha)
 
-    z = ndtri(1.0 - alpha)
+    z = float(ndtri(1.0 - alpha))
     hi = t + abs(z) + 1.0  # the root is at most t + z_{1-alpha/2}, even when z < 0
     if hi - t < z:
         # t (about 1e16 and up, an SE of roundoff size) swamps the bracket:
         # Phi(cv + t) is 1 and the root is t + z, as exact as t allows
-        return float(t + z)
-    return float(brentq(gap, 0.0, hi, xtol=1e-12, rtol=8.9e-16))
+        return t + z
+    return _brent(gap, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def worst_case_bias(fits: tuple[LinearFit, LinearFit], m: float) -> float:
@@ -175,12 +220,15 @@ def flci_interval(fits: BoundaryFits, bound: CurvatureBound,
     The half-width is z*(t) * SE with t = worst-case bias / SE under the
     curvature bound.  Contains the conventional interval for any M >= 0.
     A zero SE leaves t undefined and raises ZeroSEError rather than silently
-    widening; degenerate fixtures should fail loudly.
+    widening; degenerate fixtures should fail loudly.  A t that overflows
+    raises NonFiniteError.
     """
     tau, below, above, se = fits.tau, fits.below, fits.above, fits.se
     if se == 0.0:
         raise ZeroSEError("zero standard error: folded-normal shape t is undefined")
     t = worst_case_bias((below, above), bound.value) / se
+    if not np.isfinite(t):
+        raise NonFiniteError(f"flci: the worst-case bias over the SE, t, is {t}")
     cv = folded_normal_cv(t, alpha)
     return _interval(fits, tau, se, cv, alpha, {
         "t": t,

@@ -72,6 +72,16 @@ class TestSilverman:
         assert iqr / 1.34 < sd  # the IQR is the binding term
         assert _sample_spread(x) == iqr / 1.34
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_sd_leaves_the_spread_to_the_iqr(self):
+        # np.std warned "overflow" from x near 1e154; the sd binds at scale 1
+        x = make_noisy_sample(60, seed=3).x
+        q25, q75 = np.percentile(x * 1e200, (25, 75))
+        assert _sample_spread(x) < (q75 - q25) / 1e200 / 1.34
+        assert _sample_spread(x * 1e200) == (q75 - q25) / 1.34
+        with pytest.raises(NonFiniteError, match="spread of the running variable"):
+            _sample_spread(np.array([-1.5e308, -1e308, 1e308, 1.5e308]))
+
 
 class TestKernelConstant:
     def test_triangular_value(self):
@@ -360,6 +370,14 @@ class TestEstimateMHat:
         with pytest.raises(NonFiniteError, match=f"on side {side} is not finite"):
             estimate_m_hat(overflowing_sample([side]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_score_range_is_a_nonfinite_error(self):
+        # scale**2 overflowed to inf, which divided the curvature to 0: m_hat
+        # read 0, as if y were linear on each side
+        sample = overflowing_sample(factor=1.0)
+        with pytest.raises(NonFiniteError, match="squared score range on side below"):
+            estimate_m_hat(RDSample(x=sample.x * 10**153.5, y=sample.y, cutoff=0.0))
+
     def test_median_matches_benchmark_order_of_magnitude(self):
         # quintic design at n=194: benchmark median data-driven bound is 210
         rng = np.random.default_rng(5)
@@ -400,6 +418,7 @@ def test_bandwidth_shrinks_at_root_n_fifth_rate(alg):
 # Each stop raises an error whose message names the selector and whose
 # reason is the tag a cell's failure counts show.
 _E153 = overflowing_sample(factor=1e153)
+_TEN_ROW = overflowing_sample(factor=1.0)
 SELECTOR_STOPS = [
     ("ik", [1, 2, 3], [1, 2, 3], EmptyWindowSideError, "empty_side"),
     ("ak", [1, 2, 3], [1, 2, 3], EmptyWindowSideError, "empty_side"),
@@ -419,6 +438,11 @@ SELECTOR_STOPS = [
     ("ak", [-1, -1, 1, 2, 3], [0, 1, 2, 3, 4], InsufficientDataError, "no_feasible_h"),
     # responses of order 1e153 overflow the regularization term, so h is 0
     ("ik", _E153.x, _E153.y, NonFiniteError, "nonfinite_result"),
+    # scores of order 1e307 leave f_hat * m3^2 at 0: the curvature windows
+    # divided by zero
+    ("ik", _TEN_ROW.x * 1e307, _TEN_ROW.y, NonFiniteError, "pilot_curvature_below"),
+    # the scores' range overflows
+    ("ak", _TEN_ROW.x * 10**307.5, _TEN_ROW.y, NonFiniteError, "NonFiniteError"),
 ]
 
 

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rdsmall
 from rdsmall.cli import main, read_xy_csv
 from rdsmall.errors import MissingColumnError, ParseError
 
@@ -329,6 +333,22 @@ class TestAnalyzeCommand:
         assert all(rows[m]["bandwidth_or_window"] is None for m in rows if m != "lr5")
 
     @pytest.mark.filterwarnings("error")
+    def test_huge_scores_are_failure_rows(self, tmp_path, capsys):
+        # scores of order 1e307: ik divided by a density pilot f_hat * m3^2
+        # that underflowed to 0, and a ZeroDivisionError escaped the run
+        y = [3, -1, 2, -3, 1, 2, -2, 4, -1, 3]
+        x = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
+        path = tmp_path / "wide.csv"
+        _write_csv(path, [f"{xi}e307,{yi}" for xi, yi in zip(x, y)])
+        code, out, err = _run(capsys, [
+            "analyze", "--input", str(path), "--x-col", "x", "--y-col", "y", "--cutoff", "0",
+        ])
+        assert code == 0 and err == ""
+        rows = {row["method"]: row for row in json.loads(out)["results"]}
+        assert len(rows) == 7
+        assert rows["ik/cv"]["reason"].startswith("NonFiniteError: ik curvature pilot below")
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("methods", [[], ["--methods", "ik/flci,ak/rbc,akm/cv,lr",
                                               "--m-bound", "2.0"]])
     def test_one_sided_sample_fails_every_method_quietly(self, tmp_path, capsys, methods):
@@ -452,3 +472,13 @@ class TestSimulateCommand:
         assert lookup[("rv2", 44)]["n"] == 354
         assert lookup[("rv3", 57)]["n"] == 1254
         assert lookup[("rv3", 10)]["h_rot"] == 0.034
+
+
+def test_start_up_leaves_scipy_optimize_unloaded():
+    # flci's root-find is in-house: scipy.optimize alone cost ~200 modules,
+    # ~180 ms and ~17 MB at every start of the console script
+    code = ("import sys, rdsmall, rdsmall.cli, rdsmall.simulation\n"
+            "rdsmall.inference.folded_normal_cv(1.0, 0.05)\n"
+            "assert 'scipy.optimize' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(Path(rdsmall.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

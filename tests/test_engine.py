@@ -257,6 +257,13 @@ _OVERFLOW_PROBE = [
     ("ten_row", 1.0, 10**-154.5),
     ("noisy60", 1.0, 1e80),  # ak's screen: its powers of scaled distances
     ("noisy60", 1.0, 1e-80),
+    # huge scores: the spread's sd, m_hat's scale**2, ik's density pilot
+    # (f_hat * m3^2 is 0 from 1e306.5) and ak's score range (1e307.5)
+    *((name, 1.0, 10**k) for k in (154, 160, 200, 306.5, 307, 307.5)
+      for name in ("ten_row", "noisy60")),
+    ("ten_row", 1e140, 1e45),  # ik's curvature-window ratio s2 / (f_hat m3^2)
+    ("ten_row", 1e-160, 1e75),  # flci's t = worst-case bias / SE: a ValueError
+    ("ten_row", 1e-295, 1e15),  # ak under an m_hat so small that M / 2 is 0
 ]
 
 

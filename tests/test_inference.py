@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from conftest import fits_at, make_noisy_sample, nn_variance_oracle, wls_weights_oracle
 from rdsmall.bandwidth import CurvatureBound
@@ -10,6 +10,7 @@ from rdsmall.errors import InsufficientDataError, ZeroSEError
 import rdsmall.inference
 from rdsmall.inference import (
     BoundaryFits,
+    _brent,
     cv_interval,
     flci_interval,
     folded_normal_cv,
@@ -164,6 +165,28 @@ class TestFoldedNormalCV:
         assert folded_normal_cv(10.0, 0.05) == pytest.approx(
             10 + 1.6449, abs=1e-4
         )
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5, 0.999])
+    def test_equals_scipy_brentq_bit_for_bit(self, alpha):
+        # _brent ports scipy's brentq.c step for step, so every critical
+        # value, and every flci endpoint, keeps its bytes
+        z = float(ndtri(1.0 - alpha))
+        for t in np.concatenate([[0.0], np.geomspace(1e-12, 1e15, 2000)]):
+            def gap(cv, t=t):
+                return ndtr(cv - t) + ndtr(cv + t) - 1.0 - (1.0 - alpha)
+
+            oracle = brentq(gap, 0.0, t + abs(z) + 1.0, xtol=1e-12, rtol=8.9e-16)
+            assert folded_normal_cv(t, alpha) == oracle, t
+
+    def test_brent_stops_as_scipy_does(self):
+        def step(x):  # a jump at 1e-300: bisection needs ~1000 halvings to reach it
+            return -1.0 if x < 1e-300 else 1.0
+
+        for solve in (brentq, _brent):
+            with pytest.raises(ValueError, match="different signs"):
+                solve(step, 0.0, 1e-301, xtol=1e-12, rtol=8.9e-16)
+            with pytest.raises(RuntimeError, match="after 100 iterations"):
+                solve(step, 0.0, 1.0, xtol=5e-324, rtol=8.9e-16)
 
     def test_monotone_in_shape_and_alpha(self):
         shapes = np.linspace(0, 5, 21)
