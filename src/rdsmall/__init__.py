@@ -48,6 +48,7 @@ from .inference import (
     worst_case_bias,
 )
 from .local_poly import (
+    CurvatureFit,
     Kernel,
     LinearFit,
     local_poly_fit,
@@ -76,6 +77,7 @@ __all__ = [
     "BoundaryFits",
     "CellSpec",
     "CurvatureBound",
+    "CurvatureFit",
     "EffectEstimate",
     "Kernel",
     "LinearFit",

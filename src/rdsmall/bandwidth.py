@@ -231,7 +231,7 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
         except (InsufficientDataError, BadBandwidthError) as err:
             raise InsufficientDataError(f"ik curvature pilot {side} the cutoff: {err}",
                                         reason=f"pilot_curvature_{side}") from None
-        curvature[side] = float(fit.second_deriv_weights @ y)
+        curvature[side] = float(fit.weights @ y)
         regularization += _REGULARIZATION_CONST * s2 / (fit.n_effective * h2**4)
 
     curv_gap = curvature["above"] - curvature["below"]

@@ -26,7 +26,7 @@ from scipy.special import ndtr, ndtri
 from .bandwidth import CurvatureBound
 from .core import EffectEstimate, RDSample
 from .errors import InsufficientDataError, NonFiniteError, ZeroSEError
-from .local_poly import LinearFit, local_poly_fit, se_of_linear_functional
+from .local_poly import CurvatureFit, LinearFit, local_poly_fit, se_of_linear_functional
 
 
 def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -144,7 +144,7 @@ class BoundaryFits:
         se = se_of_linear_functional(combined, sigma2)
         return cls(sample, h, below, above, tau, combined, se, sigma2)
 
-    def bias_fits(self) -> tuple[LinearFit, LinearFit, float]:
+    def bias_fits(self) -> tuple[CurvatureFit, CurvatureFit, float]:
         """Degree-2 fits for the bias estimate at the smallest workable bandwidth.
 
         The bias bandwidth b starts at h and, only when a side's quadratic is
@@ -153,14 +153,13 @@ class BoundaryFits:
         has absorbed the whole sample without becoming feasible, i.e. a side
         genuinely lacks three usable points.  Returns (below, above, b).
         """
-        reach = 1.01 * float(np.abs(self.sample.x - self.sample.cutoff).max())
         b = self.h
         while True:
             try:
                 return (local_poly_fit(self.sample, "below", 2, b),
                         local_poly_fit(self.sample, "above", 2, b), b)
             except InsufficientDataError:
-                if b > reach:
+                if b > 1.01 * float(np.abs(self.sample.x - self.sample.cutoff).max()):
                     raise
             b *= 1.25
 
@@ -204,8 +203,8 @@ def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
     quad_below, quad_above, bias_bw = fits.bias_fits()
 
     corr_weights = (
-        0.5 * above.weighted_x2 * quad_above.second_deriv_weights
-        - 0.5 * below.weighted_x2 * quad_below.second_deriv_weights
+        0.5 * above.weighted_x2 * quad_above.weights
+        - 0.5 * below.weighted_x2 * quad_below.weights
     )
     center = fits.tau - float(corr_weights @ fits.sample.y)
     se_rbc = se_of_linear_functional(fits.combined_weights - corr_weights, fits.sigma2)

@@ -51,14 +51,11 @@ class Kernel(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearFit:
-    """A one-sided local polynomial fit at the cutoff, as response weights.
+    """A one-sided local-linear fit at the cutoff, as response weights.
 
     ``weights`` has one entry per sample observation; ``fitted_at_cutoff``
-    equals ``weights @ y``.  The weights reproduce polynomials exactly:
-    sum(w) = 1 and sum(w * (x - c)**j) = 0 for j = 1..degree.
-
-    ``second_deriv_weights`` (populated for degree >= 2) gives the estimated
-    second derivative at the cutoff as another linear functional of y.
+    equals ``weights @ y``.  The weights reproduce lines exactly:
+    sum(w) = 1 and sum(w * (x - c)) = 0.
     ``weighted_x2`` and ``abs_weighted_x2`` cache sum(w*(x-c)^2) and
     sum(|w|*(x-c)^2); the former is the curvature loading used by bias
     correction, the latter the worst-case-bias loading.
@@ -66,11 +63,21 @@ class LinearFit:
 
     weights: np.ndarray
     fitted_at_cutoff: float
-    n_effective: int
     weighted_x2: float
     abs_weighted_x2: float
     sign_constant: bool
-    second_deriv_weights: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class CurvatureFit:
+    """A one-sided local-quadratic fit's second derivative at the cutoff.
+
+    ``weights @ y`` estimates mu''(c): sum(w) = sum(w * (x - c)) = 0 and
+    sum(w * (x - c)**2) = 2.  ``n_effective`` counts the points in the window.
+    """
+
+    weights: np.ndarray
+    n_effective: int
 
 
 def power_columns(t: np.ndarray, k: int) -> np.ndarray:
@@ -87,16 +94,19 @@ def local_poly_fit(
     degree: int,
     h: float,
     kernel: Kernel = Kernel.TRIANGULAR,
-) -> LinearFit:
+) -> LinearFit | CurvatureFit:
     """Kernel-weighted polynomial fit of y on (x - c) on one side of c.
 
-    The returned fit's value at the cutoff is the weighted-least-squares
-    intercept.  The design is built on (x - c)/h so conditioning does not
-    depend on the score scale (Indiana-style scores near 60 behave like
-    scores near 0).
+    At degree 1 the fit is the weighted-least-squares intercept, a
+    ``LinearFit``; at degree 2 it is only the second derivative at the
+    cutoff, a ``CurvatureFit``.  The design is built on (x - c)/h so
+    conditioning does not depend on the score scale (Indiana-style scores
+    near 60 behave like scores near 0).
 
     Raises
     ------
+    ValueError
+        degree is not 1 or 2.
     BadBandwidthError
         h is not a positive finite number, or so small that h**2 is not a
         normal float or, at degree 2, that the curvature weights, which
@@ -109,8 +119,8 @@ def local_poly_fit(
         raise BadBandwidthError(f"bandwidth must be positive and finite, got {h}")
     if h * h < _MIN_H_SQUARED:
         raise BadBandwidthError(f"bandwidth {h} is too small to square in floating point")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    if degree not in (1, 2):
+        raise ValueError(f"degree must be 1 or 2, got {degree}")
 
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
@@ -138,42 +148,33 @@ def local_poly_fit(
         raise InsufficientDataError(
             f"rank-deficient degree-{degree} design {side} the cutoff (h={h:g})"
         )
-    # R.T, column-major, as the lower triangle dtrtrs reads
+    # The extraction weights W Z (Z'WZ)^{-1} e of the one coefficient read,
+    # the intercept or t^2's, with Z'WZ = R'R from the QR factor: R'v = e,
+    # then Rg = v, on R.T as lower (R as upper rounds differently).
     rt = np.asfortranarray(qr[:k].T)
-
-    def extraction_weights(coef_index: int) -> np.ndarray:
-        # w_lin = W Z (Z'WZ)^{-1} e_k with Z'WZ = R'R from the QR factor.
-        # R'v = e, then Rg = v, on R.T as lower: R as upper rounds differently.
-        e = np.zeros(k)
-        e[coef_index] = 1.0
-        v, _ = _trtrs(rt, e, lower=1, trans=0)
-        g, _ = _trtrs(rt, v, lower=1, trans=1)
-        return w * (z @ g)
-
-    w_local = extraction_weights(0)
+    e = np.eye(k)[0 if degree == 1 else 2]
+    v, _ = _trtrs(rt, e, lower=1, trans=0)
+    g, _ = _trtrs(rt, v, lower=1, trans=1)
+    w_local = w * (z @ g)
     weights = np.zeros(sample.n)
-    weights[idx] = w_local
 
-    second = None
-    if degree >= 2:
-        scale, curvature = 2.0 / h**2, extraction_weights(2)
+    if degree == 2:
+        scale = 2.0 / h**2
         # a float product that overflows is inf, without a numpy warning
-        if not math.isfinite(float(np.abs(curvature).max()) * scale):
+        if not math.isfinite(float(np.abs(w_local).max()) * scale):
             raise BadBandwidthError(f"bandwidth {h} is too small: the curvature weights overflow")
-        v_local = scale * curvature
-        second = np.zeros(sample.n)
-        second[idx] = v_local
+        weights[idx] = scale * w_local
+        return CurvatureFit(weights=weights, n_effective=m)
 
+    weights[idx] = w_local
     u2 = (t * h) ** 2
     return LinearFit(
         weights=weights,
         fitted_at_cutoff=float(w_local @ sample.y[idx]),
-        n_effective=m,
         weighted_x2=float(w_local @ u2),
         abs_weighted_x2=float(np.abs(w_local) @ u2),
         # the nonzero weights share one sign
         sign_constant=bool(w_local.min() >= 0 or w_local.max() <= 0),
-        second_deriv_weights=second,
     )
 
 

@@ -55,8 +55,9 @@ def kernel_weight_plain(name, u):
     return np.where(a <= 1, 0.75 * (1 - u * u), 0.0)
 
 
-def wls_weights_oracle(x, c, side, degree, h, kernel_name="triangular"):
-    """Intercept-extraction weights via explicit (Z'WZ)^{-1} Z'W, raw basis."""
+def wls_weights_oracle(x, c, side, degree, h, kernel_name="triangular", coef=0):
+    """Extraction weights of the coefficient on (x - c)**coef (the intercept by
+    default) via explicit (Z'WZ)^{-1} Z'W, raw basis."""
     u = x - c
     on_side = u < 0 if side == "below" else u >= 0
     mask = on_side & (np.abs(u) < h)
@@ -67,14 +68,20 @@ def wls_weights_oracle(x, c, side, degree, h, kernel_name="triangular"):
     w_k = w_k[keep]
     z = np.column_stack([uu**j for j in range(degree + 1)])
     gram = z.T @ (w_k[:, None] * z)
-    first_row = np.linalg.solve(gram, np.eye(degree + 1)[0])
+    row = np.linalg.solve(gram, np.eye(degree + 1)[coef])
     weights = np.zeros(x.size)
-    weights[idx] = w_k * (z @ first_row)
+    weights[idx] = w_k * (z @ row)
     return weights
 
 
 def wls_intercept_oracle(x, y, c, side, degree, h, kernel_name="triangular"):
     return float(wls_weights_oracle(x, c, side, degree, h, kernel_name) @ y)
+
+
+def wls_curvature_oracle(x, y, c, side, h, kernel_name="triangular"):
+    """The local quadratic's second derivative at c: twice its (x - c)**2
+    coefficient."""
+    return 2.0 * float(wls_weights_oracle(x, c, side, 2, h, kernel_name, coef=2) @ y)
 
 
 def nn_variance_oracle(x, y, c, j):

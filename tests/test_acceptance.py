@@ -21,6 +21,7 @@ from conftest import (
     max_abs_second_derivative,
     mu_second_derivative,
     permutation_test,
+    wls_curvature_oracle,
     wls_intercept_oracle,
 )
 from rdsmall.bandwidth import CurvatureBound, silverman_rot_population
@@ -274,9 +275,13 @@ def test_criterion_7_oracle_equivalences():
             fit = local_poly_fit(sample, side, degree, h)
         except Exception:
             continue
-        expected = wls_intercept_oracle(x, y, c, side, degree, h)
+        # a degree-1 fit yields the intercept, a degree-2 fit the curvature
+        if degree == 1:
+            got, expected = fit.fitted_at_cutoff, wls_intercept_oracle(x, y, c, side, 1, h)
+        else:
+            got, expected = float(fit.weights @ y), wls_curvature_oracle(x, y, c, side, h)
         denom = max(1.0, abs(expected))
-        worst = max(worst, abs(fit.fitted_at_cutoff - expected) / denom)
+        worst = max(worst, abs(got - expected) / denom)
         compared += 1
     checks.append(("local fits vs dense normal equations on 100 designs",
                    worst <= 1e-9, f"worst relative gap {worst:.2e}"))

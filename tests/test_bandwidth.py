@@ -30,6 +30,7 @@ from rdsmall.bandwidth import (
 )
 from rdsmall.cli import read_xy_csv
 from rdsmall.core import RDSample
+from rdsmall.engine import Plan, estimate
 from rdsmall.errors import (
     DegenerateSampleError,
     EmptyWindowSideError,
@@ -148,6 +149,32 @@ class TestIKBandwidth:
         assert ik_bandwidth(RDSample(x / 2, y, 30.0)).h * 2 > 1.5 * base
         moved = ik_bandwidth(RDSample(x / 2, y / 8, 30.0)).h * 2
         assert moved == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("k, h_over_a, reason", [
+        (0.0, 0.8535403292400539, None),
+        (0.5, 0.7347493898460429, None),
+        (1.0, 0.27381491633898325, None),
+        (1.5, None, "pilot_curvature_above"),
+        (2.0, None, "pilot_curvature_below"),
+    ])
+    def test_curvature_floor_can_fail_ik_as_the_scores_grow(self, k, h_over_a, reason):
+        # with x -> a x, a = 10^k, m3^2 (1.7 at k = 0) shrinks by a^6, and
+        # from k = 0.5 _M3_FLOOR binds; the floor, in data units, then narrows
+        # the curvature windows relative to the scores until a side's
+        # quadratic has 2 points, and every ik/* method fails at that side's
+        # pilot.  A unit-free floor would change these pins.
+        sample = make_noisy_sample(60, seed=3)
+        a = 10.0**k
+        moved = RDSample(x=sample.x * a, y=sample.y, cutoff=sample.cutoff * a)
+        if reason is None:
+            assert ik_bandwidth(moved).h / a == pytest.approx(h_over_a, rel=1e-9)
+            return
+        with pytest.raises(InsufficientDataError) as err:
+            ik_bandwidth(moved)
+        assert err.value.reason == reason
+        plan = Plan(methods=("ik/cv", "ik/rbc", "ik/flci"), alpha=0.05, lr_min=5,
+                    window="strict")
+        assert {o.reason for o in estimate(moved, plan).values()} == {reason}
 
     def test_regularization_keeps_bandwidth_finite_on_equal_curvatures(self):
         # mu1-style design: identical second derivatives on both sides

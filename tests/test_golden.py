@@ -12,7 +12,9 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from rdsmall.cli import main
 from rdsmall.simulation import CellSpec, run_cell, write_cell_outputs
@@ -21,6 +23,18 @@ DATA_DIR = Path(__file__).parent / "data"
 
 ALL_CONTINUITY = ("ik/cv", "ik/rbc", "ik/flci", "ak/cv", "ak/rbc", "ak/flci",
                   "akm/cv", "akm/rbc", "akm/flci")
+
+
+# The hashes were recorded with these builds; another numpy or scipy (or the
+# LAPACK it links) may round a fit differently.
+RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def _versions() -> str:
+    """The recorded and the installed numpy and scipy, for a failure message."""
+    recorded = ", ".join(f"{name} {v}" for name, v in RECORDED_WITH.items())
+    return (f"hashes recorded with {recorded}; installed numpy {numpy.__version__}, "
+            f"scipy {scipy.__version__}")
 
 
 def _sha256(text: str) -> str:
@@ -54,8 +68,9 @@ CELLS = {
 def test_cell_outputs(name, tmp_path):
     cell, csv_sha, json_sha = CELLS[name]
     json_path, csv_path = write_cell_outputs(run_cell(cell), tmp_path)
-    assert _sha256(csv_path.read_text(encoding="utf-8")) == csv_sha
-    assert _sha256(_without_version(json_path.read_text(encoding="utf-8"))) == json_sha
+    assert _sha256(csv_path.read_text(encoding="utf-8")) == csv_sha, _versions()
+    json_text = _without_version(json_path.read_text(encoding="utf-8"))
+    assert _sha256(json_text) == json_sha, _versions()
 
 
 def test_pooled_cell_writes_the_serial_bytes(tmp_path):
@@ -64,8 +79,9 @@ def test_pooled_cell_writes_the_serial_bytes(tmp_path):
     cell, csv_sha, json_sha = CELLS["n12_every_method"]
     json_path, csv_path = write_cell_outputs(
         run_cell(dataclasses.replace(cell, workers=2)), tmp_path)
-    assert _sha256(csv_path.read_text(encoding="utf-8")) == csv_sha
-    assert _sha256(_without_version(json_path.read_text(encoding="utf-8"))) == json_sha
+    assert _sha256(csv_path.read_text(encoding="utf-8")) == csv_sha, _versions()
+    json_text = _without_version(json_path.read_text(encoding="utf-8"))
+    assert _sha256(json_text) == json_sha, _versions()
 
 
 INDIANA = ["analyze", "--input", str(DATA_DIR / "indiana_synth.csv"),
@@ -90,4 +106,4 @@ def test_analyze_report(name, capsys):
     report = json.loads(capsys.readouterr().out)
     # the input path is absolute and differs between checkouts
     report["config"]["input"] = "indiana_synth.csv"
-    assert _sha256(_without_version(json.dumps(report))) == sha
+    assert _sha256(_without_version(json.dumps(report))) == sha, _versions()

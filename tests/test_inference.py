@@ -141,7 +141,7 @@ class TestWorstCaseBias:
         # give a worst-case bias of exactly M d^2
         d = 0.3
         side = LinearFit(
-            weights=np.zeros(4), fitted_at_cutoff=0.0, n_effective=2,
+            weights=np.zeros(4), fitted_at_cutoff=0.0,
             weighted_x2=d**2, abs_weighted_x2=d**2, sign_constant=True,
         )
         m = 1.7

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from conftest import (
     nn_variance_oracle,
     overflowing_sample,
     small_samples,
+    wls_curvature_oracle,
     wls_intercept_oracle,
 )
 from rdsmall.core import RDSample
@@ -19,8 +22,10 @@ from rdsmall.errors import (
     NonFiniteError,
 )
 from rdsmall.inference import BoundaryFits
+import rdsmall.local_poly
 from rdsmall.local_poly import (
     _RANK_RTOL,
+    CurvatureFit,
     Kernel,
     LinearFit,
     local_poly_fit,
@@ -47,7 +52,7 @@ class TestLocalPolyFit:
         fit = local_poly_fit(sample, "below", 1, 0.5)
         # line through the two points evaluated at the cutoff
         assert fit.fitted_at_cutoff == pytest.approx(5.0, rel=1e-12)
-        assert fit.n_effective == 2
+        assert fit.weights == pytest.approx([-1 / 3, 4 / 3], rel=1e-12)
 
     def test_single_point_is_insufficient(self):
         sample = _sample([-0.2, 0.3, 0.4], [1.0, 2.0, 3.0])
@@ -65,25 +70,34 @@ class TestLocalPolyFit:
             with pytest.raises(BadBandwidthError):
                 local_poly_fit(sample, "below", 1, h)
 
-    def test_moment_conditions_and_locality(self):
+    @pytest.mark.parametrize("kernel", list(Kernel))
+    def test_moment_conditions_and_locality(self, kernel):
+        # the intercept's weights: sum(w) = 1, sum(w u) = 0; the curvature's:
+        # sum(v u^j) = 0, 0, 2 for j = 0, 1, 2, to rel 1e-9 of the sum of the
+        # terms' sizes
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 80)
         sample = _sample(x, rng.normal(size=80))
         h = 0.45
+        u = x - sample.cutoff
         for side in ("below", "above"):
             for degree in (1, 2):
-                fit = local_poly_fit(sample, side, degree, h)
-                u = x - sample.cutoff
-                assert fit.weights.sum() == pytest.approx(1.0, abs=1e-12)
-                for j in range(1, degree + 1):
-                    assert fit.weights @ u**j == pytest.approx(0.0, abs=1e-10)
+                fit = local_poly_fit(sample, side, degree, h, kernel)
+                if degree == 1:
+                    assert fit.weights.sum() == pytest.approx(1.0, abs=1e-12)
+                    assert fit.weights @ u == pytest.approx(0.0, abs=1e-10)
+                else:
+                    for j, target in enumerate((0.0, 0.0, 2.0)):
+                        size = np.abs(fit.weights) @ np.abs(u) ** j
+                        assert abs(fit.weights @ u**j - target) <= 1e-9 * max(size, abs(target))
                 outside = np.abs(u) >= h
                 assert np.all(fit.weights[outside] == 0.0)
                 wrong_side = u >= 0 if side == "below" else u < 0
                 assert np.all(fit.weights[wrong_side] == 0.0)
 
-    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [1, 2])
     def test_polynomial_reproduction(self, degree):
+        # a degree-1 fit yields q(0), a degree-2 fit q''(0)
         rng = np.random.default_rng(100 + degree)
         for _ in range(25):
             x = rng.uniform(-1, -0.01, 20 + degree)
@@ -91,10 +105,17 @@ class TestLocalPolyFit:
             y = np.polynomial.polynomial.polyval(x, coeffs)
             sample = _sample(x, y)
             fit = local_poly_fit(sample, "below", degree, 1.5)
-            expected = coeffs[0]  # q(0)
-            assert fit.fitted_at_cutoff == pytest.approx(
-                expected, rel=1e-9, abs=1e-9
-            )
+            if degree == 1:
+                got, expected = fit.fitted_at_cutoff, coeffs[0]
+            else:
+                got, expected = fit.weights @ y, 2.0 * coeffs[2]
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_degrees_other_than_one_and_two_are_refused(self, degree):
+        sample = _sample(np.linspace(-0.9, -0.1, 9), np.arange(9.0))
+        with pytest.raises(ValueError, match="degree must be 1 or 2"):
+            local_poly_fit(sample, "below", degree, 1.0)
 
     def test_matches_dense_normal_equations_oracle(self):
         rng = np.random.default_rng(42)
@@ -111,8 +132,11 @@ class TestLocalPolyFit:
                 fit = local_poly_fit(sample, side, degree, h)
             except InsufficientDataError:
                 continue
-            expected = wls_intercept_oracle(x, y, c, side, degree, h)
-            assert fit.fitted_at_cutoff == pytest.approx(expected, rel=1e-9, abs=1e-11)
+            if degree == 1:
+                got, expected = fit.fitted_at_cutoff, wls_intercept_oracle(x, y, c, side, 1, h)
+            else:
+                got, expected = fit.weights @ y, wls_curvature_oracle(x, y, c, side, h)
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-11)
 
     def test_equivariance_under_positive_rescale(self):
         # grid avoids the cutoff knife-edge: side membership of a point at
@@ -163,7 +187,8 @@ def _side_window(sample, side, h):
 
 def _reference_fit(sample, side, degree, h, kernel):
     """The fit through numpy's full QR and scipy's checked triangular
-    solves; ``local_poly_fit`` must reproduce it bit for bit."""
+    solves; ``local_poly_fit`` must reproduce it bit for bit.  At degree 2
+    it returns only the curvature."""
     if not np.isfinite(h) or h <= 0:
         raise BadBandwidthError(f"bandwidth must be positive and finite, got {h}")
     if h * h < np.finfo(float).tiny:
@@ -192,23 +217,20 @@ def _reference_fit(sample, side, degree, h, kernel):
         e[coef_index] = 1.0
         return w * (z @ solve_triangular(r, solve_triangular(r, e, trans="T")))
 
-    w_local = extraction_weights(0)
     weights = np.zeros(sample.n)
+    if degree == 2:
+        weights[idx] = (2.0 / h**2) * extraction_weights(2)
+        return CurvatureFit(weights=weights, n_effective=m)
+    w_local = extraction_weights(0)
     weights[idx] = w_local
-    second = None
-    if degree >= 2:
-        second = np.zeros(sample.n)
-        second[idx] = (2.0 / h**2) * extraction_weights(2)
     u = t * h
     nonzero = w_local[w_local != 0.0]
     return LinearFit(
         weights=weights,
         fitted_at_cutoff=float(w_local @ sample.y[idx]),
-        n_effective=m,
         weighted_x2=float(w_local @ u**2),
         abs_weighted_x2=float(np.abs(w_local) @ u**2),
         sign_constant=bool(nonzero.size == 0 or (nonzero > 0).all() or (nonzero < 0).all()),
-        second_deriv_weights=second,
     )
 
 
@@ -269,14 +291,24 @@ def test_fit_is_bit_identical_to_the_reference(sample, side, degree, kernel, dat
     if isinstance(want, tuple):
         assert got == want
         return
-    assert isinstance(got, LinearFit)
-    for field in ("weights", "fitted_at_cutoff", "weighted_x2", "abs_weighted_x2",
-                  "n_effective", "sign_constant"):
-        assert _same_bits(getattr(got, field), getattr(want, field)), field
-    if degree == 1:
-        assert got.second_deriv_weights is None and want.second_deriv_weights is None
-    else:
-        assert _same_bits(got.second_deriv_weights, want.second_deriv_weights)
+    assert type(got) is type(want) is (LinearFit if degree == 1 else CurvatureFit)
+    for field in dataclasses.fields(want):
+        assert _same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_fit_solves_for_one_coefficient(monkeypatch, degree):
+    # one pair of triangular solves, R'v = e then Rg = v, at either degree
+    calls, trtrs = [], rdsmall.local_poly._trtrs
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["trans"])
+        return trtrs(*args, **kwargs)
+
+    monkeypatch.setattr(rdsmall.local_poly, "_trtrs", counted)
+    sample = _sample(np.linspace(-0.9, -0.1, 9), np.arange(9.0))
+    local_poly_fit(sample, "below", degree, 1.0)
+    assert calls == [0, 1]
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
@@ -291,7 +323,7 @@ def test_open_window_edges(kernel):
     sample = _sample(x, np.arange(8.0), c)
     for side, edge, near in (("below", 0, 1), ("above", 7, 6)):
         fit = local_poly_fit(sample, side, 1, h, kernel)
-        assert fit.n_effective == 3
+        assert np.count_nonzero(fit.weights) == 3
         assert fit.weights[edge] == 0.0
         assert fit.weights[near] != 0.0
     assert np.all(kernel.weight(inner - c) > 0)
@@ -299,14 +331,15 @@ def test_open_window_edges(kernel):
 
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_curvature_weights_recover_a_quadratic(kernel):
-    # ik's pilot reads mu'' as second_deriv_weights @ y
+    # ik's pilot reads mu'' as a degree-2 fit's weights @ y
     x = np.linspace(-0.9, 0.9, 19) + 0.01
     y = 1.5 - 0.4 * x + 0.35 * x**2
     sample = _sample(x, y)
     for side in ("below", "above"):
         fit = local_poly_fit(sample, side, 2, 1.0, kernel)
-        assert fit.second_deriv_weights @ y == pytest.approx(0.7, rel=1e-9)
-    assert local_poly_fit(sample, "below", 1, 1.0, kernel).second_deriv_weights is None
+        assert isinstance(fit, CurvatureFit) and fit.n_effective == 9 + (side == "above")
+        assert fit.weights @ y == pytest.approx(0.7, rel=1e-9)
+    assert isinstance(local_poly_fit(sample, "below", 1, 1.0, kernel), LinearFit)
 
 
 class TestLatePointEstimate:
