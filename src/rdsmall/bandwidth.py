@@ -385,14 +385,15 @@ def ak_bandwidth(
     G log n); unless one candidate is surely best, ``_grid_objective`` scores
     the candidates the bounds leave, as the O(G n) sweep of all of them does.
 
-    Raises ``ZeroCurvatureBoundError`` for a zero bound (the objective would
-    degenerate to pure variance minimization), an ``RDError`` tagged
-    ``empty_side``, ``insufficient_side`` or ``no_feasible_h`` when no
-    candidate fits both sides, and ``NonFiniteError`` when the score
-    overflows at every candidate that does (the squared bias bound passes
-    the float range once M * (x - c)^2 nears 1e154), or when the scores'
-    range does.  ``diagnostics`` holds
-    the grid's ends, ``grid_lo`` and ``grid_hi``.
+    Raises ``ZeroCurvatureBoundError`` for a bound that is 0, or so small
+    that the bias term squares to 0 at every feasible candidate though its
+    loads are positive: the objective would be the variance alone.  Raises an
+    ``RDError`` tagged ``empty_side``, ``insufficient_side`` or
+    ``no_feasible_h`` when no candidate fits both sides, and
+    ``NonFiniteError`` when the score overflows at every candidate that does
+    (the squared bias bound passes the float range once M * (x - c)^2 nears
+    1e154), or when the scores' range does.  ``diagnostics`` holds the grid's
+    ends, ``grid_lo`` and ``grid_hi``.
     """
     if bound.value <= 0:
         raise ZeroCurvatureBoundError("bounded-curvature bandwidth requires M > 0")
@@ -418,20 +419,21 @@ def ak_bandwidth(
     grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
     diagnostics = {"grid_lo": float(grid[0]), "grid_hi": float(grid[-1])}
 
-    def score(bias, var):  # the objective, from both sides' loads in rows 0 and 1
-        return (0.5 * bound.value * bias.sum(axis=0)) ** 2 + var.sum(axis=0)
+    def bias_sq(bias):  # the objective's first term, from both sides' loads in rows 0 and 1
+        return (0.5 * bound.value * bias.sum(axis=0)) ** 2
 
     with np.errstate(all="ignore"):  # a score that is not finite is not sure
         sure, bias, bias_err, var, var_err = _screen_loads(dist, [sigma2[o] for o in orders], grid)
-        lo = score(np.maximum(bias - bias_err, 0.0), np.maximum(var - var_err, 0.0))
-        hi = score(bias + bias_err, var + var_err)
-        sure = sure.all(axis=0) & np.isfinite(hi)
+        lo_bias = bias_sq(np.maximum(bias - bias_err, 0.0))
+        lo = lo_bias + np.maximum(var - var_err, 0.0).sum(axis=0)
+        hi = bias_sq(bias + bias_err) + (var + var_err).sum(axis=0)
+        sure = sure.all(axis=0) & np.isfinite(hi) & (lo_bias > 0)
         keep = (grid > two_a_side) & ~(sure & (lo > np.min(hi, where=sure, initial=np.inf)))
     if keep.sum() == 1 and sure[keep].all():
         return BandwidthResult(float(grid[keep][0]), diagnostics=diagnostics)
 
-    # an objective inf everywhere raises below; a bound so small that M / 2 is
-    # 0 makes the infeasible candidates' scores NaN, which np.where drops
+    # a sure score has a bias term > 0, so none was dropped if none is sure; a
+    # bound so small that M / 2 is 0 gives infeasible candidates NaN, dropped below
     with np.errstate(over="ignore", invalid="ignore"):
         ok, bias, var = map(np.stack, zip(*(_grid_objective(u[order], sigma2[order], grid, keep)
                                            for order in orders)))
@@ -439,8 +441,9 @@ def ak_bandwidth(
         if not feasible.any():
             raise InsufficientDataError("ak: no candidate bandwidth fits both sides",
                                         reason="no_feasible_h")
-
-        mse = np.where(feasible, score(bias, var), np.inf)
+        if not (sure.any() or bias_sq(bias)[feasible].any()) and bias[:, feasible].any():
+            raise ZeroCurvatureBoundError("ak: the bias bound squares to 0, as if M were 0")
+        mse = np.where(feasible, bias_sq(bias) + var.sum(axis=0), np.inf)
     pick = int(np.argmin(mse))  # first minimum: ties break toward smaller h
     if not np.isfinite(mse[pick]):
         raise NonFiniteError("ak: the objective (worst-case bias^2 + variance) overflows "

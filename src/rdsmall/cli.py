@@ -26,6 +26,7 @@ import io
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,7 @@ def _flatten(report: dict) -> dict:
     return flat
 
 
+@cache  # main builds it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdsmall",

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from rdsmall.bandwidth import _AK_GRID_SIZE, BandwidthResult, _grid_objective
 from rdsmall.core import RDSample
-from rdsmall.errors import InsufficientDataError, NonFiniteError
+from rdsmall.errors import InsufficientDataError, NonFiniteError, ZeroCurvatureBoundError
 from rdsmall.inference import BoundaryFits
 from rdsmall.local_poly import nn_variance
 from rdsmall.local_randomization import (
@@ -205,14 +205,17 @@ def ak_pick_oracle(sample, bound, *, sigma2):
         h_hi = 2.0 * h_lo
     grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
     every = np.ones(grid.size, dtype=bool)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf at infeasible candidates
         (ok_b, bias_b, var_b), (ok_a, bias_a, var_a) = (
             _grid_objective(*side, grid, every) for side in sides)
         if not (ok_b & ok_a).any():
             raise InsufficientDataError("ak: no candidate bandwidth fits both sides",
                                         reason="no_feasible_h")
-        mse = np.where(ok_b & ok_a, (0.5 * bound.value * (bias_b + bias_a)) ** 2
-                       + (var_b + var_a), np.inf)
+        feasible, bias_sq = ok_b & ok_a, (0.5 * bound.value * (bias_b + bias_a)) ** 2
+        # the squared bias bound is 0 at every feasible candidate, though a load is not
+        if not bias_sq[feasible].any() and (bias_b + bias_a)[feasible].any():
+            raise ZeroCurvatureBoundError("ak: the bias bound squares to 0, as if M were 0")
+        mse = np.where(feasible, bias_sq + (var_b + var_a), np.inf)
     pick = int(np.argmin(mse))
     if not np.isfinite(mse[pick]):
         raise NonFiniteError("ak: the objective overflows at every feasible candidate")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rdsmall
-from rdsmall.cli import main, read_xy_csv
+from rdsmall.cli import build_parser, main, read_xy_csv
 from rdsmall.errors import MissingColumnError, ParseError
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -482,3 +482,19 @@ def test_start_up_leaves_scipy_optimize_unloaded():
             "assert 'scipy.optimize' not in sys.modules")
     env = {**os.environ, "PYTHONPATH": str(Path(rdsmall.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main builds its parser once per process; a parsed call, a parse error
+    # and the next call must not leave anything on it for the call after
+    assert build_parser() is build_parser()
+    argv = ["analyze", "--input", str(DATA_DIR / "indiana_synth.csv"), "--x-col",
+            "score_2017", "--y-col", "score_2018", "--cutoff", "60", "--seed", "4"]
+    first = _run(capsys, argv)
+    assert first[0] == 0 and json.loads(first[1])["n"] == 1933
+    assert _run(capsys, argv) == first
+    with pytest.raises(SystemExit) as exit_info:
+        main([a for a in argv if a not in ("--cutoff", "60")])
+    assert exit_info.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err
+    assert _run(capsys, argv) == first
