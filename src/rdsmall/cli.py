@@ -218,8 +218,9 @@ def _flatten(report: dict) -> dict:
     return flat
 
 
-@cache  # main builds it once per process
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every ``main`` call in the process shares: never mutate it."""
     parser = argparse.ArgumentParser(
         prog="rdsmall",
         description="Regression discontinuity estimation for small studies",

@@ -135,26 +135,19 @@ def _group_rows(idx: np.ndarray, n_control: int):
     return idx[order], bounds, k_groups
 
 
-def _k_smallest(keys: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k smallest keys' column indices, ascending, as argsort picks them."""
-    chosen = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1:k]
-    if np.count_nonzero(chosen) > chosen.shape[0] * k:  # a tie at a k-th key: argsort decides
-        return np.sort(keys.argsort(axis=1)[:, :k], axis=1)
-    return np.broadcast_to(np.arange(keys.shape[1]), keys.shape)[chosen].reshape(-1, k)
-
-
 def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
                       n_mc: int, rng: np.random.Generator | int | None):
     """Difference-in-means decomposition over an assignment set.
 
     ``y_window`` is ordered controls-then-treated.  Beyond ``max_exact``
-    assignments, ``n_mc`` are drawn with ``rng`` (a Generator, used as is; an
-    int, its seed; None, fresh entropy), each the k smallest of n uniform
-    keys: a uniform k-subset, the one a full argsort picks.  Returns (u,
-    bounds, v, mode): u_A - tau0 * v_A is assignment A's statistic under
-    effect tau0, and v_A depends only on the treated count k_A.  Rows are
-    grouped by k_A; group g is rows bounds[g]:bounds[g+1] and has v_A = v[g].
-    Row 0 is the observed assignment (u_0 = observed difference, v_0 = 1).
+    assignments, ``n_mc`` are drawn with ``rng``: a Generator, used as is; an
+    int, its seed; or None, for fresh entropy.  Each draw is the k smallest of
+    n uniform keys, a uniform k-subset.  Returns
+    (u, bounds, v, mode): the statistic under hypothesized effect tau0 for
+    assignment A is u_A - tau0 * v_A, where v_A depends only on the treated
+    count k_A.  Rows are grouped by k_A; group g is rows bounds[g]:bounds[g+1]
+    and has v_A = v[g].  Row 0 is the observed assignment (u_0 = observed
+    difference in means, v_0 = 1).
     """
     n = y_window.size
     k = n_treated
@@ -163,9 +156,10 @@ def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
         idx, bounds, k_groups = _exact_layout(n, k)
         mode = "exact"
     else:
-        draws = _k_smallest(np.random.default_rng(rng).random((n_mc, n)), k)
+        draws = np.random.default_rng(rng).random((n_mc, n)).argsort(axis=1)[:, :k]
         observed = np.arange(n_control, n, dtype=np.intp)[None, :]
-        idx, bounds, k_groups = _group_rows(np.concatenate([observed, draws]), n_control)
+        idx = np.concatenate([observed, np.sort(draws, axis=1)], axis=0)
+        idx, bounds, k_groups = _group_rows(idx, n_control)
         mode = "monte_carlo"
 
     s_total = y_window.sum()
@@ -251,17 +245,18 @@ def lr_interval(
 
     The point estimate is the window difference in means.  p(tau0) enumerates
     every assignment when there are at most DEFAULT_MAX_EXACT of them, and
-    otherwise draws DEFAULT_N_MC with ``rng``, each the k smallest of n uniform
-    keys: a uniform k-subset.  The interval is the hull of grid values tau0
-    with p(tau0) > alpha, on a grid of DEFAULT_GRID_POINTS values centered at
-    the point estimate spanning +- DEFAULT_GRID_SPAN_SDS pooled within-group
-    standard deviations.  When the pooled sd is zero (to within roundoff of the
-    responses' scale) the test rejects every effect other than the point or
-    none of them, so the interval is the point or the call raises.  A
-    disconnected acceptance region gives its hull.  ``diagnostics`` holds the
-    assignment ``mode`` and ``n_assignments``, the ``grid_step``, and
-    ``grid_clipped``: the accepted set reaches the first or last grid point, so
-    the interval is cut off by the grid, not by the test.
+    otherwise draws DEFAULT_N_MC with ``rng`` besides the observed one, each
+    the k smallest of n uniform keys: a uniform k-subset.  The
+    interval is the hull of grid values tau0 with p(tau0) > alpha, on a grid of
+    DEFAULT_GRID_POINTS values centered at the point estimate spanning +-
+    DEFAULT_GRID_SPAN_SDS pooled within-group standard deviations.  When the
+    pooled sd is zero (to within roundoff of the responses' scale) the test
+    rejects every effect other than the point or none of them, so the
+    interval is the point or the call raises.  A disconnected acceptance
+    region gives its hull.  ``diagnostics`` holds the assignment ``mode``
+    and ``n_assignments``, the ``grid_step``, and ``grid_clipped``: the
+    accepted set reaches the first or last grid point, so the interval is
+    cut off by the grid, not by the test.
 
     Raises
     ------

@@ -18,7 +18,6 @@ from rdsmall.local_randomization import (
     DEFAULT_MAX_EXACT,
     LRWindow,
     _assignment_stats,
-    _k_smallest,
     _k_subsets,
     _p_values,
     lr_interval,
@@ -66,10 +65,6 @@ def test_k_subsets_are_the_combinations_in_order():
             assert np.array_equal(got, want), (n, k)
 
 
-def _argsort_pick(keys, k):
-    return np.sort(keys.argsort(axis=1)[:, :k], axis=1)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(n=st.integers(2, 45), n_mc=st.integers(1, 300), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
@@ -87,28 +82,6 @@ def test_monte_carlo_rows_are_the_argsort_reference(n, n_mc, data, seed):
     assert u.tobytes() == u_ref.tobytes()
     assert np.array_equal(bounds, np.append(starts, u.size))
     assert v.tobytes() == v_ref[starts].tobytes()
-
-
-@pytest.mark.parametrize("keys, k", [
-    # a tie at row 0's second-smallest key: argsort decides which 0.5 is drawn
-    (np.array([[0.5, 0.1, 0.5, 0.9], [0.2, 0.3, 0.1, 0.4]]), 2),
-    (np.array([[0.3, 0.3, 0.3, 0.3, 0.3], [0.7, 0.2, 0.2, 0.7, 0.1]]), 3),
-    # ties below the k-th key are all drawn: no fallback needed
-    (np.array([[0.1, 0.1, 0.5, 0.9], [0.4, 0.4, 0.4, 0.8]]), 3),
-], ids=["tie_at_kth", "all_tied", "tie_below_kth"])
-def test_a_tie_at_the_kth_key_is_drawn_as_argsort_draws_it(keys, k):
-    assert np.array_equal(_k_smallest(keys, k), _argsort_pick(keys, k))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(n=st.integers(2, 12), rows=st.integers(1, 8), data=st.data())
-def test_k_smallest_of_keys_with_ties_is_the_argsort_pick(n, rows, data):
-    k = data.draw(st.integers(1, n - 1), label="k")
-    keys = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
-                                       min_size=rows * n, max_size=rows * n)))
-    keys = keys.reshape(rows, n)
-    got = _k_smallest(keys, k)
-    assert got.dtype == np.intp and np.array_equal(got, _argsort_pick(keys, k))
 
 
 def _reference_p_value(u, v, tau0):
