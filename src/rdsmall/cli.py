@@ -219,7 +219,7 @@ def _flatten(report: dict) -> dict:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     """The one parser every ``main`` call in the process shares: never mutate it."""
     parser = argparse.ArgumentParser(
         prog="rdsmall",
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "diss":
             _emit(cmd_diss(args), args.out, args.format)

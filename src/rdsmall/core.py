@@ -102,16 +102,17 @@ class EffectEstimate:
     conventional and fixed-length intervals, the bias-corrected point for
     robust bias-corrected intervals, the window difference-in-means for
     local randomization.  ``se`` is None for methods without a standard
-    error concept (local randomization).  A NaN or inf field raises
-    NonFiniteError, so an estimate that overflows counts as its method's
-    failure.
+    error concept (local randomization).  The interval is ``[ci_lower,
+    ci_upper]`` at ``bandwidth_or_window``, a bandwidth or a window's half
+    width; ``diagnostics`` holds the method's branch details.  A NaN or inf
+    field raises NonFiniteError, so an estimate that overflows counts as
+    its method's failure.
     """
 
     tau_hat: float
     se: float | None
     ci_lower: float
     ci_upper: float
-    alpha: float
     bandwidth_or_window: float
     diagnostics: dict = field(default_factory=dict, compare=False)
 
@@ -129,8 +130,3 @@ class EffectEstimate:
             )
         if self.se is not None and self.se < 0:
             raise ValueError(f"se must be nonnegative, got {self.se}")
-
-    @property
-    def width(self) -> float:
-        return self.ci_upper - self.ci_lower
-

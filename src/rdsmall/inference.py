@@ -164,7 +164,7 @@ class BoundaryFits:
             b *= 1.25
 
 
-def _interval(fits: BoundaryFits, center: float, se: float, crit: float, alpha: float,
+def _interval(fits: BoundaryFits, center: float, se: float, crit: float,
               diagnostics: dict) -> EffectEstimate:
     """The interval center -+ crit * se at the fits' bandwidth."""
     return EffectEstimate(
@@ -172,7 +172,6 @@ def _interval(fits: BoundaryFits, center: float, se: float, crit: float, alpha: 
         se=se,
         ci_lower=center - crit * se,
         ci_upper=center + crit * se,
-        alpha=alpha,
         bandwidth_or_window=fits.h,
         diagnostics=diagnostics,
     )
@@ -180,7 +179,7 @@ def _interval(fits: BoundaryFits, center: float, se: float, crit: float, alpha: 
 
 def cv_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
     """Conventional Wald interval: tau_hat +- z_{alpha/2} SE."""
-    return _interval(fits, fits.tau, fits.se, float(ndtri(1.0 - alpha / 2.0)), alpha, {})
+    return _interval(fits, fits.tau, fits.se, float(ndtri(1.0 - alpha / 2.0)), {})
 
 
 def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
@@ -208,7 +207,7 @@ def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
     )
     center = fits.tau - float(corr_weights @ fits.sample.y)
     se_rbc = se_of_linear_functional(fits.combined_weights - corr_weights, fits.sigma2)
-    return _interval(fits, center, se_rbc, float(ndtri(1.0 - alpha / 2.0)), alpha,
+    return _interval(fits, center, se_rbc, float(ndtri(1.0 - alpha / 2.0)),
                      {"bias_bandwidth": bias_bw})
 
 
@@ -229,7 +228,7 @@ def flci_interval(fits: BoundaryFits, bound: CurvatureBound,
     if not np.isfinite(t):
         raise NonFiniteError(f"flci: the worst-case bias over the SE, t, is {t}")
     cv = folded_normal_cv(t, alpha)
-    return _interval(fits, tau, se, cv, alpha, {
+    return _interval(fits, tau, se, cv, {
         "t": t,
         "critical_value": cv,
         "bound_exact": below.sign_constant and above.sign_constant,

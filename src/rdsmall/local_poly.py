@@ -34,6 +34,7 @@ _MIN_H_SQUARED = np.finfo(float).tiny
 # LAPACK dgeqrf and dtrtrs, without numpy's and scipy's input checks: a
 # fit's inputs are finite.
 _geqrf, _trtrs = get_lapack_funcs(("geqrf", "trtrs"), dtype=np.float64)
+_NN_J = 3  # nn_variance's same-side neighbors, the conventional count
 
 
 class Kernel(enum.Enum):
@@ -178,23 +179,22 @@ def local_poly_fit(
     )
 
 
-def nn_variance(sample: RDSample, j: int = 3) -> np.ndarray:
+def nn_variance(sample: RDSample) -> np.ndarray:
     """Per-observation nearest-neighbor residual variance.
 
-    For each observation, sigma2_i = (j/(j+1)) * (y_i - ybar_i)^2 where
-    ybar_i averages the j nearest same-side neighbors by |x_j - x_i|.
-    Distance ties are broken toward the lower original index.  j defaults
-    to 3, the conventional choice for this estimator family.
+    For each observation, sigma2_i = (3/4) * (y_i - ybar_i)^2 where ybar_i
+    averages its three nearest same-side neighbors k by |x_k - x_i|, a
+    fixed count (``_NN_J``).  Distance ties are broken toward the lower
+    original index.
 
     Raises
     ------
     InsufficientDataError
-        A side has fewer than j+1 observations.
+        A side has fewer than four observations.
     NonFiniteError
         A variance overflows (responses near 1e154 and up).
     """
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    j = _NN_J
     resid = np.zeros(sample.n)
     # a neighbor mean or a square that overflows is raised as NonFiniteError below
     with np.errstate(over="ignore"):

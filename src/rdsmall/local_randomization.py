@@ -324,7 +324,6 @@ def lr_interval(
         se=None,
         ci_lower=lo,
         ci_upper=hi,
-        alpha=alpha,
         bandwidth_or_window=window.half_width,
         diagnostics={
             "mode": mode,

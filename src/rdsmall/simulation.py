@@ -25,12 +25,13 @@ import zlib
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .bandwidth import CurvatureBound
+from .bandwidth import CurvatureBound, silverman_rot_population
 from .core import RDSample
 from .diss import BetaSpec, beta_quantile, beta_sigma_star, n_for_target_diss
 from .engine import Outcome, Plan, estimate, parse_methods
@@ -66,7 +67,6 @@ class MeanFunction:
 
     name: str
     nominal_curvature_bound: float
-    true_tau: float = TRUE_TAU
 
 
 MU_FUNCTIONS: dict[str, MeanFunction] = {
@@ -144,8 +144,6 @@ def resolve_study_size(rv: str, m_bar: float) -> int:
 
 def design_table() -> list[dict]:
     """The full study-size grid: n and rule-of-thumb bandwidth per (rv, m_bar)."""
-    from .bandwidth import silverman_rot_population
-
     rows = []
     for rv in RV_SPECS:
         spec_z = RV_SPECS[rv].untransformed()
@@ -316,31 +314,28 @@ class SimCellResult:
     mcse: dict
     failure_counts: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class CellResult:
-    """A cell's aggregates and records; ``cell_id`` names its output files."""
+    """A cell's aggregates and its ``rows``, one ``{method: Outcome}`` per
+    replication in replication order; ``cell_id`` names its output files."""
 
     cell_id: str
     config: dict
     per_method: dict[str, SimCellResult]
-    records: list  # (rep, method, Outcome) in replication order
+    rows: list[dict[str, Outcome]]
 
     def to_json_dict(self) -> dict:
         return {
             "version": __version__,
             "config": self.config,
-            "methods": {m: r.to_dict() for m, r in self.per_method.items()},
+            "methods": {m: asdict(r) for m, r in self.per_method.items()},
         }
 
 
 def _aggregate(cell: CellSpec, n: int, true_m: float,
                rows: list[dict[str, Outcome]]) -> CellResult:
     methods = cell.methods
-    true_tau = MU_FUNCTIONS[cell.mu].true_tau
     r_total = len(rows)
 
     ok = {m: np.array([row[m].ok for row in rows]) for m in methods}
@@ -363,11 +358,11 @@ def _aggregate(cell: CellSpec, n: int, true_m: float,
 
         tau_c, lo_c, hi_c = tau[common], lo[common], hi[common]
         if r_common >= 2:
-            bias = float(np.mean(tau_c) - true_tau)
+            bias = float(np.mean(tau_c) - TRUE_TAU)
             emp_se = float(np.std(tau_c, ddof=1))
-            sq_err = (tau_c - true_tau) ** 2
+            sq_err = (tau_c - TRUE_TAU) ** 2
             mse = float(np.mean(sq_err))
-            coverage = float(np.mean((lo_c <= true_tau) & (true_tau <= hi_c)))
+            coverage = float(np.mean((lo_c <= TRUE_TAU) & (TRUE_TAU <= hi_c)))
             median_width = float(np.median(hi_c - lo_c))
             mcse = {
                 "bias": emp_se / math.sqrt(r_common),
@@ -404,16 +399,18 @@ def _aggregate(cell: CellSpec, n: int, true_m: float,
     del config["workers"]
     config["resolved_n"] = n
     config["resolved_m_bound"] = true_m
-    config["true_tau"] = true_tau
-    records = [(rep, m, rows[rep][m]) for rep in range(r_total) for m in methods]
-    return CellResult(cell.cell_id(), config, per_method, records)
+    config["true_tau"] = TRUE_TAU
+    return CellResult(cell.cell_id(), config, per_method, rows)
 
 
 def run_cell(cell: CellSpec) -> CellResult:
     """Run all replications of a cell and aggregate operating characteristics.
 
     Replication streams are independent of scheduling, so any ``workers``
-    setting produces identical results.
+    setting produces identical results.  A pool reads its chunks in order
+    through ``Executor.map``: when a chunk fails or the caller is
+    interrupted, the map cancels the chunks still queued, and the ``with``
+    block joins the workers.
     """
     n = cell.n if cell.n is not None else resolve_study_size(cell.rv, cell.m_bar)
     true_m = (
@@ -430,17 +427,11 @@ def run_cell(cell: CellSpec) -> CellResult:
         rows = _run_chunk(cell, n, plan, 0, r)
     else:
         size = min(_POOL_CHUNK, math.ceil(r / cell.workers))
+        starts = range(0, r, size)
         with ProcessPoolExecutor(max_workers=cell.workers) as pool:
-            try:
-                futures = [
-                    pool.submit(_run_chunk, cell, n, plan, lo, min(lo + size, r))
-                    for lo in range(0, r, size)
-                ]
-                rows = [row for fut in futures for row in fut.result()]
-            except BaseException:
-                # drop the queued tasks before the with block joins the workers
-                pool.shutdown(cancel_futures=True)
-                raise
+            chunks = pool.map(partial(_run_chunk, cell, n, plan), starts,
+                              [min(lo + size, r) for lo in starts])
+            rows = [row for chunk in chunks for row in chunk]
     return _aggregate(cell, n, true_m, rows)
 
 
@@ -458,19 +449,19 @@ def _fmt(value: float) -> str:
 
 def replications_csv(result: CellResult) -> str:
     """Per-replication records as CSV text (deterministic formatting)."""
-    true_tau = result.config["true_tau"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for rep, method, rec in result.records:
-        if rec.ok:
-            covered = int(rec.lo <= true_tau <= rec.hi)
-            writer.writerow(
-                [rep, method, _fmt(rec.bw), 1, _fmt(rec.tau), _fmt(rec.lo),
-                 _fmt(rec.hi), _fmt(rec.hi - rec.lo), covered]
-            )
-        else:
-            writer.writerow([rep, method, _fmt(rec.bw), 0, "", "", "", "", ""])
+    for rep, row in enumerate(result.rows):
+        for method, rec in row.items():
+            if rec.ok:
+                covered = int(rec.lo <= TRUE_TAU <= rec.hi)
+                writer.writerow(
+                    [rep, method, _fmt(rec.bw), 1, _fmt(rec.tau), _fmt(rec.lo),
+                     _fmt(rec.hi), _fmt(rec.hi - rec.lo), covered]
+                )
+            else:
+                writer.writerow([rep, method, _fmt(rec.bw), 0, "", "", "", "", ""])
     return buf.getvalue()
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rdsmall
-from rdsmall.cli import build_parser, main, read_xy_csv
+from rdsmall.cli import _parser, main, read_xy_csv
 from rdsmall.errors import MissingColumnError, ParseError
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -487,7 +487,7 @@ def test_start_up_leaves_scipy_optimize_unloaded():
 def test_one_parser_serves_every_call(capsys):
     # main builds its parser once per process; a parsed call, a parse error
     # and the next call must not leave anything on it for the call after
-    assert build_parser() is build_parser()
+    assert _parser() is _parser()
     argv = ["analyze", "--input", str(DATA_DIR / "indiana_synth.csv"), "--x-col",
             "score_2017", "--y-col", "score_2018", "--cutoff", "60", "--seed", "4"]
     first = _run(capsys, argv)

@@ -88,8 +88,8 @@ def test_a_nonfinite_estimate_is_a_nonfinite_error(field, bad):
     # an overflowed estimate is a counted failure of the data, not a crash
     values = {"tau_hat": 1.0, "se": 0.5, "ci_lower": 0.0, "ci_upper": 2.0, field: bad}
     with pytest.raises(NonFiniteError):
-        EffectEstimate(alpha=0.05, bandwidth_or_window=1.0, **values)
-    EffectEstimate(alpha=0.05, bandwidth_or_window=1.0, **{**values, field: 1.0, "se": None})
+        EffectEstimate(bandwidth_or_window=1.0, **values)
+    EffectEstimate(bandwidth_or_window=1.0, **{**values, field: 1.0, "se": None})
 
 
 def test_affine_transform_beta_to_unit_interval():

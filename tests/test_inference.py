@@ -230,7 +230,8 @@ class TestFLCIInterval:
         ):
             base, moved = build(sample), build(shifted)
             assert moved.tau_hat == pytest.approx(base.tau_hat, abs=1e-9)
-            assert moved.width == pytest.approx(base.width, rel=1e-9)
+            assert moved.ci_upper - moved.ci_lower == pytest.approx(
+                base.ci_upper - base.ci_lower, rel=1e-9)
 
 
 class TestBoundaryFits:

@@ -380,36 +380,47 @@ class TestLatePointEstimate:
 
 
 class TestNNVariance:
-    def test_constant_side_gives_zero(self):
-        sample = _sample([-3, -2, -1, 1, 2, 3], [5, 5, 5, 1, 2, 3])
-        sigma2 = nn_variance(sample, j=1)
-        np.testing.assert_array_equal(sigma2[:3], 0.0)
+    # every point averages its three nearest same-side neighbors
 
-    def test_hand_example_j1(self):
-        sample = _sample([-1, -2, 1, 2, 3], [5.0, 5.0, 0.0, 1.0, 0.0])
-        sigma2 = nn_variance(sample, j=1)
-        np.testing.assert_allclose(sigma2[2:], [0.5, 0.5, 0.5])
+    def test_constant_side_gives_zero(self):
+        sample = _sample([-4, -3, -2, -1, 1, 2, 3, 4], [5, 5, 5, 5, 1, 2, 3, 4])
+        sigma2 = nn_variance(sample)
+        np.testing.assert_array_equal(sigma2[:4], 0.0)
+        assert (sigma2[4:] > 0).all()
+
+    def test_hand_example(self):
+        # above, every point's distances are distinct: x = 8 averages the
+        # responses at 4, 2 and 1, (0 + 3 + 0) / 3 = 1, so sigma2 = 3/4 * 5^2
+        sample = _sample([-1, -2, -3, -4, 1, 2, 4, 8, 16],
+                         [1.0, 1.0, 1.0, 5.0, 0.0, 3.0, 0.0, 6.0, 0.0])
+        sigma2 = nn_variance(sample)
+        np.testing.assert_allclose(
+            sigma2, [4 / 3, 4 / 3, 4 / 3, 12, 27 / 4, 3 / 4, 27 / 4, 75 / 4, 27 / 4])
 
     def test_tie_breaks_to_lower_index(self):
-        # x = 2 is equidistant from 1 and 3; the lower-index neighbor wins
-        sample = _sample([-1, -2, 1, 2, 3], [0.0, 0.0, 0.0, 1.0, 9.0])
-        sigma2 = nn_variance(sample, j=1)
-        assert sigma2[3] == pytest.approx(0.5 * (1.0 - 0.0) ** 2)
+        # x = 3's third neighbor is x = 5 or x = 1, both at distance 2; x = 5
+        # has the lower index, so the neighbors are 2, 4 and 5 (mean 1)
+        sample = _sample([-1, -2, -3, -4, 5, 2, 3, 4, 1],
+                         [0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0])
+        sigma2 = nn_variance(sample)
+        assert sigma2[6] == pytest.approx(0.75 * (0.0 - 1.0) ** 2)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(9)
-        x = rng.uniform(-1, 1, 50)
-        y = rng.normal(size=50)
-        sample = _sample(x, y, c=0.05)
-        for j in (1, 2, 3, 5):
-            got = nn_variance(sample, j=j)
-            want = nn_variance_oracle(x, y, 0.05, j)
+        for n in (8, 13, 50):
+            x = rng.uniform(-1, 1, n)
+            x[: n // 2] = -np.abs(x[: n // 2])  # at least four a side
+            x[n // 2:] = np.abs(x[n // 2:]) + 0.05
+            y = rng.normal(size=n)
+            got = nn_variance(_sample(x, y, c=0.05))
+            want = nn_variance_oracle(x, y, 0.05, 3)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_side_size_equal_j_is_insufficient(self):
-        sample = _sample([-1, -2, -3, 1, 2, 3], np.zeros(6))
-        with pytest.raises(InsufficientDataError):
-            nn_variance(sample, j=3)
+        sample = _sample([-1, -2, -3, 1, 2, 3, 4], np.arange(7.0))
+        with pytest.raises(InsufficientDataError, match="side below has 3 observation"):
+            nn_variance(sample)
+        assert nn_variance(_sample([-4, -1, -2, -3, 1, 2, 3, 4], np.arange(8.0))).shape == (8,)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("side", ["below", "above"])

@@ -192,9 +192,11 @@ def _small_cell(**overrides):
 
 
 class TestRunCell:
-    def test_parallelism_does_not_change_results(self):
-        serial = run_cell(_small_cell(workers=1))
-        parallel = run_cell(_small_cell(workers=2))
+    # chunks of 12 and 12; of 25, 25 and a short 8; of 20, 20 and 18
+    @pytest.mark.parametrize("workers, replications", [(2, 24), (2, 58), (3, 58)])
+    def test_parallelism_does_not_change_results(self, workers, replications):
+        serial = run_cell(_small_cell(workers=1, replications=replications))
+        parallel = run_cell(_small_cell(workers=workers, replications=replications))
         assert not multiprocessing.active_children()  # the pool is joined
         assert serial.to_json_dict() == parallel.to_json_dict()
         # record-level comparison through the CSV writer (NaN-safe)
@@ -238,17 +240,19 @@ class TestRunCell:
 _REPLICATE = simulation._replicate
 
 
-def _failing_replicate(cell, n, plan, rep):
-    # forked workers see the patched module, so only the first chunk fails
-    if rep == 0:
-        raise RuntimeError("replication 0 failed")
-    return _REPLICATE(cell, n, plan, rep)
+# chunks of 12: replication 0 fails the first chunk, and 13 the second, after
+# the first chunk's rows have been read
+@pytest.mark.parametrize("failing", [0, 13])
+def test_a_failing_chunk_leaves_no_worker_behind(monkeypatch, failing):
+    def failing_replicate(cell, n, plan, rep):
+        # forked workers see the patched module, so only one chunk fails
+        if rep == failing:
+            raise RuntimeError(f"replication {rep} failed")
+        return _REPLICATE(cell, n, plan, rep)
 
-
-def test_a_failing_chunk_leaves_no_worker_behind(monkeypatch):
     cell = _small_cell(workers=2)
-    monkeypatch.setattr(simulation, "_replicate", _failing_replicate)
-    with pytest.raises(RuntimeError, match="replication 0 failed"):
+    monkeypatch.setattr(simulation, "_replicate", failing_replicate)
+    with pytest.raises(RuntimeError, match=f"replication {failing} failed"):
         run_cell(cell)
     # the worker that ran the other chunk is joined too, so the next pool
     # forks with no thread or worker of the old one alive
