@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bandwidth import silverman_rot, silverman_rot_population
 from .core import RDSample
@@ -56,6 +55,7 @@ class BetaSpec:
 
 def beta_cdf(spec: BetaSpec, x) -> float | np.ndarray:
     """P(X <= x) under the transformed Beta; clamps outside the support."""
+    from scipy import special  # on first use, so that analyze and diss never load scipy
     z = (np.asarray(x, dtype=float) - spec.shift) / spec.scale
     out = special.betainc(spec.alpha, spec.beta, np.clip(z, 0.0, 1.0))
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
@@ -63,6 +63,7 @@ def beta_cdf(spec: BetaSpec, x) -> float | np.ndarray:
 
 def beta_quantile(spec: BetaSpec, q) -> float | np.ndarray:
     """Inverse CDF on the transformed scale."""
+    from scipy import special  # on first use, as in beta_cdf
     z = special.betaincinv(spec.alpha, spec.beta, np.asarray(q, dtype=float))
     out = spec.scale * z + spec.shift
     return float(out) if np.isscalar(q) or out.ndim == 0 else out

@@ -21,12 +21,95 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .bandwidth import CurvatureBound
 from .core import EffectEstimate, RDSample
 from .errors import InsufficientDataError, NonFiniteError, ZeroSEError
 from .local_poly import CurvatureFit, LinearFit, local_poly_fit, se_of_linear_functional
+
+
+# The standard normal CDF and quantile, ported step for step from cephes
+# (Moshier) as scipy.special builds them, so that they return its floats
+# (tested) without loading it.  The rational approximations' coefficients are
+# cephes', each written as the shortest decimal of its double, in Horner steps.
+_SQRT1_2 = 0.7071067811865476
+_EXP_M2 = 0.1353352832366127  # exp(-2)
+
+
+def _ndtr(a: float) -> float:
+    """Phi(a), cephes' ndtr: 1/2 + erf(x)/2 at |x| < 1/sqrt(2), x = a/sqrt(2),
+    else through erfc(|x|), 1 - erf below 1 and exp(-x^2) R(|x|) above; the
+    odd erf(x) = x T(x^2) / U(x^2) rounds as cephes' -erf(-x) does."""
+    if a != a:
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        zz = z * z
+        p = (9.604973739870516 * zz + 90.02601972038427) * zz + 2232.005345946843
+        p = (p * zz + 7003.325141128051) * zz + 55592.30130103949
+        q = ((zz + 33.56171416475031) * zz + 521.3579497801527) * zz + 4594.323829709801
+        q = (q * zz + 22629.000061389095) * zz + 49267.39426086359
+        erf = z * p / q
+        if z < _SQRT1_2:
+            return 0.5 + 0.5 * (erf if x > 0 else -erf)
+        y = 0.5 * (1.0 - erf)
+    elif -z * z < -709.782712893384:  # exp underflows: cephes' MAXLOG
+        y = 0.0
+    else:
+        if z < 8.0:
+            p = (2.461969814735305e-10 * z + 0.5641895648310689) * z + 7.463210564422699
+            p = ((p * z + 48.63719709856814) * z + 196.5208329560771) * z + 526.4451949954773
+            p = ((p * z + 934.5285271719576) * z + 1027.5518868951572) * z + 557.5353353693994
+            q = ((z + 13.228195115474499) * z + 86.70721408859897) * z + 354.9377788878199
+            q = ((q * z + 975.7085017432055) * z + 1823.9091668790973) * z + 2246.3376081871097
+            q = (q * z + 1656.6630919416134) * z + 557.5353408177277
+        else:
+            p = (0.5641895835477551 * z + 1.275366707599781) * z + 5.019050422511805
+            p = ((p * z + 6.160210979930536) * z + 7.4097426995044895) * z + 2.9788666537210022
+            q = ((z + 2.2605286322011726) * z + 9.396035249380015) * z + 12.048953980809666
+            q = ((q * z + 17.08144507475659) * z + 9.608968090632859) * z + 3.369076451000815
+        y = 0.5 * (math.exp(-z * z) * p / q)
+    return 1.0 - y if x > 0 else y
+
+
+def _ndtri(p0: float) -> float:
+    """Phi^-1(p0), cephes' ndtri: -inf at 0, inf at 1, nan outside [0, 1];
+    rational in p0 - 1/2 in the middle and in 1/sqrt(-2 log tail) outside."""
+    if p0 in (0.0, 1.0):
+        return math.inf if p0 else -math.inf
+    if p0 < 0.0 or p0 > 1.0:
+        return math.nan
+    upper = p0 > 1.0 - _EXP_M2
+    y = 1.0 - p0 if upper else p0
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        p = (-59.96335010141079 * y2 + 98.00107541859997) * y2 - 56.67628574690703
+        p = (p * y2 + 13.931260938727968) * y2 - 1.2391658386738125
+        q = ((y2 + 1.9544885833814176) * y2 + 4.676279128988815) * y2 + 86.36024213908905
+        q = ((q * y2 - 225.46268785411937) * y2 + 200.26021238006066) * y2 - 82.03722561683334
+        q = (q * y2 + 15.90562251262117) * y2 - 1.1833162112133
+        return (y + y * (y2 * p / q)) * 2.5066282746310007  # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    if x < 8.0:
+        p = (4.0554489230596245 * z + 31.525109459989388) * z + 57.16281922464213
+        p = ((p * z + 44.08050738932008) * z + 14.684956192885803) * z + 2.1866330685079025
+        p = ((p * z - 0.1402560791713545) * z - 0.03504246268278482) * z - 0.0008574567851546854
+        q = ((z + 15.779988325646675) * z + 45.39076351288792) * z + 41.3172038254672
+        q = ((q * z + 15.04253856929075) * z + 2.504649462083094) * z - 0.14218292285478779
+        q = (q * z - 0.03808064076915783) * z - 0.0009332594808954574
+    else:
+        p = (3.2377489177694603 * z + 6.915228890689842) * z + 3.9388102529247444
+        p = ((p * z + 1.3330346081580755) * z + 0.20148538954917908) * z + 0.012371663481782003
+        p = (p * z + 0.00030158155350823543) * z + 2.6580697468673755e-6
+        p = p * z + 6.239745391849833e-9
+        q = ((z + 6.02427039364742) * z + 3.6798356385616087) * z + 1.3770209948908132
+        q = ((q * z + 0.21623699359449663) * z + 0.013420400608854318) * z + 0.00032801446468212774
+        q = (q * z + 2.8924786474538068e-6) * z + 6.790194080099813e-9
+    x = x - math.log(x) / x - z * p / q
+    return x if upper else -x
 
 
 def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -87,9 +170,9 @@ def folded_normal_cv(t: float, alpha: float) -> float:
     t = float(t)
 
     def gap(cv):
-        return float(ndtr(cv - t)) + float(ndtr(cv + t)) - 1.0 - (1.0 - alpha)
+        return _ndtr(cv - t) + _ndtr(cv + t) - 1.0 - (1.0 - alpha)
 
-    z = float(ndtri(1.0 - alpha))
+    z = _ndtri(1.0 - alpha)
     hi = t + abs(z) + 1.0  # the root is at most t + z_{1-alpha/2}, even when z < 0
     if hi - t < z:
         # t (about 1e16 and up, an SE of roundoff size) swamps the bracket:
@@ -179,7 +262,7 @@ def _interval(fits: BoundaryFits, center: float, se: float, crit: float,
 
 def cv_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
     """Conventional Wald interval: tau_hat +- z_{alpha/2} SE."""
-    return _interval(fits, fits.tau, fits.se, float(ndtri(1.0 - alpha / 2.0)), {})
+    return _interval(fits, fits.tau, fits.se, _ndtri(1.0 - alpha / 2.0), {})
 
 
 def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
@@ -207,7 +290,7 @@ def rbc_interval(fits: BoundaryFits, alpha: float = 0.05) -> EffectEstimate:
     )
     center = fits.tau - float(corr_weights @ fits.sample.y)
     se_rbc = se_of_linear_functional(fits.combined_weights - corr_weights, fits.sigma2)
-    return _interval(fits, center, se_rbc, float(ndtri(1.0 - alpha / 2.0)),
+    return _interval(fits, center, se_rbc, _ndtri(1.0 - alpha / 2.0),
                      {"bias_bandwidth": bias_bw})
 
 

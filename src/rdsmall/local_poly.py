@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+from numpy.linalg import lapack_lite
 
 from .core import RDSample
 from .errors import (
@@ -31,9 +31,6 @@ from .errors import (
 _RANK_RTOL = 1e-10
 # The curvature weights divide by h**2, which must be a normal float.
 _MIN_H_SQUARED = np.finfo(float).tiny
-# LAPACK dgeqrf and dtrtrs, without numpy's and scipy's input checks: a
-# fit's inputs are finite.
-_geqrf, _trtrs = get_lapack_funcs(("geqrf", "trtrs"), dtype=np.float64)
 _NN_J = 3  # nn_variance's same-side neighbors, the conventional count
 
 
@@ -79,6 +76,30 @@ class CurvatureFit:
 
     weights: np.ndarray
     n_effective: int
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """Finite a * b + c rounded once, as ``math.fma`` (Python 3.13+): exact in
+    integers, then one int division; an exact zero takes the float sum's sign."""
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    nc, dc = c.as_integer_ratio()
+    num = na * nb * dc + nc * da * db
+    return num / (da * db * dc) if num else a * b + c
+
+
+def _extraction_coefficients(r: list[list[float]]) -> list[float]:
+    """g = (R'R)^{-1} e for the coefficient a fit reads, the intercept (k = 2)
+    or t^2's (k = 3), from r[j][i] = R[i][j]: R'v = e, then Rg = v, rounded as
+    LAPACK dtrtrs does on R.T as lower (tested), its 3-term dot product fused."""
+    if len(r) == 2:
+        (r00, _), (r01, r11) = r
+        v0 = 1 / r00
+        g1 = ((0 - r01 * v0) / r11) / r11
+        return [(v0 - r01 * g1) / r00, g1]
+    (r00, _, _), (r01, r11, _), (r02, r12, r22) = r
+    g2 = (1 / r22) / r22
+    g1 = (0 - r12 * g2) / r11
+    return [-_fma(r02, g2, r01 * g1) / r00, g1, g2]
 
 
 def power_columns(t: np.ndarray, k: int) -> np.ndarray:
@@ -141,21 +162,18 @@ def local_poly_fit(
 
     k = degree + 1
     z = power_columns(t, k)
-    # The weighted design in column-major order, factored in place; R is the
-    # upper triangle of its first k rows.
-    qr, _, _, _ = _geqrf(np.multiply(np.sqrt(w)[:, None], z, order="F"), overwrite_a=1)
-    rdiag = [abs(r_jj) for r_jj in qr.diagonal().tolist()]
+    # LAPACK dgeqrf, without numpy's input checks (a fit's inputs are finite),
+    # reads this C-ordered (k, m) array as the column-major m-by-k weighted
+    # design and factors it in place: R[i][j] = a[j][i] for i <= j.
+    a = np.multiply(np.sqrt(w), z.T, order="C")
+    lapack_lite.dgeqrf(m, k, a, m, np.empty(k), np.empty(k), k, 0)
+    r = a[:, :k].tolist()
+    rdiag = [abs(r[j][j]) for j in range(k)]
     if min(rdiag) <= _RANK_RTOL * max(rdiag):
         raise InsufficientDataError(
             f"rank-deficient degree-{degree} design {side} the cutoff (h={h:g})"
         )
-    # The extraction weights W Z (Z'WZ)^{-1} e of the one coefficient read,
-    # the intercept or t^2's, with Z'WZ = R'R from the QR factor: R'v = e,
-    # then Rg = v, on R.T as lower (R as upper rounds differently).
-    rt = np.asfortranarray(qr[:k].T)
-    e = np.eye(k)[0 if degree == 1 else 2]
-    v, _ = _trtrs(rt, e, lower=1, trans=0)
-    g, _ = _trtrs(rt, v, lower=1, trans=1)
+    g = _extraction_coefficients(r)
     w_local = w * (z @ g)
     weights = np.zeros(sample.n)
 

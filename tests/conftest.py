@@ -234,10 +234,12 @@ def fits_at(sample, h):
 
 
 @st.composite
-def small_samples(draw, integer_scores=True):
+def small_samples(draw, integer_scores=True, distance_ties=True):
     """Small samples: integer scores with ties at the cutoff (unless
     ``integer_scores`` is false) or real scores, sometimes on one
-    side only; constant, linear or noisy responses; scales from 1e-6 to 1e6."""
+    side only; constant, linear or noisy responses; scales from 1e-6 to 1e6.
+    Without ``distance_ties``, a drawn point that would give some point of
+    its side two others at one distance is left out, so none remains."""
     n = draw(st.sampled_from(range(1, 31)))
     if integer_scores and draw(st.booleans()):
         x = np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)), float)
@@ -256,4 +258,18 @@ def small_samples(draw, integer_scores=True):
         y += np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(n)
     x = x * 10.0 ** draw(st.integers(-6, 6))
     y = y * 10.0 ** draw(st.integers(-6, 6))
+    if not distance_ties:
+        keep, sides = [], ([], [])
+        for i, xi in enumerate(x.tolist()):
+            side = sides[xi >= 0.0]
+            if not has_distance_tie(np.array(side + [xi])):
+                side.append(xi)
+                keep.append(i)
+        x, y = x[keep], y[keep]
     return RDSample(x=x, y=y, cutoff=0.0)
+
+
+def has_distance_tie(x):
+    """Whether some point of x has two others at one distance from it."""
+    d = np.abs(x[:, None] - x[None, :])
+    return any(np.unique(np.delete(row, i)).size < x.size - 1 for i, row in enumerate(d))

@@ -474,12 +474,25 @@ class TestSimulateCommand:
         assert lookup[("rv3", 10)]["h_rot"] == 0.034
 
 
-def test_start_up_leaves_scipy_optimize_unloaded():
-    # flci's root-find is in-house: scipy.optimize alone cost ~200 modules,
-    # ~180 ms and ~17 MB at every start of the console script
-    code = ("import sys, rdsmall, rdsmall.cli, rdsmall.simulation\n"
-            "rdsmall.inference.folded_normal_cv(1.0, 0.05)\n"
-            "assert 'scipy.optimize' not in sys.modules")
+def test_analyze_and_diss_load_no_scipy():
+    # the fit's LAPACK call, the normal CDF and quantile and the root-find are
+    # numpy or ported: scipy cost 327 modules and ~0.3 s at every start of
+    # the console script; only the harness's Beta draws import scipy.special
+    data = DATA_DIR / "indiana_synth.csv"
+    code = f"""
+import contextlib, io, sys
+import numpy as np
+import rdsmall, rdsmall.cli, rdsmall.simulation
+io_args = ["--input", {str(data)!r}, "--x-col", "score_2017", "--y-col", "score_2018",
+           "--cutoff", "60"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert rdsmall.cli.main(["analyze", *io_args]) == 0
+    assert rdsmall.cli.main(["diss", *io_args]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+rdsmall.simulation.generate_dataset("rv2", "mu2", 20, np.random.default_rng(0))
+assert "scipy.special" in sys.modules
+"""
     env = {**os.environ, "PYTHONPATH": str(Path(rdsmall.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_noisy_sample, overflowing_sample, small_samples
+from conftest import has_distance_tie, make_noisy_sample, overflowing_sample, small_samples
 import rdsmall.simulation
 from rdsmall.bandwidth import CurvatureBound, _grid_objective, estimate_m_hat
 from rdsmall.cli import main
@@ -465,14 +465,9 @@ def test_shift_of_y_moves_no_estimate(sample, k, m_bound, akm_bound, alpha):
                           scale + abs(shift))
 
 
-def _distance_ties(x):
-    d = np.abs(x[:, None] - x[None, :])
-    return any(np.unique(np.delete(row, i)).size < x.size - 1 for i, row in enumerate(d))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    sample=small_samples(integer_scores=False),
+    sample=small_samples(integer_scores=False, distance_ties=False),
     seed=st.integers(0, 2**16),
     m_bound=st.sampled_from([None, 2.0]),
     akm_bound=st.sampled_from([None, 2.0]),
@@ -486,10 +481,10 @@ def _distance_ties(x):
                          cutoff=0),
          seed=0, m_bound=None, akm_bound=None, alpha=0.05)
 def test_permutation_of_rows_moves_no_estimate(sample, seed, m_bound, akm_bound, alpha):
-    # nearest neighbors break distance ties by row index, so samples with a
-    # tie between two same-side distances are left out
+    # nearest neighbors break distance ties by row index, so the samples have
+    # no tie between two same-side distances
     below = sample.x < sample.cutoff
-    assume(not _distance_ties(sample.x[below]) and not _distance_ties(sample.x[~below]))
+    assert not has_distance_tie(sample.x[below]) and not has_distance_tie(sample.x[~below])
     order = np.random.default_rng(seed).permutation(sample.n)
     permuted = RDSample(x=sample.x[order], y=sample.y[order], cutoff=sample.cutoff)
     _assert_same_outcomes(_estimate(sample, CONTINUITY_METHODS, m_bound, akm_bound, alpha),

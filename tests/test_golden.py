@@ -25,8 +25,11 @@ ALL_CONTINUITY = ("ik/cv", "ik/rbc", "ik/flci", "ak/cv", "ak/rbc", "ak/flci",
                   "akm/cv", "akm/rbc", "akm/flci")
 
 
-# The hashes were recorded with these builds; another numpy or scipy (or the
-# LAPACK it links) may round a fit differently.
+# The hashes were recorded with these builds.  A fit's QR factor comes from
+# the LAPACK that numpy links, so another numpy may round a fit differently;
+# its triangular solves are written out in Python, so their bits do not depend
+# on the OpenBLAS kernel picked at run time (they are the FMA kernel's).
+# scipy's Beta functions draw the simulated scores.
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 

@@ -11,6 +11,8 @@ import rdsmall.inference
 from rdsmall.inference import (
     BoundaryFits,
     _brent,
+    _ndtr,
+    _ndtri,
     cv_interval,
     flci_interval,
     folded_normal_cv,
@@ -148,6 +150,40 @@ class TestWorstCaseBias:
         assert worst_case_bias((side, side), m) == pytest.approx(
             m * d**2, rel=1e-12
         )
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestNormalPorts:
+    """_ndtr and _ndtri port cephes' ndtr and ndtri, so every z, critical
+    value and interval endpoint keeps scipy.special's bits."""
+
+    ALPHAS = [1e-6, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999]
+
+    def test_ndtr_equals_scipy_bit_for_bit(self):
+        tail = np.geomspace(5e-324, 40.0, 40001)
+        # the branch edges: |x|/sqrt(2) at 1/sqrt(2), 1, 8 and where exp(-x^2/2) underflows
+        edges = np.sqrt(2.0) * np.array([0.5**0.5, 1.0, 8.0, 709.782712893384**0.5])
+        x = np.concatenate([
+            np.linspace(-40.0, 40.0, 160001), tail, -tail, edges, -edges,
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+        ])
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+        assert _bits([_ndtr(v) for v in x.tolist()]) == _bits(ndtr(x))
+
+    def test_ndtri_equals_scipy_bit_for_bit(self):
+        tail = np.geomspace(5e-324, 0.5, 40001)
+        alphas = np.array(self.ALPHAS + [a / 2 for a in self.ALPHAS])
+        p = np.concatenate([
+            np.linspace(0.0, 1.0, 160001), tail, 1.0 - tail, alphas, 1.0 - alphas,
+            # the branch edges: exp(-2) from either end and exp(-32)
+            [np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0), 1.0 - np.exp(-32.0)],
+            [0.0, -0.0, 1.0, np.nan, -np.nan, -1.0, 2.0, np.inf, -np.inf],
+        ])
+        p = np.concatenate([p, np.nextafter(p, np.inf), np.nextafter(p, -np.inf)])
+        assert _bits([_ndtri(v) for v in p.tolist()]) == _bits(ndtri(p))
 
 
 class TestFoldedNormalCV:

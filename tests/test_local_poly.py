@@ -1,10 +1,14 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import lapack_lite
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import get_lapack_funcs
 
 from conftest import (
     affine_transform,
@@ -22,9 +26,10 @@ from rdsmall.errors import (
     NonFiniteError,
 )
 from rdsmall.inference import BoundaryFits
-import rdsmall.local_poly
 from rdsmall.local_poly import (
     _RANK_RTOL,
+    _extraction_coefficients,
+    _fma,
     CurvatureFit,
     Kernel,
     LinearFit,
@@ -296,19 +301,67 @@ def test_fit_is_bit_identical_to_the_reference(sample, side, degree, kernel, dat
         assert _same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_a_fit_solves_for_one_coefficient(monkeypatch, degree):
-    # one pair of triangular solves, R'v = e then Rg = v, at either degree
-    calls, trtrs = [], rdsmall.local_poly._trtrs
+_SCIPY_GEQRF, _SCIPY_TRTRS = get_lapack_funcs(("geqrf", "trtrs"), dtype=np.float64)
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["trans"])
-        return trtrs(*args, **kwargs)
 
-    monkeypatch.setattr(rdsmall.local_poly, "_trtrs", counted)
-    sample = _sample(np.linspace(-0.9, -0.1, 9), np.arange(9.0))
-    local_poly_fit(sample, "below", degree, 1.0)
-    assert calls == [0, 1]
+def _weighted_designs(count, seed):
+    """(w, z) of random kernel-weighted designs, n = 3 to 400, 2 or 3 columns."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, k = int(rng.integers(3, 401)), int(rng.integers(2, 4))
+        t = rng.uniform(-1.0, 1.0, n) * (rng.random() if i % 2 else 1.0)
+        kernel = Kernel.TRIANGULAR if i % 3 else Kernel.UNIFORM
+        yield kernel.weight(t), power_columns(t, k)
+
+
+def test_numpys_dgeqrf_gives_scipys_r():
+    # local_poly_fit factors with numpy's private-but-present lapack_lite, as
+    # here; a numpy build that drops it or rounds R differently fails here
+    for w, z in _weighted_designs(2000, seed=0):
+        (m, k), want = z.shape, _SCIPY_GEQRF(np.multiply(np.sqrt(w)[:, None], z, order="F"))[0]
+        a = np.multiply(np.sqrt(w), z.T, order="C")
+        assert lapack_lite.dgeqrf(m, k, a, m, np.empty(k), np.empty(k), k, 0)["info"] == 0
+        assert _same_bits(np.triu(a[:, :k].T), np.triu(want[:k]))
+
+
+def test_written_out_solve_is_lapacks():
+    # the coefficients of the one read coefficient, the intercept (2 columns)
+    # or t^2's (3), are dtrtrs's R'v = e then Rg = v on R.T as lower, bit for bit
+    for w, z in _weighted_designs(3000, seed=1):
+        k = z.shape[1]
+        qr = _SCIPY_GEQRF(np.multiply(np.sqrt(w)[:, None], z, order="F"))[0]
+        rt = np.asfortranarray(qr[:k].T)
+        v, _ = _SCIPY_TRTRS(rt, np.eye(k)[0 if k == 2 else 2], lower=1, trans=0)
+        g, _ = _SCIPY_TRTRS(rt, v, lower=1, trans=1)
+        assert _same_bits(np.array(_extraction_coefficients(qr[:k].T.tolist())), g)
+
+
+def _exact_fma(a, b, c):
+    """a * b + c rounded once; an exact zero is -0 only when both addends are -0."""
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact:
+        return float(exact)
+    negative_zeros = (math.copysign(1.0, a) * math.copysign(1.0, b) < 0 and 0 in (a, b)
+                      and math.copysign(1.0, c) < 0)
+    return -0.0 if negative_zeros else 0.0
+
+
+def test_fma_rounds_once():
+    rng = np.random.default_rng(2)
+    triples = [(0.0, 1.5, 0.0), (-0.0, 1.5, 0.0), (-0.0, 1.5, -0.0), (0.0, -2.0, -0.0),
+               (3.0, -0.0, -0.0), (1.5, 2.0, -3.0), (-1.5, 2.0, 3.0), (0.1, 10.0, -1.0),
+               (5e-324, 0.5, 0.0), (5e-324, -0.5, -0.0), (1e-160, 1e-160, 0.0),
+               (1e-160, -1e-160, 5e-324), (2.0 ** -537, 2.0 ** -537, -(2.0 ** -1074))]
+    for _ in range(20000):
+        # products from subnormal to 2^1000; c down to subnormal, or a*b's
+        # rounded negative, which leaves the product's rounding error
+        a, b = (float(m) * 2.0 ** int(e)
+                for m, e in zip(rng.uniform(-2, 2, 2), rng.integers(-540, 500, 2)))
+        c = float(rng.uniform(-2, 2)) * 2.0 ** int(rng.integers(-1074, 990))
+        triples.append((a, b, -(a * b) if rng.random() < 0.3 else c))
+    for a, b, c in triples:
+        got, want = _fma(a, b, c), _exact_fma(a, b, c)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), (a, b, c)
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
