@@ -81,6 +81,32 @@ class BandwidthResult:
     ok = True
 
 
+def _quartiles(x: np.ndarray) -> tuple[float, float]:
+    """The 25th and 75th percentiles by numpy's ``linear`` method, written out.
+
+    Bit for bit ``np.percentile(x, (25, 75))``, whose first call imports
+    ``numpy.ma``: the same partition, on the same kth indices, puts the same
+    values (the same signed zeros) at each virtual index (n - 1) q, and the
+    interpolation is ``_lerp``'s two-branch form.  Needs n >= 2; overflow
+    is the caller's.
+    """
+    n = x.size
+    lo, hi = (n - 1) * 0.25, (n - 1) * 0.75
+    i, j = int(lo), int(hi)  # floors: lo, hi >= 0
+    xs = np.partition(x, sorted({0, -1, i, i + 1, j, j + 1}))
+
+    def lerp(v, k):
+        a, b, g = float(xs[k]), float(xs[k + 1]), v - k
+        return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+    return lerp(lo, i), lerp(hi, j)
+
+
+def _distinct_count(x: np.ndarray) -> int:
+    """``np.unique(x).size`` (-0.0 equals 0.0) without importing ``numpy.ma``."""
+    return int(np.count_nonzero(np.diff(np.sort(x)))) + 1
+
+
 def _sample_spread(x: np.ndarray) -> float:
     """s* = min(IQR/1.34, sd), linear-interpolation quartiles, sd with ddof=1.
 
@@ -88,8 +114,8 @@ def _sample_spread(x: np.ndarray) -> float:
     spread that is not finite raises NonFiniteError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        q25, q75 = np.percentile(x, (25, 75))
-        iqr = float(q75 - q25)
+        q25, q75 = _quartiles(x)
+        iqr = q75 - q25
         sd = float(np.std(x, ddof=1))
     s = min(iqr / 1.34, sd) if np.isfinite(sd) else iqr / 1.34
     if not np.isfinite(s):
@@ -475,7 +501,7 @@ def estimate_m_hat(sample: RDSample) -> CurvatureBound:
     for name, idx in (("below", sample.below), ("above", sample.above)):
         xs = sample.x[idx]
         ys = sample.y[idx]
-        if xs.size < 5 or np.unique(xs).size < 5:
+        if xs.size < 5 or _distinct_count(xs) < 5:
             raise InsufficientDataError(
                 f"side {name} needs >= 5 points with >= 5 distinct scores "
                 f"for the quartic curvature fit"

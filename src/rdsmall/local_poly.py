@@ -210,7 +210,10 @@ def nn_variance(sample: RDSample) -> np.ndarray:
     InsufficientDataError
         A side has fewer than four observations.
     NonFiniteError
-        A variance overflows (responses near 1e154 and up).
+        A variance overflows (responses near 1e154 and up), or every variance
+        underflows to 0 while some residual is not 0 (responses near 1e-162
+        and below), which would give zero-width intervals.  A response that
+        is constant among each point's neighbors has variance 0 and passes.
     """
     j = _NN_J
     resid = np.zeros(sample.n)
@@ -245,6 +248,9 @@ def nn_variance(sample: RDSample) -> np.ndarray:
         sigma2 = (j / (j + 1.0)) * resid**2
     if not np.isfinite(sigma2).all():
         raise NonFiniteError("nearest-neighbor variance is not finite (y near 1e154 and up)")
+    if not sigma2.any() and resid.any():
+        raise NonFiniteError("nearest-neighbor variance underflows to 0 at every point "
+                             "(y near 1e-162 and below)")
     return sigma2
 
 

@@ -23,7 +23,6 @@ import math
 import numbers
 import zlib
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -426,6 +425,9 @@ def run_cell(cell: CellSpec) -> CellResult:
     if cell.workers <= 1 or r < 2 * cell.workers:
         rows = _run_chunk(cell, n, plan, 0, r)
     else:
+        # the process-pool stack (multiprocessing, logging, socket, ...) costs
+        # ~20 ms to import; serial cells and ``analyze`` never load it
+        from concurrent.futures import ProcessPoolExecutor
         size = min(_POOL_CHUNK, math.ceil(r / cell.workers))
         starts = range(0, r, size)
         with ProcessPoolExecutor(max_workers=cell.workers) as pool:

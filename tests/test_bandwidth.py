@@ -19,7 +19,9 @@ from rdsmall.bandwidth import (
     _AK_GRID_SIZE,
     _IK_KERNEL_CONSTANT,
     CurvatureBound,
+    _distinct_count,
     _grid_objective,
+    _quartiles,
     _sample_spread,
     _screen_loads,
     ak_bandwidth,
@@ -72,6 +74,39 @@ class TestSilverman:
         sd = float(np.std(x, ddof=1))
         assert iqr / 1.34 < sd  # the IQR is the binding term
         assert _sample_spread(x) == iqr / 1.34
+
+    def test_quartiles_are_np_percentile_bit_for_bit(self):
+        # numpy's linear method is the oracle, signed zeros, subnormals and
+        # the NaN of an overflowing interpolation included
+        def bits(pair):
+            return np.asarray(pair, dtype=float).tobytes()
+
+        rng = np.random.default_rng(23)
+        for n in [*range(2, 101), 1933]:
+            for _ in range(4):
+                arrays = [
+                    rng.normal(size=n) * 10.0 ** rng.integers(-300, 301),
+                    rng.integers(-3, 4, n).astype(float),
+                    np.round(rng.uniform(0.0, 100.0, n), 1),
+                    rng.choice([-0.0, 0.0, -1.0, 1.0], n),
+                    rng.choice([-0.0, 0.0, -5e-324, 5e-324, 2.2e-308], n),
+                ]
+                for x in arrays:
+                    assert bits(_quartiles(x)) == bits(np.percentile(x, (25, 75))), x
+                x = rng.choice([-1e308, 1e308, -1.7e308, 1.7e308, -0.0], n)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert bits(_quartiles(x)) == bits(np.percentile(x, (25, 75))), x
+        x = np.array([-1e308, -1e308, 1e308, 1e308, 1e308])  # g = 0 at b - a = inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_quartiles(x)[0])
+            assert bits(_quartiles(x)) == bits(np.percentile(x, (25, 75)))
+
+    def test_distinct_count_is_np_unique_size(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 80):
+            for x in (rng.integers(-3, 4, n).astype(float), rng.normal(size=n),
+                      rng.choice([-0.0, 0.0, -5e-324, 5e-324, 1.0], n)):
+                assert _distinct_count(x) == np.unique(x).size, x
 
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_sd_leaves_the_spread_to_the_iqr(self):
@@ -354,6 +389,15 @@ class TestAKBandwidth:
         assert bound.value == pytest.approx(6.86e154, rel=1e-3)
         with pytest.raises(NonFiniteError, match="^ak: the objective"):
             ak_bandwidth(sample, bound, sigma2=nn_variance(sample))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_bias_bound_that_squares_to_zero_is_rejected(self):
+        # at scores of order 1e15, (M / 2 * load)^2 underflows to 0 at every
+        # candidate under M = 5e-324: the objective would be the variance alone
+        base = overflowing_sample(factor=1.0)
+        sample = RDSample(x=base.x * 1e15, y=base.y, cutoff=0.0)
+        with pytest.raises(ZeroCurvatureBoundError, match="squares to 0"):
+            ak_bandwidth(sample, CurvatureBound(5e-324), sigma2=nn_variance(sample))
 
     def test_smaller_than_ik_on_curved_design(self):
         # the bounded-curvature minimizer chooses much narrower windows than

@@ -477,7 +477,10 @@ class TestSimulateCommand:
 def test_analyze_and_diss_load_no_scipy():
     # the fit's LAPACK call, the normal CDF and quantile and the root-find are
     # numpy or ported: scipy cost 327 modules and ~0.3 s at every start of
-    # the console script; only the harness's Beta draws import scipy.special
+    # the console script; only the harness's Beta draws import scipy.special.
+    # np.percentile and np.unique import numpy.ma (~15 ms), and the process
+    # pool multiprocessing, socket and subprocess (~20 ms): only a pooled
+    # cell loads the pool
     data = DATA_DIR / "indiana_synth.csv"
     code = f"""
 import contextlib, io, sys
@@ -488,10 +491,15 @@ io_args = ["--input", {str(data)!r}, "--x-col", "score_2017", "--y-col", "score_
 with contextlib.redirect_stdout(io.StringIO()):
     assert rdsmall.cli.main(["analyze", *io_args]) == 0
     assert rdsmall.cli.main(["diss", *io_args]) == 0
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+unwanted = ("scipy", "numpy.ma", "concurrent.futures.process", "multiprocessing")
+loaded = sorted(m for m in sys.modules if m.startswith(tuple(p + "." for p in unwanted))
+                or m in unwanted)
 assert not loaded, loaded
 rdsmall.simulation.generate_dataset("rv2", "mu2", 20, np.random.default_rng(0))
 assert "scipy.special" in sys.modules
+cell = rdsmall.simulation.CellSpec(rv="rv2", mu="mu2", m_bar=10, replications=4, workers=2)
+rdsmall.simulation.run_cell(cell)
+assert "concurrent.futures.process" in sys.modules
 """
     env = {**os.environ, "PYTHONPATH": str(Path(rdsmall.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

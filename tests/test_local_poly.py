@@ -483,6 +483,19 @@ class TestNNVariance:
         with pytest.raises(NonFiniteError, match="nearest-neighbor variance"):
             nn_variance(overflowing_sample([side]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("factor", [1e-163, 1e-295])
+    def test_variances_that_all_underflow_are_a_nonfinite_error(self, factor):
+        # every square underflowed to 0: cv and rbc gave zero-width intervals
+        with pytest.raises(NonFiniteError, match="underflows to 0"):
+            nn_variance(overflowing_sample(factor=factor))
+        assert nn_variance(overflowing_sample(factor=1e-160)).all()
+
+    @pytest.mark.parametrize("level", [1.0, 1e-300])
+    def test_responses_constant_on_each_side_keep_zero_variances(self, level):
+        sample = _sample([-4, -3, -2, -1, 1, 2, 3, 4], [level] * 4 + [2 * level] * 4)
+        np.testing.assert_array_equal(nn_variance(sample), 0.0)
+
 
 class TestSEOfLinearFunctional:
     def test_direct_formula(self):
