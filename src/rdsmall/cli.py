@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -52,11 +53,20 @@ from .simulation import (
 
 
 def read_xy_csv(path: str | Path, x_col: str, y_col: str, strict: bool = False):
-    """Read two numeric columns from a CSV; returns (x, y, n_dropped)."""
+    """Read two numeric columns from a CSV; returns (x, y, n_dropped).
+
+    The header goes through ``csv.reader``.  A body whose every row is
+    usable is then parsed by numpy's C reader; any other body goes through
+    the row loop, the one path that drops rows with a count and raises the
+    ``strict`` error.  Both read the bytes read once from disk.
+    """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        # utf-8-sig: a spreadsheet's "CSV UTF-8" file starts with a byte-order mark
-        with path.open(newline="", encoding="utf-8-sig") as fh:
+        # utf-8-sig: a spreadsheet's "CSV UTF-8" file starts with a byte-order
+        # mark.  Decoded chunk by chunk as from disk, so a bad row before an
+        # undecodable byte is still the one named
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -68,6 +78,13 @@ def read_xy_csv(path: str | Path, x_col: str, y_col: str, strict: bool = False):
                     )
             # a repeated name reads its last column; blank lines are no rows
             ix, iy = (len(header) - 1 - header[::-1].index(c) for c in (x_col, y_col))
+            columns = _clean_columns(data, fh, ix, iy)
+            if columns is not None:
+                x, y = columns.T.copy()
+                return x, y, 0
+            fh.seek(0)  # numpy may have read on: start over, past the header
+            reader = csv.reader(fh)
+            next(reader)
             xs, ys, dropped = [], [], 0
             for row_number, row in enumerate(filter(None, reader), start=2):
                 try:
@@ -92,6 +109,35 @@ def read_xy_csv(path: str | Path, x_col: str, y_col: str, strict: bool = False):
     if not xs:
         raise ParseError(f"{path}: no usable data rows")
     return np.array(xs), np.array(ys), dropped
+
+
+def _clean_columns(data: bytes, fh, ix: int, iy: int):
+    """Columns ix and iy of the rest of ``fh``, the text of ``data`` after
+    its header, as an (n, 2) array read by numpy's C reader; or None when
+    the row loop might read the body differently."""
+    # U+001C-U+001F, each its own byte in UTF-8: numpy strips them around a
+    # number as whitespace and float() does not
+    if any(sep in data for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        return None
+    # csv refuses a field over its size limit, numpy reads it.  Unless quoted,
+    # such a field holds a comma-free block of half the limit, aligned at 0
+    limit = csv.field_size_limit()
+    block = limit // 2 + 1
+    if ((b'"' in data and len(data) > limit)
+            or any(data.find(b",", k, k + block) < 0
+                   for k in range(0, len(data) - block + 1, block))):
+        return None
+    for line in fh:
+        if line.strip("\r\n"):
+            break
+    else:  # no rows (loadtxt would warn)
+        return None
+    try:
+        columns = np.loadtxt(itertools.chain((line,), fh), delimiter=",", usecols=(ix, iy),
+                             comments=None, quotechar='"', dtype=float, ndmin=2)
+    except ValueError:  # UnicodeDecodeError too: the loop names what comes first
+        return None
+    return columns if np.isfinite(columns).all() else None
 
 
 def _base_report(args, config_keys) -> dict:

@@ -266,7 +266,11 @@ def lr_interval(
         each side and the test rejects no effect at level alpha.
     NonFiniteError
         The pooled variance overflows (responses near 1e154 and up), or the
-        difference in means does.
+        difference in means does; or the pooled variance underflows to 0
+        while some within-side residual is beyond roundoff (responses near
+        1e-162 and below), which would give a zero-width interval.  A
+        response constant on each side, up to roundoff, has variance 0 and
+        passes.
     """
     y_control = sample.y[window.indices_below]
     y_treated = sample.y[window.indices_above]
@@ -282,20 +286,23 @@ def lr_interval(
         )
     with np.errstate(over="ignore"):  # raised as NonFiniteError below
         point = float(y_treated.mean() - y_control.mean())
-        pooled_var = (
-            ((y_control - y_control.mean()) ** 2).sum()
-            + ((y_treated - y_treated.mean()) ** 2).sum()
-        ) / dof
+        resid = (y_control - y_control.mean(), y_treated - y_treated.mean())
+        pooled_var = ((resid[0] ** 2).sum() + (resid[1] ** 2).sum()) / dof
     if not math.isfinite(pooled_var):
         raise NonFiniteError(f"pooled variance of the window's y is not finite ({pooled_var})")
     if not math.isfinite(point):
         raise NonFiniteError(f"difference in means of the window's y is not finite ({point})")
+    y_window = np.concatenate([y_control, y_treated])
+    y_scale = np.abs(y_window).max()
+    # residuals beyond roundoff whose squares all underflow: y is not constant
+    if pooled_var == 0 and max(np.abs(r).max() for r in resid) > _TIE_RTOL * y_scale:
+        raise NonFiniteError("pooled variance of the window's y underflows to 0 "
+                             "(y near 1e-162 and below)")
     pooled_sd = math.sqrt(pooled_var)
 
-    y_window = np.concatenate([y_control, y_treated])
     u, bounds, v, mode = _assignment_stats(y_window, n_t, DEFAULT_MAX_EXACT,
                                            DEFAULT_N_MC, rng)
-    if pooled_sd <= _TIE_RTOL * np.abs(y_window).max():
+    if pooled_sd <= _TIE_RTOL * y_scale:
         # y is constant within each side (up to roundoff, which would
         # otherwise steer a grid this narrow), so u_A = point * v_A and the
         # statistic is (point - tau0) * v_A: every tau0 != point has the same

@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rdsmall
 from rdsmall.cli import _parser, main, read_xy_csv
@@ -136,74 +139,192 @@ def _reference_read_xy_csv(path, x_col, y_col, strict=False):
     """The reader through one ``csv.DictReader`` dict per row;
     ``read_xy_csv`` must give the same arrays, counts and errors."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file (header row required)")
-        for col in (x_col, y_col):
-            if col not in reader.fieldnames:
-                raise MissingColumnError(
-                    f"{path}: column {col!r} not found; available: {reader.fieldnames}"
-                )
-        xs, ys, dropped = [], [], 0
-        for row_number, row in enumerate(reader, start=2):
-            raw_x, raw_y = row.get(x_col), row.get(y_col)
-            try:
-                x = float(raw_x)
-                y = float(raw_y)
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError
-            except (TypeError, ValueError):
-                if strict:
-                    raise ParseError(
-                        f"{path}: row {row_number}: non-numeric or missing "
-                        f"value ({x_col}={raw_x!r}, {y_col}={raw_y!r})"
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ParseError(f"{path}: empty file (header row required)")
+            for col in (x_col, y_col):
+                if col not in reader.fieldnames:
+                    raise MissingColumnError(
+                        f"{path}: column {col!r} not found; available: {reader.fieldnames}"
                     )
-                dropped += 1
-                continue
-            xs.append(x)
-            ys.append(y)
+            xs, ys, dropped = [], [], 0
+            for row_number, row in enumerate(reader, start=2):
+                raw_x, raw_y = row.get(x_col), row.get(y_col)
+                try:
+                    x = float(raw_x)
+                    y = float(raw_y)
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        raise ValueError
+                except (TypeError, ValueError):
+                    if strict:
+                        raise ParseError(
+                            f"{path}: row {row_number}: non-numeric or missing "
+                            f"value ({x_col}={raw_x!r}, {y_col}={raw_y!r})"
+                        )
+                    dropped += 1
+                    continue
+                xs.append(x)
+                ys.append(y)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except csv.Error as err:
+        raise ParseError(f"{path}: {err}") from None
     if not xs:
         raise ParseError(f"{path}: no usable data rows")
     return np.array(xs), np.array(ys), dropped
 
 
+def _clean_rows(n, bad_at=None, bad="bad,5"):
+    rows = [f"{0.37 * i - 180:.2f},{(i * 7919) % 1000 / 10}" for i in range(n)]
+    if bad_at is not None:
+        rows[bad_at] = bad
+    return "x,y\n" + "\n".join(rows) + "\n"
+
+
+# a few of these differ between numpy's C reader and the row loop, so a
+# body holding them must reach the loop
 _READER_CASES = {
     "plain": "x,y\n1,2\n3,4\n",
+    "single_row": "x,y\n1,2\n",
     "byte_order_mark": "\ufeffx,y\n1,2\n3,4\n",
     "blank_lines": "x,y\n\n1,2\n\n\n3,4\nbad,5\n\n",
+    "only_blank_lines": "x,y\n\n\r\n\r\n",
     "crlf_and_blank": "x,y\r\n1,2\r\n\r\n3,oops\r\n5,6\r\n",
+    "carriage_returns": "x,y\r1,2\r3,4\r",
     "short_rows": "x,y\n1,2\n3\n\n4,5\n",
     "long_rows": "x,y\n1,2,3,4\n5,6,\n7,8\n",
     "repeated_name": "x,y,x\n1,2,3\n4,5\n7,8,9,10\n",
+    "repeated_name_clean": "x,y,x\n1,2,3\n4,5,6\n",
     "repeated_name_short_first": "x,x,y\n1,2,3\n4,5\n",
     "empty_first_line": "\nx,y\n1,2\n",
     "header_only": "x,y\n",
     "empty_file": "",
     "missing_column": "a,y\n1,2\n",
     "whitespace": "x,y\n 1 , 2\n\t3,4 \n  ,5\n6,7\n",
+    "whitespace_only_line": "x,y\n1,2\n \n3,4\n",
+    "form_feed_and_nul_lines": "x,y\n1,2\n\x0c\n\x00\n3,4\n",
+    # numpy strips U+001C-U+001F around a number; float() does not
+    "separator_before_number": "x,y\n\x1c1,3\n5,6\n",
+    "separators_after_numbers": "x,y\n1\x1d,3\x1e\n5,6\x1f\n",
+    "separator_in_header": "x\x1c,y\n1,2\n",
+    "non_ascii_digits": "x,y\n\uff11,2\n\u0661\u0662,3\n4,5\n",
+    "nbsp_and_ideographic_space": "x,y\n\xa01\u3000,2\n3,\u30004\xa0\n",
+    "next_line_and_line_separator": "x,y\n\x851,2\u2028\n3,4\n",
     "non_finite": "x,y\nnan,1\n1,inf\n-Infinity,2\n3,4\nNaN,NaN\n",
+    "overflow_underflow_signed_zero": "x,y\n1e400,1\n1e-400,2\n-0,3\n4,-0.0\n",
+    "underflow_and_signed_zero_only": "x,y\n1e-400,2\n-0,3\n4,-0.0\n",
     "underscores_and_exponents": "x,y\n1_000,1e3\n_1,2\n1__0,3\n3,4\n2E-2,1_0.5\n",
     "quoted_commas": 'x,y\n"1,5",2\n"3",4\n5,"6"\n',
+    "quoted_clean": 'x,y\n"1",2\n"3","4"\n',
+    "quote_then_digit": 'x,y\n"1"2,3\n',
+    "quote_then_space": 'x,y\n"1" ,2\n',
     "quoted_newlines": 'x,y\n"1\n",2\n"3\n4",5\n6,7\n',
+    "unterminated_quote": 'x,y\n1,2\n"3,4\n',
     "all_rows_bad": "x,y\n,\na,b\n",
+    "clean_1000": _clean_rows(1000),
+    "clean_1000_bad_first": _clean_rows(1000, 0),
+    "clean_1000_bad_middle": _clean_rows(1000, 500, "1,nan"),
+    "clean_1000_bad_last": _clean_rows(1000, 999, "7"),
+    # csv refuses a field over its size limit; numpy has none
+    "oversized_finite_field": "x,y\n1,2\n" + "0" * 200_000 + ",1\n",
+    "oversized_unused_field": 'x,y,z\n1,2,"' + "a," * 70_000 + '"\n',
+    # over 8 KiB: the bad row is read before the chunk holding the bad byte
+    "bad_row_2_then_bad_byte": (b"x,y\nbad,1\n" + _clean_rows(800)[4:].encode()
+                                + b"\xff,3\n"),
+    # numpy reads nan, so it reaches the bad byte; the loop stops at row 2
+    "nan_row_2_then_bad_byte": (b"x,y\nnan,1\n" + _clean_rows(800)[4:].encode()
+                                + b"\xff,3\n"),
 }
 
 
+def _reader_outcome(read, path, strict, x_col="x", y_col="y"):
+    try:
+        x, y, dropped = read(path, x_col, y_col, strict)
+    except (ParseError, MissingColumnError) as err:
+        return type(err), str(err)
+    return x.dtype, x.tobytes(), y.dtype, y.tobytes(), dropped
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("case", sorted(_READER_CASES))
 def test_reader_matches_the_dict_reader_reference(tmp_path, case, strict):
+    content = _READER_CASES[case]
     path = tmp_path / "in.csv"
-    path.write_bytes(_READER_CASES[case].encode("utf-8"))
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    assert (_reader_outcome(read_xy_csv, path, strict)
+            == _reader_outcome(_reference_read_xy_csv, path, strict))
 
-    def outcome(read):
-        try:
-            x, y, dropped = read(path, "x", "y", strict)
-        except (ParseError, MissingColumnError) as err:
-            return type(err), str(err)
-        return x.dtype, x.tobytes(), y.dtype, y.tobytes(), dropped
 
-    assert outcome(read_xy_csv) == outcome(_reference_read_xy_csv)
+_CSV_TOKENS = [*"0123456789.eE+-_", ",", '"', " ", "\t", "\r", "\n", "\x0b", "\x0c",
+               "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+               "\uff11", "nan", "inf"]
+_noise = st.lists(st.sampled_from(_CSV_TOKENS), max_size=4).map("".join)
+_pad = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+                        "\u3000"])
+_number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**20, 10**20).map(str),
+                    st.sampled_from(["-0", "1e400", "1e-400", "5e-324", ".5", "1.",
+                                     "1_0", "\uff11", "nan", "inf"]))
+_value = st.one_of(_number, st.tuples(_pad, _number, _pad).map("".join),
+                   _number.map('"{}"'.format))
+
+
+def _rows(field):
+    line_end = st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n"])
+    row = st.builds(lambda fields, end: ",".join(fields) + end,
+                    st.lists(field, min_size=1, max_size=3), line_end)
+    return st.lists(row, max_size=6).map("".join)
+
+
+# rows of numbers, often clean enough to reach numpy whole; rows with noise
+# fields; and free text over the alphabet
+_body = st.one_of(_rows(_value), _rows(_value | _noise),
+                  st.lists(st.sampled_from(_CSV_TOKENS), max_size=30).map("".join))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=_body)
+def test_reader_matches_the_reference_on_generated_text(tmp_path, strict, body):
+    # each example overwrites the one file.  Warnings are errors in the body
+    # only: under the mark, hypothesis's failure report itself trips one
+    path = tmp_path / "in.csv"
+    path.write_bytes(("x,y\n" + body).encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _reader_outcome(read_xy_csv, path, strict)
+    assert got == _reader_outcome(_reference_read_xy_csv, path, strict)
+
+
+def test_a_clean_file_is_read_without_the_row_loop(monkeypatch):
+    path = DATA_DIR / "indiana_synth.csv"
+    columns = ("score_2017", "score_2018")
+    want = _reader_outcome(_reference_read_xy_csv, path, False, *columns)
+    csv_reader = csv.reader
+
+    class HeaderOnlyReader:  # the header, then a failure on the next row
+        def __init__(self, fh):
+            self.rows = csv_reader(fh)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            if self.rows.line_num:
+                raise AssertionError("the row loop read a clean file")
+            return next(self.rows)
+
+        @property
+        def line_num(self):
+            return self.rows.line_num
+
+    monkeypatch.setattr(csv, "reader", HeaderOnlyReader)
+    assert _reader_outcome(read_xy_csv, path, False, *columns) == want
+    assert want[-1] == 0 and len(want[1]) == 8 * 1933
 
 
 @pytest.mark.parametrize("command", ["diss", "analyze"])

@@ -260,6 +260,29 @@ class TestLRInterval:
             lr_interval(sample, window, alpha=0.05)
         assert permutation_test([1, 1, 1], [1.5, 1.5, 1.5], tau0=-100).p_value == 0.1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("factor", [1e-163, 1e-295])
+    def test_pooled_variance_that_underflows_is_a_nonfinite_error(self, factor):
+        # every squared residual underflows to 0: the constant-response
+        # branch gave the point interval (8e-164, 8e-164) at 1e-163
+        rng = np.random.default_rng(11)
+        x = np.concatenate([-rng.uniform(0.01, 1, 6), rng.uniform(0.01, 1, 6)])
+        sample = _sample(x, factor * (0.5 * (x >= 0) + rng.normal(size=12)))
+        window = select_window(sample, min_per_side=5)
+        with pytest.raises(NonFiniteError, match="underflows to 0"):
+            lr_interval(sample, window, alpha=0.05)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 3e-170])
+    def test_responses_constant_on_each_side_keep_the_point_interval(self, scale):
+        # at 3e-170 the below side's mean is off by roundoff, so its
+        # residuals are not 0 but their squares underflow: still constant
+        x = [-0.5, -0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.5]
+        sample = _sample(x, np.array([1] * 5 + [1.5] * 5) * scale)
+        est = lr_interval(sample, select_window(sample, min_per_side=5), alpha=0.05)
+        assert est.ci_lower == est.tau_hat == est.ci_upper
+        assert est.tau_hat == pytest.approx(0.5 * scale, rel=1e-12)
+
     def test_zero_noise_constant_effect_rejected_off_the_point(self):
         # 5+5: p = 2/252 <= 0.05 off the point, so the point interval is honest
         x = [-0.5, -0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.5]
