@@ -231,19 +231,24 @@ def nn_variance(sample: RDSample) -> np.ndarray:
             xo, yo, io = xs[order], ys[order], idx[order]
 
             # In sorted order the j nearest neighbors of a point lie among its j
-            # predecessors and j successors; pad the edges with +inf distance.
-            offsets = np.concatenate([np.arange(-j, 0), np.arange(1, j + 1)])
-            pos = np.arange(s)[:, None] + offsets[None, :]
-            valid = (pos >= 0) & (pos < s)
-            pos_c = np.clip(pos, 0, s - 1)
-            dist = np.where(valid, np.abs(xo[pos_c] - xo[:, None]), np.inf)
-            tie_rank = np.where(valid, io[pos_c], np.iinfo(np.int64).max)
-            take = np.lexsort((tie_rank, dist), axis=1)[:, :j]
-            nb = yo[pos_c[np.arange(s)[:, None], take]]
-            side_resid = yo - nb.mean(axis=1)
+            # predecessors and j successors.  Row r of each table holds every
+            # point's candidate at one offset, padded past the edges with +inf
+            # distance and the largest index, which lose every tie.
+            dist = np.full((2 * j, s), np.inf)
+            tie_rank = np.full((2 * j, s), np.iinfo(np.int64).max)
+            y_nb = np.zeros((2 * j, s))
+            for r, off in enumerate((*range(-j, 0), *range(1, j + 1))):
+                a, b = max(-off, 0), min(s - off, s)
+                np.subtract(xo[a + off:b + off], xo[a:b], out=dist[r, a:b])
+                tie_rank[r, a:b] = io[a + off:b + off]
+                y_nb[r, a:b] = yo[a + off:b + off]
+            np.abs(dist, out=dist)
+            take = np.lexsort((tie_rank, dist), axis=0)[:j]
+            nb = np.take_along_axis(y_nb, take, axis=0)
+            side_resid = yo - nb.mean(axis=0)
             # the mean of equal values can round away from them: a point whose
             # neighbors all share its response has no residual
-            side_resid[(nb == yo[:, None]).all(axis=1)] = 0.0
+            side_resid[(nb == yo).all(axis=0)] = 0.0
             resid[io] = side_resid
         sigma2 = (j / (j + 1.0)) * resid**2
     if not np.isfinite(sigma2).all():

@@ -18,6 +18,10 @@ u.  One binary search per group and grid point finds each boundary, which
 is then moved until the test's own comparison holds on its side of it.  The
 counts, and so the p-values and the interval, are exactly those of
 evaluating every assignment at every grid point.
+
+A Monte Carlo draw, the k smallest of n uniform keys, is the mask of keys at
+most the row's k-th smallest; a row whose (k+1)-th smallest key ties it
+(chance about n * 2**-53) takes argsort's first k instead.
 """
 
 from __future__ import annotations
@@ -105,7 +109,9 @@ def _exact_layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k_A = k_groups[g].  Row 0, the only row with k_A = k, is the observed
     assignment.  The arrays are shared between calls and read-only.
     """
-    idx, bounds, k_groups = _group_rows(_k_subsets(n, k), n - k)
+    idx = _k_subsets(n, k)
+    order, bounds, k_groups = _groups((idx < n - k).sum(axis=1), k)
+    idx = idx[order]
     for arr in (idx, bounds, k_groups):
         arr.flags.writeable = False
     return idx, bounds, k_groups
@@ -125,14 +131,13 @@ def _k_subsets(n: int, k: int) -> np.ndarray:
     return idx
 
 
-def _group_rows(idx: np.ndarray, n_control: int):
-    """Reorder assignment rows by descending treated count, stably."""
-    k_a = (idx >= n_control).sum(axis=1)
-    order = np.argsort(-k_a, kind="stable")
-    sizes = np.bincount(k_a, minlength=idx.shape[1] + 1)[::-1]
-    k_groups = idx.shape[1] - np.flatnonzero(sizes)
+def _groups(k_c: np.ndarray, k: int):
+    """Order rows by descending treated count k_A = k - k_c, stably, from
+    each row's control count k_c; returns (order, bounds, k_groups)."""
+    order = np.argsort(k_c, kind="stable")
+    sizes = np.bincount(k_c, minlength=k + 1)
     bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
-    return idx[order], bounds, k_groups
+    return order, bounds, k - np.flatnonzero(sizes)
 
 
 def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
@@ -142,7 +147,8 @@ def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
     ``y_window`` is ordered controls-then-treated.  Beyond ``max_exact``
     assignments, ``n_mc`` are drawn with ``rng``: a Generator, used as is; an
     int, its seed; or None, for fresh entropy.  Each draw is the k smallest of
-    n uniform keys, a uniform k-subset.  Returns
+    n uniform keys, a uniform k-subset (a mask, or argsort's on a tie: see
+    the module docstring).  Returns
     (u, bounds, v, mode): the statistic under hypothesized effect tau0 for
     assignment A is u_A - tau0 * v_A, where v_A depends only on the treated
     count k_A.  Rows are grouped by k_A; group g is rows bounds[g]:bounds[g+1]
@@ -154,16 +160,24 @@ def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
     n_control = n - k
     if math.comb(n, k) <= max_exact:
         idx, bounds, k_groups = _exact_layout(n, k)
+        s_a = y_window[idx].sum(axis=1)
         mode = "exact"
     else:
-        draws = np.random.default_rng(rng).random((n_mc, n)).argsort(axis=1)[:, :k]
-        observed = np.arange(n_control, n, dtype=np.intp)[None, :]
-        idx = np.concatenate([observed, np.sort(draws, axis=1)], axis=0)
-        idx, bounds, k_groups = _group_rows(idx, n_control)
+        keys = np.random.default_rng(rng).random((n_mc, n))
+        edge = np.sort(keys, axis=1)[:, k - 1:k + 1]
+        mask = np.empty((n_mc + 1, n), dtype=bool)
+        mask[0] = np.arange(n) >= n_control
+        np.less_equal(keys, edge[:, :1], out=mask[1:])
+        tied = np.flatnonzero(edge[:, 0] == edge[:, 1])
+        if tied.size:  # more than k keys are <= the k-th: argsort picks k
+            mask[1 + tied] = False
+            mask[1 + tied[:, None], keys[tied].argsort(axis=1)[:, :k]] = True
+        order, bounds, k_groups = _groups(mask[:, :n_control].sum(axis=1), k)
+        # row by row in ascending index order: the values of y_window[idx]
+        s_a = np.broadcast_to(y_window, mask.shape)[mask].reshape(-1, k).sum(axis=1)[order]
         mode = "monte_carlo"
 
     s_total = y_window.sum()
-    s_a = y_window[idx].sum(axis=1)
     u = s_a / k - (s_total - s_a) / n_control
     v = k_groups / k - (k - k_groups) / n_control
     return u, bounds, v, mode

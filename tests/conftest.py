@@ -10,7 +10,9 @@ first two build the shared inputs that the interval and bandwidth routines
 take, as the estimation engine does, and the third runs the window test at
 one effect as ``lr_interval`` runs it at each point of its grid.
 ``affine_transform`` moves a sample's scores for the invariance tests.
-``ak_pick_oracle`` is ak's candidate sweep without its screen.
+``ak_pick_oracle`` is ak's candidate sweep without its screen, and
+``nn_variance_gather`` is ``nn_variance`` as it read its neighbor candidates
+through a clipped position table.
 """
 
 from collections import namedtuple
@@ -95,6 +97,31 @@ def nn_variance_oracle(x, y, c, j):
         nb = same[:j]
         out[i] = (j / (j + 1)) * (y[i] - np.mean([y[k] for k in nb])) ** 2
     return out
+
+
+def nn_variance_gather(sample, j=3):
+    """``nn_variance`` with its candidates gathered through a table of sorted
+    positions, clipped at the edges, where the invalid slots get +inf distance
+    and the largest index.  Each side needs j + 1 points; no error checks."""
+    resid = np.zeros(sample.n)
+    with np.errstate(over="ignore"):
+        for idx in (sample.below, sample.above):
+            s = idx.size
+            xs, ys = sample.x[idx], sample.y[idx]
+            order = np.argsort(xs, kind="stable")
+            xo, yo, io = xs[order], ys[order], idx[order]
+            offsets = np.concatenate([np.arange(-j, 0), np.arange(1, j + 1)])
+            pos = np.arange(s)[:, None] + offsets[None, :]
+            valid = (pos >= 0) & (pos < s)
+            pos_c = np.clip(pos, 0, s - 1)
+            dist = np.where(valid, np.abs(xo[pos_c] - xo[:, None]), np.inf)
+            tie_rank = np.where(valid, io[pos_c], np.iinfo(np.int64).max)
+            take = np.lexsort((tie_rank, dist), axis=1)[:, :j]
+            nb = yo[pos_c[np.arange(s)[:, None], take]]
+            side_resid = yo - nb.mean(axis=1)
+            side_resid[(nb == yo[:, None]).all(axis=1)] = 0.0
+            resid[io] = side_resid
+        return (j / (j + 1.0)) * resid**2
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from conftest import (
     affine_transform,
+    nn_variance_gather,
     nn_variance_oracle,
     overflowing_sample,
     small_samples,
@@ -432,6 +433,35 @@ class TestLatePointEstimate:
             self._build(sample, 1.0)
 
 
+@st.composite
+def _nn_samples(draw):
+    """Two sides of 4 to 30 points in shuffled order, with scores on an
+    integer grid (duplicates and distance ties) or real ones; or, with the
+    cutoff at 1e308, scores below it of both signs near 1e308, whose
+    distances overflow to inf."""
+    cutoff = draw(st.sampled_from([0.0, 1e308]))
+    x = []
+    for below in (True, False):
+        size = draw(st.sampled_from([4, 4, 5, 8, 30]))
+        if cutoff and below:
+            huge = [-1.7e308, -1e308, -9e307, 0.0, 9e307, 9.5e307]
+            d = draw(st.lists(st.sampled_from(huge), min_size=size, max_size=size))
+            x += d
+            continue
+        if draw(st.booleans()):
+            d = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+        else:
+            d = draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size))
+        d = np.array(d, float)
+        x += list(-d if below else cutoff * (1 + d / 10) if cutoff else d)
+    x = np.array(x)[draw(st.permutations(range(len(x))))]
+    if draw(st.booleans()):  # equal responses among neighbors
+        y = np.array(draw(st.lists(st.integers(0, 2), min_size=x.size, max_size=x.size)), float)
+    else:
+        y = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(x.size)
+    return _sample(x, y, c=cutoff)
+
+
 class TestNNVariance:
     # every point averages its three nearest same-side neighbors
 
@@ -468,6 +498,14 @@ class TestNNVariance:
             got = nn_variance(_sample(x, y, c=0.05))
             want = nn_variance_oracle(x, y, 0.05, 3)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sample=st.data())
+    def test_slice_tables_are_the_gather_reference(self, sample):
+        # bit for bit, on duplicate scores, distance ties, sides of four
+        # points (every row has padded slots) and distances that overflow
+        sample = sample.draw(_nn_samples())
+        assert nn_variance(sample).tobytes() == nn_variance_gather(sample).tobytes()
 
     def test_side_size_equal_j_is_insufficient(self):
         sample = _sample([-1, -2, -3, 1, 2, 3, 4], np.arange(7.0))

@@ -65,16 +65,16 @@ def test_k_subsets_are_the_combinations_in_order():
             assert np.array_equal(got, want), (n, k)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(n=st.integers(2, 45), n_mc=st.integers(1, 300), data=st.data(),
-       seed=st.integers(0, 2**32 - 1))
-def test_monte_carlo_rows_are_the_argsort_reference(n, n_mc, data, seed):
-    # each draw is the k smallest of n uniform keys: the rows, their u and
-    # the group bounds are the argsort reference's, bit for bit
-    k = data.draw(st.integers(1, n - 1), label="k")
-    y_window = np.random.default_rng([seed, 1]).standard_normal(n)
-    u, bounds, v, mode = _assignment_stats(y_window, k, 0, n_mc, np.random.default_rng(seed))
-    u_ref, v_ref = _reference_stats(y_window, k, 0, n_mc, np.random.default_rng(seed))
+class _CoarseKeys(np.random.Generator):
+    """A Generator whose keys are multiples of 1/8, so that draws tie."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.floor(super().random(size) * 8) / 8
+
+
+def _assert_rows_are_the_argsort_reference(y_window, k, n_mc, make_rng):
+    u, bounds, v, mode = _assignment_stats(y_window, k, 0, n_mc, make_rng())
+    u_ref, v_ref = _reference_stats(y_window, k, 0, n_mc, make_rng())
     order = np.argsort(-v_ref, kind="stable")  # v grows with the treated count
     u_ref, v_ref = u_ref[order], v_ref[order]
     starts = np.flatnonzero(np.diff(v_ref, prepend=np.inf))
@@ -82,6 +82,44 @@ def test_monte_carlo_rows_are_the_argsort_reference(n, n_mc, data, seed):
     assert u.tobytes() == u_ref.tobytes()
     assert np.array_equal(bounds, np.append(starts, u.size))
     assert v.tobytes() == v_ref[starts].tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 45), n_mc=st.integers(1, 300), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), coarse=st.booleans())
+def test_monte_carlo_rows_are_the_argsort_reference(n, n_mc, data, seed, coarse):
+    # each draw is the k smallest of n uniform keys: the rows, their u and
+    # the group bounds are the argsort reference's, bit for bit, also where
+    # coarse keys tie at the k-th smallest
+    k = data.draw(st.integers(1, n - 1), label="k")
+    y_window = np.random.default_rng([seed, 1]).standard_normal(n)
+    generator = _CoarseKeys if coarse else np.random.Generator
+    _assert_rows_are_the_argsort_reference(
+        y_window, k, n_mc, lambda: generator(np.random.PCG64(seed)))
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (12, 5), (41, 36)])
+def test_monte_carlo_rows_that_tie_at_the_kth_key_are_the_argsort_reference(n, k):
+    # a draw whose (k+1)-th smallest key equals its k-th takes argsort's
+    # first k; here some draws tie and some do not, so both paths run
+    n_mc = 400
+    keys = _CoarseKeys(np.random.PCG64(n)).random((n_mc, n))
+    edge = np.sort(keys, axis=1)[:, k - 1:k + 1]
+    tied = edge[:, 0] == edge[:, 1]
+    assert tied.any() and not tied.all()
+    y_window = np.random.default_rng([n, 1]).standard_normal(n)
+    _assert_rows_are_the_argsort_reference(
+        y_window, k, n_mc, lambda: _CoarseKeys(np.random.PCG64(n)))
+
+
+@pytest.mark.parametrize("n, k, n_mc", [(41, 36, 999), (12, 5, 1), (2, 1, 300)])
+def test_monte_carlo_draw_takes_n_mc_times_n_doubles(n, k, n_mc):
+    # simulate shares one stream per replication between the data and lr:
+    # the draw must advance a Generator it is passed by exactly n_mc * n
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    _assignment_stats(np.arange(n, dtype=float), k, 0, n_mc, rng)
+    twin.random(n_mc * n)
+    assert rng.random() == twin.random()
 
 
 def _reference_p_value(u, v, tau0):
