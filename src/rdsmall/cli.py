@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -127,15 +126,13 @@ def _clean_columns(data: bytes, fh, ix: int, iy: int):
             or any(data.find(b",", k, k + block) < 0
                    for k in range(0, len(data) - block + 1, block))):
         return None
-    for line in fh:
-        if line.strip("\r\n"):
-            break
-    else:  # no rows (loadtxt would warn)
-        return None
-    try:
-        columns = np.loadtxt(itertools.chain((line,), fh), delimiter=",", usecols=(ix, iy),
+    try:  # a UnicodeDecodeError is a ValueError: the loop names what comes first
+        body = fh.read()
+        if not body.strip("\r\n"):  # no rows (loadtxt would warn)
+            return None
+        columns = np.loadtxt(io.StringIO(body), delimiter=",", usecols=(ix, iy),
                              comments=None, quotechar='"', dtype=float, ndmin=2)
-    except ValueError:  # UnicodeDecodeError too: the loop names what comes first
+    except ValueError:
         return None
     return columns if np.isfinite(columns).all() else None
 

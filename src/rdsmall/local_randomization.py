@@ -104,14 +104,23 @@ def _exact_layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All k-subsets of range(n), grouped by how many of the last k they hold.
 
     Returns (idx, bounds, k_groups).  ``idx`` is the (n_choose_k, k) index
-    array with rows in descending order of k_A, the count of indices
-    >= n - k; group g is rows bounds[g]:bounds[g + 1], all with
-    k_A = k_groups[g].  Row 0, the only row with k_A = k, is the observed
-    assignment.  The arrays are shared between calls and read-only.
+    array, of the narrowest unsigned dtype that holds n - 1, with rows in
+    descending order of k_A, the count of indices >= n - k; group g is rows
+    bounds[g]:bounds[g + 1], all with k_A = k_groups[g], built as the
+    k_c-subsets of the controls (outer) times the k_A-subsets of the treated
+    (inner), k_c = k - k_A, which is the lexicographic k-subsets stably sorted
+    by k_A.  Row 0, the only row with k_A = k, is the observed assignment.
+    The arrays are shared between calls and read-only.
     """
-    idx = _k_subsets(n, k)
-    order, bounds, k_groups = _groups((idx < n - k).sum(axis=1), k)
-    idx = idx[order]
+    n_control = n - k
+    k_c = np.arange(min(k, n_control) + 1)
+    bounds = np.append(0, np.cumsum([math.comb(n_control, c) * math.comb(k, c) for c in k_c]))
+    idx = np.empty((bounds[-1], k), dtype=np.min_scalar_type(n - 1))
+    for c, a, b in zip(k_c, bounds[:-1], bounds[1:]):
+        rows = idx[a:b].reshape(-1, math.comb(k, c), k)
+        rows[:, :, :c] = _k_subsets(n_control, c)[:, None]
+        rows[:, :, c:] = _k_subsets(k, k - c) + n_control
+    k_groups = k - k_c
     for arr in (idx, bounds, k_groups):
         arr.flags.writeable = False
     return idx, bounds, k_groups
@@ -132,8 +141,9 @@ def _k_subsets(n: int, k: int) -> np.ndarray:
 
 
 def _groups(k_c: np.ndarray, k: int):
-    """Order rows by descending treated count k_A = k - k_c, stably, from
-    each row's control count k_c; returns (order, bounds, k_groups)."""
+    """Order the Monte Carlo draw's rows by descending treated count
+    k_A = k - k_c, stably, from each row's control count k_c; returns
+    (order, bounds, k_groups)."""
     order = np.argsort(k_c, kind="stable")
     sizes = np.bincount(k_c, minlength=k + 1)
     bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])

@@ -12,7 +12,8 @@ one effect as ``lr_interval`` runs it at each point of its grid.
 ``affine_transform`` moves a sample's scores for the invariance tests.
 ``ak_pick_oracle`` is ak's candidate sweep without its screen, and
 ``nn_variance_gather`` is ``nn_variance`` as it read its neighbor candidates
-through a clipped position table.
+through a clipped position table.  ``pytest_make_collect_report`` refuses a
+hypothesis test that a mark runs with warnings as errors.
 """
 
 from collections import namedtuple
@@ -300,3 +301,22 @@ def has_distance_tie(x):
     """Whether some point of x has two others at one distance from it."""
     d = np.abs(x[:, None] - x[None, :])
     return any(np.unique(np.delete(row, i)).size < x.size - 1 for i, row in enumerate(d))
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_make_collect_report(collector):
+    """Fail the collection of a hypothesis test that a ``filterwarnings``
+    mark runs with warnings as errors.  On a failing example hypothesis's
+    report hook imports modules that warn, and the mark turns that warning
+    into an INTERNALERROR that ends the session; set such a filter inside
+    the test body instead."""
+    report = yield
+    marked = [item.nodeid for item in report.result or ()
+              if getattr(getattr(item, "obj", None), "is_hypothesis_test", False)
+              and any(arg.split(":")[0].strip() == "error"
+                      for mark in item.iter_markers("filterwarnings") for arg in mark.args)]
+    if marked:
+        report.outcome, report.result = "failed", []
+        report.longrepr = ("hypothesis test(s) under a filterwarnings mark that makes "
+                           f"warnings errors (set the filter in the body): {', '.join(marked)}")
+    return report

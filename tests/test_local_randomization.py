@@ -18,6 +18,7 @@ from rdsmall.local_randomization import (
     DEFAULT_MAX_EXACT,
     LRWindow,
     _assignment_stats,
+    _exact_layout,
     _k_subsets,
     _p_values,
     lr_interval,
@@ -63,6 +64,23 @@ def test_k_subsets_are_the_combinations_in_order():
             got = _k_subsets(n, k)
             assert got.dtype == want.dtype and got.shape == want.shape, (n, k)
             assert np.array_equal(got, want), (n, k)
+
+
+def test_exact_layout_is_the_combinations_stably_grouped_by_treated_count():
+    cases = [(n, k) for n in range(2, 25) for k in range(1, n)
+             if math.comb(n, k) <= DEFAULT_MAX_EXACT] + [(300, 1), (300, 299)]
+    for n, k in cases:
+        rows = np.array(list(combinations(range(n), k)))
+        k_a = (rows >= n - k).sum(axis=1)
+        order = np.argsort(-k_a, kind="stable")
+        starts = np.flatnonzero(np.diff(k_a[order], prepend=k + 1))
+        idx, bounds, k_groups = _exact_layout(n, k)
+        # one byte an index up to 256 window points
+        assert idx.dtype == (np.uint8 if n <= 256 else np.uint16), (n, k)
+        assert np.array_equal(idx, rows[order]), (n, k)
+        assert np.array_equal(bounds, np.append(starts, rows.shape[0])), (n, k)
+        assert np.array_equal(k_groups, k_a[order][starts]), (n, k)
+        assert not any(a.flags.writeable for a in (idx, bounds, k_groups)), (n, k)
 
 
 class _CoarseKeys(np.random.Generator):
