@@ -20,7 +20,10 @@ one interchangeably.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cache
+from importlib import import_module, util
 
 import numpy as np
 
@@ -53,18 +56,31 @@ class BetaSpec:
         return BetaSpec(self.alpha, self.beta)
 
 
+@cache
+def _beta_ufuncs():
+    """scipy.special's compiled ``_ufuncs``, loaded on first use under the package unexecuted:
+    its ``__init__`` (~25 MB, ~0.2 s) runs on a later ``import scipy.special``, reusing it."""
+    if "scipy.special" not in sys.modules:
+        sys.modules["scipy.special"] = util.module_from_spec(util.find_spec("scipy.special"))
+        try:
+            return import_module("scipy.special._ufuncs")
+        except ImportError:  # not this scipy's layout: the full package below
+            pass
+        finally:
+            del sys.modules["scipy.special"]
+    return import_module("scipy.special")
+
+
 def beta_cdf(spec: BetaSpec, x) -> float | np.ndarray:
     """P(X <= x) under the transformed Beta; clamps outside the support."""
-    from scipy import special  # on first use, so that analyze and diss never load scipy
     z = (np.asarray(x, dtype=float) - spec.shift) / spec.scale
-    out = special.betainc(spec.alpha, spec.beta, np.clip(z, 0.0, 1.0))
+    out = _beta_ufuncs().betainc(spec.alpha, spec.beta, np.clip(z, 0.0, 1.0))
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
 def beta_quantile(spec: BetaSpec, q) -> float | np.ndarray:
     """Inverse CDF on the transformed scale."""
-    from scipy import special  # on first use, as in beta_cdf
-    z = special.betaincinv(spec.alpha, spec.beta, np.asarray(q, dtype=float))
+    z = _beta_ufuncs().betaincinv(spec.alpha, spec.beta, np.asarray(q, dtype=float))
     out = spec.scale * z + spec.shift
     return float(out) if np.isscalar(q) or out.ndim == 0 else out
 

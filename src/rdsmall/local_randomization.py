@@ -128,15 +128,14 @@ def _exact_layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _k_subsets(n: int, k: int) -> np.ndarray:
     """``itertools.combinations(range(n), k)`` as an (n_choose_k, k) array."""
-    idx = np.zeros((1, 0), dtype=np.intp)
-    last = np.full(1, -1, dtype=np.intp)
+    idx, last = np.zeros((1, 0), dtype=np.intp), np.full(1, -1, dtype=np.intp)
     for j in range(k):
-        # a row ending in p is followed by p + 1, ..., n - k + j, in order
+        # a row ending in p is followed by p + 1, ..., n - k + j, in order; array methods
+        # (x.cumsum(), not np.cumsum(x)) save most of a small table's per-call cost
         counts = (n - k + j) - last
-        starts = np.cumsum(counts) - counts
-        offset = np.repeat(last + 1 - starts, counts)
-        last = np.arange(offset.size, dtype=np.intp) + offset
-        idx = np.column_stack((np.repeat(idx, counts, axis=0), last))
+        last = (n - k + j + 1 - counts.cumsum()).repeat(counts)
+        last += np.arange(last.size)
+        idx = np.concatenate((idx.repeat(counts, axis=0), last[:, None]), axis=1)
     return idx
 
 

@@ -598,10 +598,11 @@ class TestSimulateCommand:
 def test_analyze_and_diss_load_no_scipy():
     # the fit's LAPACK call, the normal CDF and quantile and the root-find are
     # numpy or ported: scipy cost 327 modules and ~0.3 s at every start of
-    # the console script; only the harness's Beta draws import scipy.special.
-    # np.percentile and np.unique import numpy.ma (~15 ms), and the process
-    # pool multiprocessing, socket and subprocess (~20 ms): only a pooled
-    # cell loads the pool
+    # the console script; only the harness's Beta draws load scipy's compiled
+    # special functions, without scipy.special's package and its array-API
+    # layer. np.percentile and np.unique import numpy.ma (~15 ms), and the
+    # process pool multiprocessing, socket and subprocess (~20 ms): only a
+    # pooled cell loads the pool
     data = DATA_DIR / "indiana_synth.csv"
     code = f"""
 import contextlib, io, sys
@@ -616,11 +617,17 @@ unwanted = ("scipy", "numpy.ma", "concurrent.futures.process", "multiprocessing"
 loaded = sorted(m for m in sys.modules if m.startswith(tuple(p + "." for p in unwanted))
                 or m in unwanted)
 assert not loaded, loaded
+def assert_ufuncs_only():
+    assert "scipy.special._ufuncs" in sys.modules
+    assert "scipy.special" not in sys.modules and "scipy._lib._array_api" not in sys.modules
 rdsmall.simulation.generate_dataset("rv2", "mu2", 20, np.random.default_rng(0))
-assert "scipy.special" in sys.modules
+assert_ufuncs_only()
+rdsmall.simulation.design_table()
+assert_ufuncs_only()
 cell = rdsmall.simulation.CellSpec(rv="rv2", mu="mu2", m_bar=10, replications=4, workers=2)
 rdsmall.simulation.run_cell(cell)
 assert "concurrent.futures.process" in sys.modules
+assert_ufuncs_only()
 """
     env = {**os.environ, "PYTHONPATH": str(Path(rdsmall.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

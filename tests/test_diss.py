@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+import rdsmall
 from conftest import affine_transform
 from rdsmall.bandwidth import silverman_rot
 from rdsmall.core import RDSample
@@ -168,3 +174,64 @@ def test_sample_h_agrees_with_population_convention():
     h_sample = silverman_rot(x)
     h_pop = 0.9 * beta_sigma_star(RV1_Z) * 400_000 ** (-0.2)
     assert h_sample == pytest.approx(h_pop, rel=0.01)
+
+
+def _fresh_python(code: str, *args: str) -> None:
+    """Run code in a new interpreter, which has loaded no scipy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rdsmall.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code, *args], env=env, check=True)
+
+
+def test_beta_ufuncs_coexist_with_scipy_special_bit_for_bit():
+    # the draws load scipy's compiled _ufuncs under an unexecuted scipy.special,
+    # which they then drop: a later import of the package runs in full, shares
+    # the ufuncs, and gives the same bits
+    _fresh_python("""
+import sys
+import numpy as np
+from rdsmall import diss, simulation
+simulation.generate_dataset("rv2", "mu2", 20, np.random.default_rng(0))
+ufuncs = diss._beta_ufuncs()
+assert ufuncs.__name__ == "scipy.special._ufuncs" and "scipy.special" not in sys.modules
+q = np.random.default_rng(1).random(1000)
+x = {rv: diss.beta_quantile(spec, q) for rv, spec in simulation.RV_SPECS.items()}
+p = {rv: diss.beta_cdf(spec, x[rv] + 0.01) for rv, spec in simulation.RV_SPECS.items()}
+import scipy.special
+assert scipy.special.betaincinv is ufuncs.betaincinv and scipy.special.betainc is ufuncs.betainc
+for rv, spec in simulation.RV_SPECS.items():
+    z = scipy.special.betaincinv(spec.alpha, spec.beta, q)
+    assert x[rv].tobytes() == (spec.scale * z + spec.shift).tobytes(), rv
+    z = np.clip((x[rv] + 0.01 - spec.shift) / spec.scale, 0.0, 1.0)
+    assert p[rv].tobytes() == scipy.special.betainc(spec.alpha, spec.beta, z).tobytes(), rv
+import scipy.stats
+assert sys.modules["scipy.special"] is scipy.special and callable(scipy.special.gamma)
+assert np.allclose(scipy.stats.beta(2, 4).ppf(q), scipy.special.betaincinv(2, 4, q))
+""")
+
+
+def test_beta_ufuncs_fall_back_to_the_full_package(tmp_path):
+    # a scipy whose _ufuncs cannot load under the bare package (here a finder
+    # refuses the first attempt) gets the full scipy.special, with the same bytes
+    code = """
+import sys
+from rdsmall import diss, simulation
+if sys.argv[2] == "forced":
+    class RefuseOnce:
+        refused = False
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy.special._ufuncs" and not RefuseOnce.refused:
+                RefuseOnce.refused = True
+                raise ImportError("refused")
+    sys.meta_path.insert(0, RefuseOnce())
+    special = diss._beta_ufuncs()
+    assert RefuseOnce.refused and special is sys.modules["scipy.special"]
+    assert special.__name__ == "scipy.special" and callable(special.gamma)
+cell = simulation.CellSpec(rv="rv2", mu="mu2", m_bar=10, replications=4)
+simulation.write_cell_outputs(simulation.run_cell(cell), sys.argv[1])
+"""
+    for mode in ("forced", "unforced"):
+        _fresh_python(code, str(tmp_path / mode), mode)
+    forced, unforced = (sorted((tmp_path / mode).iterdir()) for mode in ("forced", "unforced"))
+    assert [f.name for f in forced] == [f.name for f in unforced] and forced
+    for a, b in zip(forced, unforced):
+        assert a.read_bytes() == b.read_bytes(), a.name
