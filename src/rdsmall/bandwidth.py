@@ -274,8 +274,8 @@ def ik_bandwidth(sample: RDSample) -> BandwidthResult:
 # ---------------------------------------------------------------------------
 
 
-def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray, keep: np.ndarray):
-    """One side's worst-case-bias and variance loadings at the kept candidates.
+def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray):
+    """One side's worst-case-bias and variance loadings at every candidate.
 
     Evaluates the triangular-kernel degree-1 intercept-extraction weights in
     closed form (the 2x2 normal equations), u sorted by |u|:
@@ -284,10 +284,10 @@ def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray, keep: np.
 
     and returns (feasible, bias_load, variance) with
     bias_load = sum |w_i| u_i^2 and variance = sum w_i^2 sig2_i; candidates
-    not kept, with fewer than two in-window points or a numerically singular
-    design are marked infeasible.  A row sums over its _AK_BLOCK block's
-    widest window, so it rounds as when every row is kept: this arithmetic
-    decides ak's pick.  Must agree with ``local_poly_fit`` weights (tested).
+    with fewer than two in-window points or a numerically singular design are
+    marked infeasible.  A row sums over its _AK_BLOCK block's widest window:
+    this arithmetic decides ak's pick.  Must agree with ``local_poly_fit``
+    weights (tested).
     """
     absu = np.abs(u)
     k_count = grid.size
@@ -297,10 +297,9 @@ def _grid_objective(u: np.ndarray, sig2: np.ndarray, grid: np.ndarray, keep: np.
     counts = np.searchsorted(absu, grid, side="left")
 
     for start in range(0, k_count, _AK_BLOCK):
-        stop = min(start + _AK_BLOCK, k_count)
-        rows = start + np.flatnonzero(keep[start:stop])
-        m_max = int(counts[start:stop].max())
-        if m_max < 2 or rows.size == 0:
+        rows = slice(start, min(start + _AK_BLOCK, k_count))
+        m_max = int(counts[rows].max())
+        if m_max < 2:
             continue
         h = grid[rows, None]
         t = u[None, :m_max] / h
@@ -408,8 +407,8 @@ def ak_bandwidth(
     smaller h.  The score depends on the response only through sigma2, so
     re-running with frozen sigma2 and new noise gives an identical bandwidth.
     Cost: a sort per side, then ``_screen_loads`` bounds every score in O(n +
-    G log n); unless one candidate is surely best, ``_grid_objective`` scores
-    the candidates the bounds leave, as the O(G n) sweep of all of them does.
+    G log n); unless one candidate is surely best, the O(G n) sweep
+    ``_grid_objective`` scores every candidate.
 
     Raises ``ZeroCurvatureBoundError`` for a bound that is 0, or so small
     that the bias term squares to 0 at every feasible candidate though its
@@ -433,13 +432,11 @@ def ak_bandwidth(
     u = sample.x - sample.cutoff
     orders = [idx[np.argsort(np.abs(u[idx]))] for idx in (sample.below, sample.above)]
     dist = [np.abs(u[order]) for order in orders]
-    h_lo = two_a_side = max(dist[0][1], dist[1][1])  # wider windows hold two a side
+    h_lo = max(dist[0][1], dist[1][1])  # wider windows hold two a side
     with np.errstate(over="ignore"):  # raised below
         h_hi = float(sample.x.max() - sample.x.min())
     if not np.isfinite(h_hi):
         raise NonFiniteError("ak: the range of the scores is not finite (x near 1e308)")
-    if h_lo <= 0:
-        h_lo = max(1e-8 * h_hi, np.finfo(float).tiny)
     if h_hi <= h_lo:
         h_hi = 2.0 * h_lo
     grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
@@ -454,20 +451,19 @@ def ak_bandwidth(
         lo = lo_bias + np.maximum(var - var_err, 0.0).sum(axis=0)
         hi = bias_sq(bias + bias_err) + (var + var_err).sum(axis=0)
         sure = sure.all(axis=0) & np.isfinite(hi) & (lo_bias > 0)
-        keep = (grid > two_a_side) & ~(sure & (lo > np.min(hi, where=sure, initial=np.inf)))
+        keep = (grid > h_lo) & ~(sure & (lo > np.min(hi, where=sure, initial=np.inf)))
     if keep.sum() == 1 and sure[keep].all():
         return BandwidthResult(float(grid[keep][0]), diagnostics=diagnostics)
 
-    # a sure score has a bias term > 0, so none was dropped if none is sure; a
-    # bound so small that M / 2 is 0 gives infeasible candidates NaN, dropped below
+    # a bound so small that M / 2 is 0 gives infeasible candidates NaN, dropped below
     with np.errstate(over="ignore", invalid="ignore"):
-        ok, bias, var = map(np.stack, zip(*(_grid_objective(u[order], sigma2[order], grid, keep)
+        ok, bias, var = map(np.stack, zip(*(_grid_objective(u[order], sigma2[order], grid)
                                            for order in orders)))
         feasible = ok.all(axis=0)
         if not feasible.any():
             raise InsufficientDataError("ak: no candidate bandwidth fits both sides",
                                         reason="no_feasible_h")
-        if not (sure.any() or bias_sq(bias)[feasible].any()) and bias[:, feasible].any():
+        if not bias_sq(bias)[feasible].any() and bias[:, feasible].any():
             raise ZeroCurvatureBoundError("ak: the bias bound squares to 0, as if M were 0")
         mse = np.where(feasible, bias_sq(bias) + var.sum(axis=0), np.inf)
     pick = int(np.argmin(mse))  # first minimum: ties break toward smaller h

@@ -137,18 +137,17 @@ def _clean_columns(data: bytes, fh, ix: int, iy: int):
     return columns if np.isfinite(columns).all() else None
 
 
-def _base_report(args, config_keys) -> dict:
-    return {
-        "version": __version__,
-        "config": {k: getattr(args, k.replace("-", "_")) for k in config_keys},
-    }
+def _base_report(args) -> dict:
+    """The version and every parsed option but the output's own, as config."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
+    return {"version": __version__, "config": config}
 
 
 def cmd_diss(args) -> dict:
     x, y, dropped = read_xy_csv(args.input, args.x_col, args.y_col, args.strict)
     sample = RDSample(x=x, y=y, cutoff=args.cutoff)
     m, h_rot = diss_m(sample)
-    report = _base_report(args, ("input", "x_col", "y_col", "cutoff", "strict"))
+    report = _base_report(args)
     report.update(
         {
             "n": int(sample.n),
@@ -175,11 +174,7 @@ def cmd_analyze(args) -> dict:
     )
     outcomes = estimate(sample, plan, np.random.default_rng(args.seed))
 
-    report = _base_report(
-        args,
-        ("input", "x_col", "y_col", "cutoff", "alpha", "methods", "lr_min",
-         "m_bound", "seed", "strict"),
-    )
+    report = _base_report(args)
     report.update(
         {
             "n": int(sample.n),

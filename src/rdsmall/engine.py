@@ -46,8 +46,6 @@ def parse_methods(ids, lr_min: int) -> tuple[str, ...]:
     for i, raw in enumerate(ids):
         method = str(raw).strip().lower()
         if method in ("lr", lr_id):
-            if lr_min < 1:
-                raise SpecValidationError(f"lr_min: >= 1 required, got {lr_min!r}")
             method = lr_id
         elif method not in CONTINUITY_METHODS:
             raise SpecValidationError(f"methods[{i}]: unknown method id {raw!r}")
@@ -79,6 +77,8 @@ class Plan:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise SpecValidationError(f"alpha: in (0, 1) required, got {self.alpha!r}")
+        if self.lr_min < 1:
+            raise SpecValidationError(f"lr_min: >= 1 required, got {self.lr_min!r}")
         object.__setattr__(self, "methods", parse_methods(self.methods, self.lr_min))
 
 

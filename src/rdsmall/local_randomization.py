@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -128,15 +129,9 @@ def _exact_layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _k_subsets(n: int, k: int) -> np.ndarray:
     """``itertools.combinations(range(n), k)`` as an (n_choose_k, k) array."""
-    idx, last = np.zeros((1, 0), dtype=np.intp), np.full(1, -1, dtype=np.intp)
-    for j in range(k):
-        # a row ending in p is followed by p + 1, ..., n - k + j, in order; array methods
-        # (x.cumsum(), not np.cumsum(x)) save most of a small table's per-call cost
-        counts = (n - k + j) - last
-        last = (n - k + j + 1 - counts.cumsum()).repeat(counts)
-        last += np.arange(last.size)
-        idx = np.concatenate((idx.repeat(counts, axis=0), last[:, None]), axis=1)
-    return idx
+    c = math.comb(n, k)
+    subsets = chain.from_iterable(combinations(range(n), k))
+    return np.fromiter(subsets, np.intp, c * k).reshape(c, k)
 
 
 def _groups(k_c: np.ndarray, k: int):

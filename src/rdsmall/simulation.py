@@ -195,7 +195,8 @@ class CellSpec:
     """One simulation cell: a DGP, a study size, methods, and run controls.
 
     Construction checks each field's type and range, raising
-    SpecValidationError that names the field, and parses ``methods`` with
+    SpecValidationError that names the field (the study size is ``m_bar``
+    or ``n``, not both), and parses ``methods`` with
     ``engine.parse_methods``, so it holds canonical ids.  ``m_bound``
     replaces the design's curvature bound as the bound of the akm/* methods.
     Local randomization always runs with ``lr_interval``'s defaults.
@@ -224,6 +225,8 @@ class CellSpec:
                 raise SpecValidationError(f"{key}: {desc}, got {value!r}")
         if self.m_bar is None and self.n is None:
             raise SpecValidationError("m_bar: either m_bar or n is required")
+        if self.m_bar is not None and self.n is not None:
+            raise SpecValidationError("n: either m_bar or n is required, not both")
         object.__setattr__(self, "methods", parse_methods(self.methods, self.lr_min))
 
     def cell_id(self) -> str:

@@ -232,10 +232,9 @@ def ak_pick_oracle(sample, bound, *, sigma2):
     if h_hi <= h_lo:
         h_hi = 2.0 * h_lo
     grid = np.geomspace(h_lo, h_hi, _AK_GRID_SIZE)
-    every = np.ones(grid.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf at infeasible candidates
         (ok_b, bias_b, var_b), (ok_a, bias_a, var_a) = (
-            _grid_objective(*side, grid, every) for side in sides)
+            _grid_objective(*side, grid) for side in sides)
         if not (ok_b & ok_a).any():
             raise InsufficientDataError("ak: no candidate bandwidth fits both sides",
                                         reason="no_feasible_h")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -132,7 +133,9 @@ class TestDissCommand:
         ])
         assert code == 0
         text = out_path.read_text()
-        assert "n_below" in text.splitlines()[0]
+        assert text.splitlines()[0] == (
+            "version,config.input,config.x_col,config.y_col,config.cutoff,config.strict,"
+            "n,n_below,h_rot,m,dropped_rows")
 
 
 def _reference_read_xy_csv(path, x_col, y_col, strict=False):
@@ -631,6 +634,19 @@ assert_ufuncs_only()
 """
     env = {**os.environ, "PYTHONPATH": str(Path(rdsmall.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("command", ["analyze", "diss"])
+def test_report_config_is_every_option_of_the_command(command, capsys):
+    # a new option is reported without a list of keys to update
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest for a in sub.choices[command]._actions} - {"help", "out", "format"}
+    code, out, _ = _run(capsys, [
+        command, "--input", str(DATA_DIR / "indiana_synth.csv"), "--x-col", "score_2017",
+        "--y-col", "score_2018", "--cutoff", "60",
+    ])
+    assert code == 0
+    assert set(json.loads(out)["config"]) == options
 
 
 def test_one_parser_serves_every_call(capsys):

@@ -109,6 +109,7 @@ def test_repeated_method_rejected_by_both_front_ends(ids, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--alpha", "0"], ["--alpha", "1.5"],
                                   ["--lr-min", "0", "--methods", "lr"],
+                                  ["--lr-min", "0", "--methods", "ik/cv"],
                                   ["--m-bound", "0"], ["--m-bound", "-1"]])
 def test_analyze_rejects_out_of_range_settings(argv, tmp_path, capsys):
     code, _, err = _analyze(capsys, _noisy_csv(tmp_path), *argv)
@@ -501,7 +502,7 @@ def _ak_objective(sample, m, hs):
     sigma2 = nn_variance(sample)
     hs = np.asarray(hs, float)
     orders = [idx[np.argsort(np.abs(u[idx]))] for idx in (sample.below, sample.above)]
-    sides = [_grid_objective(u[order], sigma2[order], hs, np.ones(hs.size, bool))
+    sides = [_grid_objective(u[order], sigma2[order], hs)
              for order in orders]
     assert all(ok.all() for ok, _, _ in sides)
     (_, bias_b, var_b), (_, bias_a, var_a) = sides

@@ -148,7 +148,8 @@ class TestCellSpecValidation:
         # each row goes through the JSON path and, as the value itself (a
         # rejected one) or as its parsed value (an accepted one), through a
         # CellSpec built in Python; both must agree
-        spec = {"rv": "rv2", "mu": "mu2", "n": 40, field: value}
+        size = {} if field == "m_bar" else {"n": 40}  # the study size is m_bar or n
+        spec = {"rv": "rv2", "mu": "mu2", **size, field: value}
         if parsed is None:
             with pytest.raises(SpecValidationError, match=rf"^{field}: ") as from_json:
                 validate_cell_spec(spec)
@@ -176,6 +177,20 @@ class TestCellSpecValidation:
     def test_python_cellspec_requires_a_size(self):
         with pytest.raises(SpecValidationError, match="^m_bar: either m_bar or n is required$"):
             CellSpec(rv="rv2", mu="mu2")
+
+    def test_a_spec_sets_m_bar_or_n_not_both(self, tmp_path, capsys):
+        # a cell would run at n but be named and reported by m_bar
+        spec = {"rv": "rv2", "mu": "mu2", "m_bar": 27, "n": 40, "replications": 2}
+        message = "n: either m_bar or n is required, not both"
+        with pytest.raises(SpecValidationError, match=f"^{message}$"):
+            validate_cell_spec(spec)
+        with pytest.raises(SpecValidationError, match=f"^{message}$"):
+            CellSpec(**{**spec, "m_bar": 27.0})
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_lr_alias(self):
         cell = validate_cell_spec(
