@@ -198,7 +198,7 @@ def _result_row(method: str, out: Outcome) -> dict:
         "se": number(out.se),
         "ci_lower": number(out.lo),
         "ci_upper": number(out.hi),
-        "reason": None if out.ok else f"{type(out.error).__name__}: {out.error}",
+        "reason": None if out.ok else out.error,
     }
 
 
@@ -207,8 +207,6 @@ def cmd_simulate(args) -> int:
         payload = {"version": __version__, "design": design_table()}
         _emit(payload, args.out, args.format, table_key="design")
         return 0
-    if args.spec is None:
-        raise SpecValidationError("simulate needs --spec PATH or --table1")
     spec_path = Path(args.spec)
     try:
         raw = json.loads(spec_path.read_text(encoding="utf-8"))
@@ -292,9 +290,10 @@ def _parser() -> argparse.ArgumentParser:
     p_an.add_argument("--seed", type=int, default=0)
 
     p_sim = sub.add_parser("simulate", help="run a simulation cell from a JSON spec")
-    p_sim.add_argument("--spec", help="cell spec JSON path")
-    p_sim.add_argument("--table1", action="store_true",
-                       help="emit the study-size design grid instead of running a cell")
+    source = p_sim.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", help="cell spec JSON path")
+    source.add_argument("--table1", action="store_true",
+                        help="emit the study-size design grid instead of running a cell")
     p_sim.add_argument("--out", help="output directory (default: cwd)")
     p_sim.add_argument("--format", choices=("json", "csv"), default="json")
     return parser

@@ -87,8 +87,8 @@ class Outcome:
     """One method's result on one sample, as scalars (NaN where none).
 
     ``bw`` is the bandwidth or window half-width; ``grid_step`` is lr's
-    inversion-grid resolution.  ``error`` is the ``RDError`` that failed the
-    method, without its traceback, and ``reason`` its tag: a stage
+    inversion-grid resolution.  A failure keeps its ``RDError``'s text
+    ``"<Type>: <message>"`` as ``error`` and its tag as ``reason``: a stage
     (``nn_variance``, ``m_hat``, a bandwidth selector's pilot), a condition
     (``zero_curvature``, ``empty_side``, ``no_bound``) or the type's name.
     """
@@ -99,15 +99,12 @@ class Outcome:
     lo: float = _NAN
     hi: float = _NAN
     grid_step: float = _NAN
-    error: RDError | None = None
+    reason: str = ""
+    error: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.error is None
-
-    @property
-    def reason(self) -> str:
-        return "" if self.error is None else self.error.reason
+        return not self.reason
 
 
 def estimate(sample: RDSample, plan: Plan,
@@ -176,10 +173,8 @@ def estimate(sample: RDSample, plan: Plan,
                 bw = window.half_width
                 est = lr_interval(sample, window, plan.alpha, rng=rng)
         except RDError as err:
-            # its traceback, or its context's, would keep the failing call's
-            # frames, sample included, alive
-            err.__context__ = None
-            outcomes[method] = Outcome(bw=bw, error=err.with_traceback(None))
+            outcomes[method] = Outcome(bw=bw, reason=err.reason,
+                                       error=f"{type(err).__name__}: {err}")
         else:
             outcomes[method] = Outcome(bw, est.tau_hat, _NAN if est.se is None else est.se,
                                        est.ci_lower, est.ci_upper,

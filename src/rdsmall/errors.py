@@ -11,7 +11,7 @@ them as observations, not crashes.
 class RDError(Exception):
     """Base class for all toolkit errors.  ``reason`` tags the failure for
     outcomes and failure counts: the tag given at the raise, else the type's
-    ``tag``, else its name; as an instance attribute it survives pickling."""
+    ``tag``, else its name."""
 
     tag: str | None = None
 

@@ -23,6 +23,7 @@ import math
 import numbers
 import zlib
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -64,15 +65,8 @@ _POOL_CHUNK = 25
 class MeanFunction:
     """One of the three simulated mean functions (jump 0.1 at x = 0)."""
 
-    name: str
+    evaluate: Callable[[np.ndarray], np.ndarray]
     nominal_curvature_bound: float
-
-
-MU_FUNCTIONS: dict[str, MeanFunction] = {
-    "mu1": MeanFunction("mu1", nominal_curvature_bound=2.0),
-    "mu2": MeanFunction("mu2", nominal_curvature_bound=233.26),
-    "mu3": MeanFunction("mu3", nominal_curvature_bound=16.2),
-}
 
 
 def _plus_sq(x):
@@ -104,7 +98,11 @@ def _mu3(x):
     return np.where(x < 0, below, above)
 
 
-_MU_EVAL = {"mu1": _mu1, "mu2": _mu2, "mu3": _mu3}
+MU_FUNCTIONS: dict[str, MeanFunction] = {
+    "mu1": MeanFunction(_mu1, nominal_curvature_bound=2.0),
+    "mu2": MeanFunction(_mu2, nominal_curvature_bound=233.26),
+    "mu3": MeanFunction(_mu3, nominal_curvature_bound=16.2),
+}
 
 
 def eval_mu(name: str, x):
@@ -112,7 +110,7 @@ def eval_mu(name: str, x):
     x = np.asarray(x, dtype=float)
     if np.any((x < -1.0) | (x > 1.0)):
         raise OutOfSupportError(f"{name} is defined on [-1, 1]")
-    out = _MU_EVAL[name](x)
+    out = MU_FUNCTIONS[name].evaluate(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -230,8 +228,12 @@ class CellSpec:
         object.__setattr__(self, "methods", parse_methods(self.methods, self.lr_min))
 
     def cell_id(self) -> str:
-        size = f"mbar{self.m_bar:g}" if self.m_bar is not None else f"n{self.n}"
-        return f"{self.rv}_{self.mu}_{size}"
+        if self.m_bar is None:
+            return f"{self.rv}_{self.mu}_n{self.n}"
+        size = f"{self.m_bar:g}"  # six significant digits, unless they lose m_bar
+        if float(size) != self.m_bar:
+            size = repr(float(self.m_bar))
+        return f"{self.rv}_{self.mu}_mbar{size}"
 
 
 def validate_cell_spec(raw: dict) -> CellSpec:
@@ -256,7 +258,7 @@ def validate_cell_spec(raw: dict) -> CellSpec:
     for key, value in raw.items():
         type_ = _FIELD_RULES[key][0] if key in _FIELD_RULES else None
         whole = _is_a(value, float) and float(value).is_integer()
-        if type_ is str or (type_ is float and _is_a(value, float)) or (type_ is int and whole):
+        if (type_ is float and _is_a(value, float)) or (type_ is int and whole):
             fields[key] = type_(value)
     return CellSpec(**fields)
 

@@ -585,6 +585,31 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(spec) in err
 
+    def test_cells_that_differ_past_six_digits_write_their_own_files(self, tmp_path, capsys):
+        # m_bar 27 (n 194) and 27.000001 (n 189) both used to write rv2_mu2_mbar27.*
+        out = tmp_path / "run"
+        for i, m_bar in enumerate((27, 27.000001)):
+            spec = {"rv": "rv2", "mu": "mu2", "m_bar": m_bar, "replications": 2,
+                    "methods": ["ik/cv"]}
+            path = tmp_path / f"cell{i}.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            assert _run(capsys, ["simulate", "--spec", str(path), "--out", str(out)])[0] == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "rv2_mu2_mbar27.000001.json", "rv2_mu2_mbar27.000001_replications.csv",
+            "rv2_mu2_mbar27.json", "rv2_mu2_mbar27_replications.csv",
+        ]
+
+    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+    def test_simulate_takes_exactly_one_of_spec_and_table1(self, tmp_path, capsys, both):
+        # with both, the table used to print and the spec was ignored
+        argv = ["simulate", *(["--spec", str(self._spec(tmp_path)), "--table1"] if both else [])]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert "--spec" in captured.err and "--table1" in captured.err
+
     def test_table1_helper_emits_design_grid(self, tmp_path, capsys):
         code, out, _ = _run(capsys, ["simulate", "--table1"])
         assert code == 0

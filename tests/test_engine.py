@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import has_distance_tie, make_noisy_sample, overflowing_sample, small_samples
+import rdsmall.engine
 import rdsmall.simulation
 from rdsmall.bandwidth import CurvatureBound, _grid_objective, estimate_m_hat
 from rdsmall.cli import main
@@ -171,6 +173,9 @@ def test_zero_curvature_fails_alike_in_analyze_and_harness(tmp_path, capsys, mon
 ALL_METHODS = CONTINUITY_METHODS + ("lr",)
 
 
+_RDERROR_NAMES = {cls.__name__ for cls in RDError.__subclasses__()}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     sample=small_samples(),
@@ -216,9 +221,9 @@ def test_one_outcome_per_method_and_nothing_escapes(sample, window, m_bound, akm
             assert all(math.isfinite(v) for v in (out.tau, out.lo, out.hi)), method
         else:
             assert out.reason and math.isnan(out.tau), method
-            assert isinstance(out.error, RDError) and out.reason == out.error.reason, method
-            # a kept traceback would keep the failing call's frames alive
-            assert out.error.__traceback__ is None and out.error.__context__ is None, method
+            assert out.error.split(": ")[0] in _RDERROR_NAMES, method
+        # a kept exception would keep the failing call's frames alive
+        assert not any(isinstance(v, BaseException) for v in vars(out).values()), method
 
 
 @pytest.mark.filterwarnings("error")
@@ -239,7 +244,7 @@ def test_overflowing_responses_fail_where_they_overflow(m_bound):
     for method, out in outcomes.items():
         assert out.reason == want[method.split("/")[0]], method
         if out.reason != "no_bound":
-            assert isinstance(out.error, NonFiniteError), method
+            assert out.error.startswith("NonFiniteError: "), method
         assert math.isnan(out.bw) == (method != "lr5"), method
 
 
@@ -281,42 +286,43 @@ def test_no_stage_prints_a_numpy_warning(name, y_factor, x_factor, m_bound):
         plan = Plan(methods=ALL_METHODS, alpha=0.05, lr_min=5, window=window,
                     m_bound=bound, akm_bound=bound)
         for method, out in estimate(sample, plan, np.random.default_rng(0)).items():
-            assert out.ok or isinstance(out.error, RDError), method
+            assert out.ok or out.error, method
             if y_factor == 1e153:
                 if method.startswith("ik/"):
                     assert out.reason == "nonfinite_result", method
                 elif method.startswith("ak/") and m_bound is None:
-                    assert type(out.error) is NonFiniteError, method
-                    assert str(out.error).startswith("ak: the objective"), method
+                    assert out.error.startswith("NonFiniteError: ak: the objective"), method
             elif y_factor in (1e-295, 1e-163):
                 # every squared residual underflows to 0: cv and rbc gave
                 # zero-width intervals, ak minimized the bias alone, and lr
                 # took its pooled variance for constant responses
                 if method == "lr5":
-                    assert type(out.error) is NonFiniteError, method
-                    assert "pooled variance of the window's y underflows" in str(out.error)
+                    assert out.error.startswith("NonFiniteError: "), method
+                    assert "pooled variance of the window's y underflows" in out.error
                 elif method.startswith("ak/") or (method.startswith("akm/") and m_bound):
                     assert out.reason == "nn_variance", method
-                    assert "underflows" in str(out.error), method
+                    assert "underflows" in out.error, method
 
 
-def _retagged(error, reason):
-    error.reason = reason
-    return error
-
-
-@pytest.mark.parametrize("error, reason", [
-    (InsufficientDataError("ik cubic pilot", reason="pilot_cubic"), "pilot_cubic"),
-    (ZeroCurvatureBoundError("m_hat is 0"), "zero_curvature"),
-    (NonFiniteError("inf"), "NonFiniteError"),
-    (_retagged(NonFiniteError("inf"), "nn_variance"), "nn_variance"),
+@pytest.mark.parametrize("stage, error, reason", [
+    ("cv_interval", InsufficientDataError("ik cubic pilot", reason="pilot_cubic"), "pilot_cubic"),
+    ("cv_interval", ZeroCurvatureBoundError("m_hat is 0"), "zero_curvature"),
+    ("cv_interval", NonFiniteError("inf"), "NonFiniteError"),
+    ("nn_variance", NonFiniteError("inf"), "nn_variance"),  # retagged by its stage
 ], ids=["given", "type_tag", "type_name", "retagged"])
-def test_a_failure_keeps_its_reason_through_pickle(error, reason):
+def test_a_failure_keeps_its_reason_through_pickle(monkeypatch, stage, error, reason):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(rdsmall.engine, "ik_bandwidth", lambda sample: SimpleNamespace(h=0.5))
+    monkeypatch.setattr(rdsmall.engine, stage, fail)
+    plan = Plan(methods=("ik/cv",), alpha=0.05, lr_min=5, window="strict")
+    out = estimate(make_noisy_sample(60, seed=3), plan)["ik/cv"]
     # a pooled cell's outcomes cross the process pool pickled
-    out = pickle.loads(pickle.dumps(Outcome(bw=0.5, error=error)))
-    assert type(out.error) is type(error) and out.error.args == error.args
-    assert out.reason == out.error.reason == reason
-    assert not out.ok and out.bw == 0.5
+    back = pickle.loads(pickle.dumps(out))
+    want = (reason, f"{type(error).__name__}: {error.args[0]}", False, 0.5)
+    assert (out.reason, out.error, out.ok, out.bw) == want
+    assert (back.reason, back.error, back.ok, back.bw) == want
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +357,7 @@ def test_shared_fits_match_one_method_at_a_time(sample, m_bound, akm_bound, alph
         assert (np.array([getattr(shared, f) for f in fields]).tobytes()
                 == np.array([getattr(alone, f) for f in fields]).tobytes()), method
         assert shared.reason == alone.reason, method
-        assert type(shared.error) is type(alone.error), method
-        assert str(shared.error) == str(alone.error), method
+        assert shared.error == alone.error, method
 
 
 def _count_calls(monkeypatch, function, key):

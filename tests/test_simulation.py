@@ -130,6 +130,7 @@ class TestCellSpecValidation:
         ("m_bar", float("inf"), None),
         ("m_bar", 0.5, None),
         ("rv", "rv9", None),
+        ("rv", 2, None),
         ("mu", "mu0", None),
         ("n", 0, None),
         ("replications", 0, None),
@@ -191,6 +192,19 @@ class TestCellSpecValidation:
         assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("size, cell_id", [
+        ({"m_bar": 10}, "rv2_mu2_mbar10"),
+        ({"m_bar": 27.0}, "rv2_mu2_mbar27"),
+        ({"m_bar": 10.5}, "rv2_mu2_mbar10.5"),
+        ({"m_bar": 27.000001}, "rv2_mu2_mbar27.000001"),
+        ({"m_bar": 1234567.5}, "rv2_mu2_mbar1234567.5"),
+        ({"m_bar": 1234568.0}, "rv2_mu2_mbar1234568.0"),
+        ({"n": 40}, "rv2_mu2_n40"),
+    ])
+    def test_cell_id_is_short_but_exact(self, size, cell_id):
+        # six significant digits, unless they would name two sizes alike
+        assert CellSpec(rv="rv2", mu="mu2", **size).cell_id() == cell_id
 
     def test_lr_alias(self):
         cell = validate_cell_spec(
