@@ -210,7 +210,7 @@ def cmd_simulate(args) -> int:
     spec_path = Path(args.spec)
     try:
         raw = json.loads(spec_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, an int past 4,300 digits
         raise SpecValidationError(f"{spec_path}: invalid JSON ({err})")
     cell = validate_cell_spec(raw)
     result = run_cell(cell)

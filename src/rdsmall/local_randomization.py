@@ -46,6 +46,8 @@ WINDOW_POLICIES = ("strict", "capped")
 # Relative slack when counting |stat| >= |observed|: exact ties recomputed
 # through different float paths must still count as extreme.
 _TIE_RTOL = 1e-12
+# Rows of an exact table gathered at once; a row's temporaries take 16 * k bytes
+_GATHER_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,9 @@ def _assignment_stats(y_window: np.ndarray, n_treated: int, max_exact: int,
     n_control = n - k
     if math.comb(n, k) <= max_exact:
         idx, bounds, k_groups = _exact_layout(n, k)
-        s_a = y_window[idx].sum(axis=1)
+        s_a = np.empty(len(idx))
+        for a in range(0, len(idx), _GATHER_ROWS):
+            y_window[idx[a:a + _GATHER_ROWS]].sum(axis=1, out=s_a[a:a + _GATHER_ROWS])
         mode = "exact"
     else:
         keys = np.random.default_rng(rng).random((n_mc, n))

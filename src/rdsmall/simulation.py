@@ -21,6 +21,7 @@ import io
 import json
 import math
 import numbers
+import sys
 import zlib
 from collections import Counter
 from collections.abc import Callable
@@ -219,6 +220,8 @@ class CellSpec:
                 continue
             if not _is_a(value, type_):
                 raise SpecValidationError(f"{key}: expected {type_.__name__}, got {value!r}")
+            if type_ is not str and math.inf > abs(value) > sys.float_info.max:
+                raise SpecValidationError(f"{key}: got a number that no float can hold")
             if not check(value):
                 raise SpecValidationError(f"{key}: {desc}, got {value!r}")
         if self.m_bar is None and self.n is None:
@@ -257,8 +260,8 @@ def validate_cell_spec(raw: dict) -> CellSpec:
     fields = dict(raw)
     for key, value in raw.items():
         type_ = _FIELD_RULES[key][0] if key in _FIELD_RULES else None
-        whole = _is_a(value, float) and float(value).is_integer()
-        if (type_ is float and _is_a(value, float)) or (type_ is int and whole):
+        number = _is_a(value, float) and not math.inf > abs(value) > sys.float_info.max
+        if number and (type_ is float or (type_ is int and float(value).is_integer())):
             fields[key] = type_(value)
     return CellSpec(**fields)
 
@@ -287,6 +290,14 @@ def _run_chunk(cell: CellSpec, n: int, plan: Plan, lo: int, hi: int):
 # ---------------------------------------------------------------------------
 
 _FAIL = float("nan")
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median(a)`` of a NaN-free 1-D ``a``, bit for bit, without importing
+    ``numpy.ma``: partitioned on numpy's kth list (-1 too), its middle is numpy's."""
+    n = a.size
+    part = np.partition(a, [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1])
+    return float(np.mean(part[(n - 1) // 2:n // 2 + 1]))
 
 
 @dataclass(frozen=True)
@@ -358,7 +369,7 @@ def _aggregate(cell: CellSpec, n: int, true_m: float,
 
         steps = np.array([row[m].grid_step for row in rows])[common]
         steps = steps[np.isfinite(steps)]
-        median_grid_step = float(np.median(steps)) if steps.size else _FAIL
+        median_grid_step = _median(steps) if steps.size else _FAIL
 
         tau_c, lo_c, hi_c = tau[common], lo[common], hi[common]
         if r_common >= 2:
@@ -367,7 +378,7 @@ def _aggregate(cell: CellSpec, n: int, true_m: float,
             sq_err = (tau_c - TRUE_TAU) ** 2
             mse = float(np.mean(sq_err))
             coverage = float(np.mean((lo_c <= TRUE_TAU) & (TRUE_TAU <= hi_c)))
-            median_width = float(np.median(hi_c - lo_c))
+            median_width = _median(hi_c - lo_c)
             mcse = {
                 "bias": emp_se / math.sqrt(r_common),
                 "coverage": math.sqrt(coverage * (1 - coverage) / r_common),
@@ -386,7 +397,7 @@ def _aggregate(cell: CellSpec, n: int, true_m: float,
             r_common=r_common,
             bw_success_rate=float(np.mean(bw_ok)),
             interval_success_rate=float(np.mean(ok[m])),
-            median_bandwidth=float(np.median(bw[bw_ok])) if bw_ok.any() else _FAIL,
+            median_bandwidth=_median(bw[bw_ok]) if bw_ok.any() else _FAIL,
             bias=bias,
             emp_se=emp_se,
             mse=mse,

@@ -628,12 +628,12 @@ def test_analyze_and_diss_load_no_scipy():
     # numpy or ported: scipy cost 327 modules and ~0.3 s at every start of
     # the console script; only the harness's Beta draws load scipy's compiled
     # special functions, without scipy.special's package and its array-API
-    # layer. np.percentile and np.unique import numpy.ma (~15 ms), and the
-    # process pool multiprocessing, socket and subprocess (~20 ms): only a
-    # pooled cell loads the pool
+    # layer. np.percentile, np.unique and np.median import numpy.ma (~15 ms),
+    # which no command loads, and the process pool multiprocessing, socket
+    # and subprocess (~20 ms): only a pooled cell loads the pool
     data = DATA_DIR / "indiana_synth.csv"
     code = f"""
-import contextlib, io, sys
+import contextlib, dataclasses, io, sys, tempfile
 import numpy as np
 import rdsmall, rdsmall.cli, rdsmall.simulation
 io_args = ["--input", {str(data)!r}, "--x-col", "score_2017", "--y-col", "score_2018",
@@ -656,6 +656,12 @@ cell = rdsmall.simulation.CellSpec(rv="rv2", mu="mu2", m_bar=10, replications=4,
 rdsmall.simulation.run_cell(cell)
 assert "concurrent.futures.process" in sys.modules
 assert_ufuncs_only()
+serial = rdsmall.simulation.run_cell(dataclasses.replace(cell, replications=1, workers=1))
+with tempfile.TemporaryDirectory() as out:
+    rdsmall.simulation.write_cell_outputs(serial, out)
+rdsmall.simulation.design_table()
+ma = [m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
+assert not ma, ma
 """
     env = {**os.environ, "PYTHONPATH": str(Path(rdsmall.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

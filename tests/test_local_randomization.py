@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 from unittest.mock import patch
 
@@ -81,6 +82,32 @@ def test_exact_layout_is_the_combinations_stably_grouped_by_treated_count():
         assert np.array_equal(bounds, np.append(starts, rows.shape[0])), (n, k)
         assert np.array_equal(k_groups, k_a[order][starts]), (n, k)
         assert not any(a.flags.writeable for a in (idx, bounds, k_groups)), (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(20, 15), (19, 14), (16, 8), (10, 5)])
+def test_exact_sums_are_the_whole_table_gathers(n, k):
+    # the sums are gathered a block of rows at a time, and each row is
+    # reduced as the whole table's gather reduces it
+    rng = np.random.default_rng(n * k)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    u, _, _, mode = _assignment_stats(y, k, DEFAULT_MAX_EXACT, 0, None)
+    s_a = y[_exact_layout(n, k)[0]].sum(axis=1)
+    assert mode == "exact"
+    assert u.tobytes() == (s_a / k - (y.sum() - s_a) / (n - k)).tobytes()
+
+
+def test_a_warm_exact_call_gathers_in_bounded_memory():
+    # the whole (15504, 15) table's gather, a float array and an intp copy
+    # of the index at once, peaked at 1.89 MB
+    y = np.random.default_rng(0).standard_normal(20)
+    _assignment_stats(y, 15, DEFAULT_MAX_EXACT, 0, None)  # builds the cached table
+    tracemalloc.start()
+    try:
+        _assignment_stats(y, 15, DEFAULT_MAX_EXACT, 0, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75e6
 
 
 class _CoarseKeys(np.random.Generator):

@@ -1,10 +1,13 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import MU_KNOTS, max_abs_second_derivative, mu_second_derivative
 from rdsmall import simulation
@@ -99,6 +102,21 @@ class TestStudySizes:
         assert [resolve_study_size("rv3", m) for m in (10, 21, 27, 44, 57)] == [
             140, 354, 494, 905, 1254,
         ]
+
+
+_MEDIAN_VALUES = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e308]
+) | st.floats(allow_nan=False)
+
+
+@given(st.lists(_MEDIAN_VALUES, min_size=1, max_size=60))
+def test_median_is_numpys_bit_for_bit(values):
+    # the cell aggregates' medians, written out so that no cell imports
+    # numpy.ma: the same signed zero, infinity or NaN (inf - inf) as numpy's
+    a = np.array(values)
+    with np.errstate(all="ignore"):
+        got, want = simulation._median(a), np.median(a)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestCellSpecValidation:
@@ -211,6 +229,30 @@ class TestCellSpecValidation:
             {"rv": "rv1", "mu": "mu1", "n": 50, "methods": ["lr"], "lr_min": 4}
         )
         assert cell.methods == ("lr4",)
+
+    @pytest.mark.parametrize("exponent", [400, 5000])
+    @pytest.mark.parametrize("field", ["m_bar", "replications", "m_bound", "alpha"])
+    def test_a_number_that_no_float_can_hold_is_refused(self, field, exponent, tmp_path, capsys):
+        # 10**400 overflowed float() in validate_cell_spec's whole-number check
+        # and in cell_id; past 4,300 digits json.loads refuses the text itself
+        size = {} if field == "m_bar" else {"n": 40}
+        spec = {"rv": "rv2", "mu": "mu2", "replications": 2, **size, field: 10**exponent}
+        message = f"{field}: got a number that no float can hold"
+        with pytest.raises(SpecValidationError, match=f"^{message}$"):
+            validate_cell_spec(spec)
+        with pytest.raises(SpecValidationError, match=f"^{message}$"):
+            CellSpec(**spec)
+        path = tmp_path / "cell.json"
+        text = json.dumps({**spec, field: 0})  # json.dumps cannot write 10**5000
+        path.write_text(text.replace(f'"{field}": 0', f'"{field}": 1{"0" * exponent}'),
+                        encoding="utf-8")
+        assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        if exponent < 4300:
+            assert err == f"error: {message}\n"
+        else:
+            assert err.startswith(f"error: {path}: invalid JSON (")
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def _small_cell(**overrides):
